@@ -553,7 +553,9 @@ def run_verify(action, radius: int, n: int, cap: int) -> dict:
                series.to_json())
 
     ids = [e["id"] for e in entries]
-    assert sorted(ids) == sorted(CHECK_IDS) and len(ids) == len(CHECK_IDS)
+    if sorted(ids) != sorted(CHECK_IDS):
+        raise RuntimeError(f"verify produced checks {sorted(ids)}, "
+                           f"expected {sorted(CHECK_IDS)}")
     order = {check_id: k for k, check_id in enumerate(CHECK_IDS)}
     entries.sort(key=lambda e: order[e["id"]])
 

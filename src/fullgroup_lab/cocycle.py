@@ -148,10 +148,6 @@ def stabilizer_test(phi: FullGroupElement, half: HalfSpace) -> bool:
     return cocycle_value(phi, half).is_empty
 
 
-def sym_diff(a: CocycleValue, b: frozenset) -> frozenset:
-    return a.vertices ^ b
-
-
 def push_set(phi: FullGroupElement, graph: Graph, vertices) -> frozenset:
     """Image of a vertex set under phi (all images must stay in the graph)."""
     out = set()

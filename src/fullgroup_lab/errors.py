@@ -43,6 +43,10 @@ class NotConnected(FullGroupLabError):
     pass
 
 
+class NotGeodesic(FullGroupLabError):
+    pass
+
+
 class NotAPartition(FullGroupLabError):
     pass
 

@@ -11,7 +11,6 @@ as group elements is the word problem and is out of scope.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 
@@ -93,12 +92,6 @@ class FullGroupElement:
     def same_map_table(self, other: "FullGroupElement") -> bool:
         depth = max(self.depth, other.depth)
         return self.refined(depth) == other.refined(depth)
-
-    def element_hash(self) -> str:
-        import hashlib
-        payload = [[p, list(w)] for p, w in self.pieces]
-        return hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
     def __repr__(self):
         body = ", ".join(f"{p or 'root'}:{'.'.join(w) or 'id'}"

@@ -3,10 +3,12 @@
 A chart is fitted from one endpoint of a diametral pair: f(x) = d(u, x) -
 d(u, base), possibly negated so that orientation is stable across radii
 (the end whose point has the lexicographically smaller (period, preperiod)
-canonical key gets the larger f values).  The constants alpha, beta, gamma
-are the minimal grid rationals making both quasi-isometry inequalities
-hold over all certified vertex pairs, and m = alpha^2 + 2*alpha*beta.
-All constants are exact rationals.
+canonical key gets the larger f values).  Such an f is 1-Lipschitz, so
+alpha = 1 and the upper quasi-isometry inequality holds by the triangle
+inequality; beta is the integer maximum of d(u, v) - |f(u) - f(v)| over
+all certified vertex pairs, and m = alpha^2 + 2*alpha*beta.  The pair
+scans stream one BFS row at a time and use integer arithmetic only, so
+they hold O(n) memory.  All constants are exact.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotConnected
+from .errors import NotConnected, NotGeodesic
 from .schreier import Graph
 
 
@@ -86,46 +88,31 @@ def fit_line_chart(graph: Graph) -> LineChart:
     off = drow[graph.base]
     f = tuple(drow[v] - off for v in range(graph.n))
 
-    certified = sorted(graph.certified(1))
-    alpha, beta = _fit_constants(graph, f, certified)
+    alpha, beta = _fit_constants(graph, f)
     gamma = _fit_gamma(f)
     m = alpha * alpha + 2 * alpha * beta
     return LineChart(graph, f, alpha, beta, gamma, m, minus_end, plus_end)
 
 
-def _pair_deviation(graph: Graph, f, certified, alpha: Fraction) -> Fraction:
-    """Smallest beta making both inequalities hold at this alpha."""
-    beta = Fraction(0)
-    for i, u in enumerate(certified):
-        row = graph.distance_row(u)
-        fu = f[u]
-        for v in certified[i + 1:]:
-            d = row[v]
-            gap = abs(fu - f[v])
-            need_upper = gap - alpha * d
-            need_lower = Fraction(d, 1) / alpha - gap
-            if need_upper > beta:
-                beta = need_upper
-            if need_lower > beta:
-                beta = need_lower
-    return beta
+def _pair_rows(graph: Graph):
+    """Yield (u, BFS row of u, certified vertices after u), one row at a time."""
+    certified = sorted(graph.certified(1))
+    for i, u in enumerate(certified[:-1]):
+        yield u, graph.distances_from([u]), certified[i + 1:]
 
 
-def _fit_constants(graph: Graph, f, certified):
-    """Lexicographically minimal (alpha, beta) on the half-integer grid.
+def _fit_constants(graph: Graph, f):
+    """alpha = 1 and the smallest beta over the certified pairs.
 
-    Any alpha >= 1 admits some beta, so the scan settles on the smallest
-    grid alpha; beta is then rounded up to the grid.
+    f is 1-Lipschitz, so gap = |f(u) - f(v)| <= d(u, v): the upper
+    inequality gap <= d + beta holds for any beta >= 0, and the lower one
+    d - beta <= gap needs beta = max(d - gap), an integer.
     """
-    alpha = Fraction(1)
-    beta_exact = _pair_deviation(graph, f, certified, alpha)
-    beta = Fraction(_ceil_to_half(beta_exact))
-    return alpha, beta
-
-
-def _ceil_to_half(x: Fraction) -> Fraction:
-    from math import ceil
-    return Fraction(ceil(x * 2), 2)
+    beta = 0
+    for u, row, vs in _pair_rows(graph):
+        fu = f[u]
+        beta = max(beta, max(row[v] - abs(fu - f[v]) for v in vs))
+    return Fraction(1), Fraction(beta)
 
 
 def _fit_gamma(f) -> Fraction:
@@ -138,29 +125,35 @@ def _fit_gamma(f) -> Fraction:
     return Fraction(gamma)
 
 
-def certificate_is_tight(chart: LineChart) -> bool:
-    """True when lowering beta by one grid step breaks some pair."""
-    if chart.beta == 0:
-        return True
-    certified = sorted(chart.graph.certified(1))
-    lowered = chart.beta - Fraction(1, 2)
-    return _pair_deviation(chart.graph, chart.f, certified, chart.alpha) > lowered
+def _qi_holds(chart: LineChart, beta: Fraction) -> bool:
+    """Both inequalities d/alpha - beta <= gap <= alpha*d + beta, exactly.
 
-
-def check_qi_inequalities(chart: LineChart, pairs=None) -> bool:
-    """Re-verify both quasi-isometry inequalities (exact rationals)."""
-    graph, f = chart.graph, chart.f
-    certified = sorted(graph.certified(1))
-    if pairs is None:
-        pairs = ((u, v) for i, u in enumerate(certified)
-                 for v in certified[i + 1:])
-    for u, v in pairs:
-        d = graph.d(u, v)
-        gap = abs(f[u] - f[v])
-        if not (Fraction(d) / chart.alpha - chart.beta <= gap
-                <= chart.alpha * d + chart.beta):
-            return False
+    With alpha = p/q > 0 and beta = r/s they read, after clearing the
+    denominators, d*q*s - r*p <= gap*p*s and gap*q*s <= p*d*s + r*q.
+    """
+    f = chart.f
+    p, q = chart.alpha.numerator, chart.alpha.denominator
+    r, s = beta.numerator, beta.denominator
+    qs, rp, ps, rq = q * s, r * p, p * s, r * q
+    for u, row, vs in _pair_rows(chart.graph):
+        fu = f[u]
+        for v in vs:
+            d = row[v]
+            gap = abs(fu - f[v])
+            if d * qs - rp > gap * ps or gap * qs > d * ps + rq:
+                return False
     return True
+
+
+def certificate_is_tight(chart: LineChart) -> bool:
+    """True when beta lowered by half a unit is negative or breaks a pair."""
+    lowered = chart.beta - Fraction(1, 2)
+    return lowered < 0 or not _qi_holds(chart, lowered)
+
+
+def check_qi_inequalities(chart: LineChart) -> bool:
+    """Re-verify both quasi-isometry inequalities over the certified pairs."""
+    return _qi_holds(chart, chart.beta)
 
 
 @dataclass(frozen=True)
@@ -183,8 +176,8 @@ def fiber_diameter_check(chart: LineChart) -> FiberReport:
     worst_level = None
     for level, verts in sorted(chart.fibers().items()):
         verts = [v for v in verts if v in certified]
-        for i, u in enumerate(verts):
-            row = chart.graph.distance_row(u)
+        for i, u in enumerate(verts[:-1]):
+            row = chart.graph.distances_from([u])
             for v in verts[i + 1:]:
                 if row[v] > worst:
                     worst = row[v]
@@ -229,10 +222,11 @@ def diametral_geodesic(graph: Graph) -> GeodesicSegment:
     while path[-1] != minus_end:
         path.append(parent[path[-1]])
     path.reverse()
-    for i in range(len(path)):
-        row = graph.distance_row(path[i])
-        for j in range(i + 1, len(path)):
-            assert row[path[j]] == j - i, "diametral path is not a geodesic"
+    # a walk of consecutive neighbors whose j-th vertex lies at distance j
+    # from its start is a geodesic, and so is every piece of it
+    if any(dist[v] != j for j, v in enumerate(path)) or any(
+            b not in graph.neighbors(a) for a, b in zip(path, path[1:])):
+        raise NotGeodesic("diametral path is not a geodesic")
     return GeodesicSegment(graph, tuple(path))
 
 
@@ -248,15 +242,19 @@ def max_geodesic_midpoint(graph: Graph, v: int) -> int:
     pairs = {(v, v)}
     n = 0
     while True:
-        nxt = set()
+        # pairs are unordered, kept as (smaller, larger) and grouped by the
+        # smaller end: one BFS row per group, none kept past the level
+        ends = {}
         for a, b in pairs:
             ext_a = [x for x in graph.neighbors(a) if dv[x] == n + 1]
             ext_b = [y for y in graph.neighbors(b) if dv[y] == n + 1]
             for x in ext_a:
-                rx = graph.distance_row(x)
                 for y in ext_b:
-                    if rx[y] == 2 * (n + 1):
-                        nxt.add((x, y))
+                    ends.setdefault(min(x, y), set()).add(max(x, y))
+        nxt = set()
+        for x, ys in ends.items():
+            rx = graph.distances_from([x])
+            nxt.update((x, y) for y in ys if rx[y] == 2 * (n + 1))
         if not nxt:
             return n
         pairs = nxt

@@ -11,18 +11,16 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cantor_actions import ActionSystem, BoundaryPoint
 from .errors import BallTooLarge, InvalidRadius
 
 DEFAULT_VERTEX_CAP = 1 << 16
 
-
-def _ceil(x) -> int:
-    if isinstance(x, Fraction):
-        return int(math.ceil(x))
-    return int(math.ceil(x))
+# Full BFS rows a graph caches, least recently used out first: enough for
+# the anchors asked for again and again (the geodesic projection, the R
+# constant at p) while memory stays linear in n.
+ROW_CACHE_SIZE = 8
 
 
 class Graph:
@@ -43,7 +41,7 @@ class Graph:
         self.radius = radius
         self.index = {self._key(lab): i for i, lab in enumerate(self.labels)}
         self._adj = None
-        self._apsp = {}
+        self._rows = {}
         if dist is not None:
             self.dist = list(dist)
         else:
@@ -100,24 +98,33 @@ class Graph:
         return dist
 
     def distance_row(self, v: int) -> list:
-        row = self._apsp.get(v)
+        """BFS row of v, cached among the latest rows; do not modify it."""
+        rows = self._rows
+        row = rows.pop(v, None)
         if row is None:
             row = self.distances_from([v])
-            self._apsp[v] = row
+            if len(rows) >= ROW_CACHE_SIZE:
+                del rows[next(iter(rows))]
+        rows[v] = row
         return row
 
     def d(self, u: int, v: int) -> int:
-        return self.distance_row(u)[v]
-
-    def is_connected(self) -> bool:
-        return all(x >= 0 for x in self.distances_from([self.base]))
+        """Distance from u to v by a BFS that stops at v; -1 if unreachable."""
+        seen, layer, k = {u}, {u}, 0
+        while v not in layer:
+            if not layer:
+                return -1
+            layer = {w for x in layer for w in self.neighbors(x)} - seen
+            seen |= layer
+            k += 1
+        return k
 
     def certified(self, margin) -> frozenset:
         """Vertices whose in-graph neighborhood of the given margin is not
         truncated by the rim; rimless graphs certify everything."""
         if self.radius is None:
             return frozenset(range(self.n))
-        cutoff = self.radius - _ceil(margin)
+        cutoff = self.radius - math.ceil(margin)
         return frozenset(v for v in range(self.n) if self.dist[v] <= cutoff)
 
     def bfs_parents(self, root: int):
@@ -145,9 +152,6 @@ class SchreierBall(Graph):
 
     def point(self, v: int) -> BoundaryPoint:
         return self.labels[v]
-
-    def apply_gen_vertex(self, name: str, v: int):
-        return self.vertex_of(self.action.apply_gen(name, self.labels[v]))
 
 
 class LevelGraph(Graph):
@@ -255,12 +259,6 @@ def neighborhood_set(graph: Graph, W, k: int) -> frozenset:
 
 
 # --- synthetic fixtures --------------------------------------------------
-
-def graph_from_edges(n: int, edges, base: int = 0, labels=None) -> Graph:
-    if labels is None:
-        labels = [f"v{i}" for i in range(n)]
-    return Graph(labels, [(u, "s", v) for u, v in edges], base=base)
-
 
 def path_graph(n: int, base: int = 0) -> Graph:
     labels = [f"p{i:03d}" for i in range(n)]

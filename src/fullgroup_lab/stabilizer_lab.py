@@ -119,10 +119,10 @@ def nested_family(F, n: int, half: HalfSpace, seg: GeodesicSegment) -> NestedFam
         else:
             sets[i] = transport_halfspace(F, match_of[i], n, half, seg).y_z
 
-    row_cache = {i: graph.distance_row(match_of[i]) for i in indices}
+    rows = (graph.distances_from([match_of[i]]) for i in indices[:-1])
     checks["disjoint_n_balls"] = all(
-        row_cache[i][match_of[j]] > 2 * n
-        for i in indices for j in indices if i < j)
+        row[match_of[j]] > 2 * n
+        for k, row in enumerate(rows) for j in indices[k + 1:])
 
     d_max = max(1, max(displacement_bound(phi) for phi in F))
     window = graph.certified(d_max)

@@ -7,6 +7,7 @@ exhaustive enumerations) and avoids the code paths under test.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from fractions import Fraction
 
@@ -120,6 +121,41 @@ def simple_pairs(graph) -> set:
 def all_pairs(graph) -> list:
     pairs = simple_pairs(graph)
     return [bfs_distances(graph.n, pairs, s) for s in range(graph.n)]
+
+
+def qi_deviation(rows, f, certified, alpha) -> Fraction:
+    """Smallest beta >= 0 with both QI inequalities at this alpha, pairwise
+    in rationals."""
+    beta = Fraction(0)
+    for i, u in enumerate(certified):
+        for v in certified[i + 1:]:
+            d = rows[u][v]
+            gap = abs(f[u] - f[v])
+            beta = max(beta, gap - alpha * d, Fraction(d) / alpha - gap)
+    return beta
+
+
+def ceil_to_half(x: Fraction) -> Fraction:
+    return Fraction(math.ceil(x * 2), 2)
+
+
+def qi_constants(graph, f) -> tuple:
+    """(alpha, beta) of the rational half-grid fit at alpha = 1."""
+    alpha = Fraction(1)
+    beta = qi_deviation(all_pairs(graph), f, sorted(graph.certified(1)), alpha)
+    return alpha, ceil_to_half(beta)
+
+
+def qi_holds(rows, f, pairs, alpha, beta) -> bool:
+    return all(Fraction(rows[u][v]) / alpha - beta <= abs(f[u] - f[v])
+               <= alpha * rows[u][v] + beta for u, v in pairs)
+
+
+def qi_tight(rows, f, certified, alpha, beta) -> bool:
+    """Lowering beta by half a unit leaves it below the deviation."""
+    if beta == 0:
+        return True
+    return qi_deviation(rows, f, certified, alpha) > beta - Fraction(1, 2)
 
 
 def is_simple_path(graph) -> bool:

@@ -1,9 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fullgroup_lab
+from fullgroup_lab import builtin_action, cli
 from fullgroup_lab.cli import main
 
 SWAP = {"pieces": [{"prefix": "0", "word": ["t"]},
@@ -170,3 +174,24 @@ def test_cli_subprocess_entry():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
+
+
+def test_verify_report_survives_python_O(tmp_path):
+    # python -O strips asserts, so no check may live in one
+    env = dict(os.environ, PYTHONPATH=str(Path(fullgroup_lab.__file__).parents[1]))
+    reports = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / f"verify{len(flags)}.json"
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "fullgroup_lab", "verify", "odometer",
+             "--radius", "40", "--out", str(out)],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_verify_raises_on_a_missing_check(monkeypatch):
+    monkeypatch.setattr(cli, "CHECK_IDS", cli.CHECK_IDS + ("extra",))
+    with pytest.raises(RuntimeError, match="expected"):
+        cli.run_verify(builtin_action("odometer"), 8, 10, 1 << 16)

@@ -16,7 +16,7 @@ from fullgroup_lab import (
     star_graph,
 )
 from fullgroup_lab.line_geometry import LineChart, certificate_is_tight, check_qi_inequalities
-from fullgroup_lab.errors import NotConnected
+from fullgroup_lab.errors import NotConnected, NotGeodesic
 from oracles import all_pairs, exhaustive_midpoint, point_to_int
 
 
@@ -211,3 +211,24 @@ def test_certificate_tightness(odometer):
     chart = fit_line_chart(ball)
     assert certificate_is_tight(chart)
     assert check_qi_inequalities(chart)
+
+
+def test_diametral_geodesic_rejects_a_detour(monkeypatch):
+    # path 0..6 plus the longer detour 1-7-8-3; the diametral ends are 0, 6
+    edges = [(i, "s", i + 1) for i in range(6)]
+    edges += [(1, "s", 7), (7, "s", 8), (8, "s", 3)]
+    g = Graph([f"v{i}" for i in range(9)], edges, base=2)
+    assert len(diametral_geodesic(g)) == 6
+    original = Graph.bfs_parents
+
+    def detour(self, root):
+        parent, dist = original(self, root)
+        if root == 0:
+            parent[3], parent[8], parent[7] = 8, 7, 1
+        else:
+            parent[1], parent[7], parent[8] = 7, 8, 3
+        return parent, dist
+
+    monkeypatch.setattr(Graph, "bfs_parents", detour)
+    with pytest.raises(NotGeodesic):
+        diametral_geodesic(g)
