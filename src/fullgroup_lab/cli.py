@@ -59,6 +59,7 @@ from .full_group import (
     identity_element,
     invert,
     make_element,
+    vertex_map,
 )
 from .line_geometry import (
     diametral_geodesic,
@@ -68,7 +69,8 @@ from .line_geometry import (
     max_geodesic_midpoint,
     project_to_geodesic,
 )
-from .pattern_transport import end_strips, pattern_match_points, repetition_radius, transport_halfspace
+from .pattern_transport import (end_strips, pattern_match_points, repetition_radius,
+                                transport_anchor, transport_halfspace)
 from .recurrence import escape_series, simulate_escape
 from .schreier import (
     DEFAULT_VERTEX_CAP,
@@ -413,13 +415,10 @@ def run_verify(action, radius: int, n: int, cap: int) -> dict:
             kern_ok = False
             kern_witness[_elem_desc(elem)] = f"error: {exc}"
             continue
-        window = sorted(ball.certified(max(1, displacement_bound(elem))))
-        fixes = True
-        for v in window:
-            img = ball.vertex_of(apply_element(elem, ball.labels[v]))
-            if img is None or ((v in half.members) != (img in half.members)):
-                fixes = False
-                break
+        image = vertex_map(elem, ball)
+        fixes = not any(
+            image[v] < 0 or (v in half.members) != (image[v] in half.members)
+            for v in ball.certified(max(1, displacement_bound(elem))))
         kern_witness[_elem_desc(elem)] = {"kernel": empty, "fixes_Y": fixes}
         if empty != fixes:
             kern_ok = False
@@ -450,14 +449,13 @@ def run_verify(action, radius: int, n: int, cap: int) -> dict:
     dphi_witness = {}
     for elem in samples["samples"]:
         bound = displacement_bound(elem)
-        margin_window = ball.certified(max(1, bound))
+        image = vertex_map(elem, ball)
         worst = 0
-        for v in sorted(margin_window):
-            img = ball.vertex_of(apply_element(elem, ball.labels[v]))
-            if img is None:
+        for v in sorted(ball.certified(max(1, bound))):
+            if image[v] < 0:
                 dphi_ok = False
                 break
-            worst = max(worst, ball.d(v, img))
+            worst = max(worst, ball.d(v, image[v]))
         dphi_witness[_elem_desc(elem)] = {"d_phi": bound, "max_displacement": worst}
         if worst > bound:
             dphi_ok = False
@@ -475,14 +473,11 @@ def run_verify(action, radius: int, n: int, cap: int) -> dict:
                {"n": n})
     else:
         try:
-            R_anchor = r_constant(half, seg, p)
-            worst_nphi = max(n_phi(chart.m, R_anchor, displacement_bound(phi))
-                             for phi in F)
-        except NotStabilized as exc:
-            R_anchor = None
+            anchor = transport_anchor(F, n, half, seg)
+        except (NotStabilized, PreconditionNphi) as exc:
             skipped_reason = str(exc)
-        if R_anchor is not None and Fraction(n) <= worst_nphi:
-            skipped_reason = f"need n > {worst_nphi}, got {n}"
+        except TransportFailure:
+            anchor = None  # F moves Y: each transport below fails with it
         if skipped_reason:
             _check(entries, "stab_transport", "skipped",
                    {"reason": skipped_reason}, {"n": n})
@@ -493,7 +488,7 @@ def run_verify(action, radius: int, n: int, cap: int) -> dict:
             t_witness = {"match_points": [ball.label_str(z) for z in chosen]}
             for z in chosen:
                 try:
-                    transport_halfspace(F, z, n, half, seg)
+                    transport_halfspace(F, z, n, half, seg, anchor)
                 except (TransportFailure, PatternMismatch, PreconditionNphi,
                         RimContact, NotStabilized) as exc:
                     t_ok = False
@@ -506,7 +501,7 @@ def run_verify(action, radius: int, n: int, cap: int) -> dict:
             _check(entries, check_id, "skipped", {"reason": skipped_reason})
     else:
         try:
-            family = nested_family(F, n, half, seg)
+            family = nested_family(F, n, half, seg, anchor)
         except (WindowTooSmall, PreconditionNphi, NotStabilized) as exc:
             family = None
             for check_id in ("nesting", "block_bound", "finite_order"):

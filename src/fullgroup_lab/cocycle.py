@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotStabilized
-from .full_group import FullGroupElement, apply_element, displacement_bound, invert
+from .full_group import FullGroupElement, displacement_bound, invert, vertex_map
+from .full_group import apply_element  # unused; perfbench/tests reads it here
 from .line_geometry import GeodesicSegment, LineChart, project_to_geodesic
 from .schreier import Graph, neighborhood_set
 
@@ -79,16 +80,13 @@ def _window(graph: Graph, w: int) -> frozenset:
 def _sym_diff_in_window(half: HalfSpace, phi_inv: FullGroupElement,
                         w: int) -> frozenset:
     """{v in window : v in Y xor phi^-1(v) in Y}; needs w + d_phi <= radius."""
-    graph = half.graph
-    out = set()
-    for v in sorted(_window(graph, w)):
-        pre = graph.vertex_of(apply_element(phi_inv, graph.labels[v]))
-        if pre is None:
-            raise NotStabilized(
-                f"phi^-1 leaves the ball inside window {w}; radius too small")
-        if (v in half.members) != (pre in half.members):
-            out.add(v)
-    return frozenset(out)
+    pre = vertex_map(phi_inv, half.graph)
+    window = _window(half.graph, w)
+    if any(pre[v] < 0 for v in window):
+        raise NotStabilized(
+            f"phi^-1 leaves the ball inside window {w}; radius too small")
+    return frozenset(v for v in window
+                     if (v in half.members) != (pre[v] in half.members))
 
 
 def cocycle_value(phi: FullGroupElement, half: HalfSpace) -> CocycleValue:
@@ -119,22 +117,16 @@ def cocycle_value(phi: FullGroupElement, half: HalfSpace) -> CocycleValue:
 
 def _check_translate_bound(phi: FullGroupElement, half: HalfSpace, w: int):
     """gY \\ Y inside the len(g)-neighborhood of the boundary, per piece."""
-    from .cantor_actions import apply_word
-
     graph = half.graph
     action = phi.action
     for _prefix, word in phi.pieces:
         length = len(word)
         if length == 0:
             continue
-        inv_word = action.inverse_word(word)
-        translate_minus_y = set()
-        for v in sorted(_window(graph, w)):
-            if v in half.members:
-                continue
-            pre = graph.vertex_of(apply_word(action, inv_word, graph.labels[v]))
-            if pre is not None and pre in half.members:
-                translate_minus_y.add(v)
+        inv_word = tuple(action.inverse_word(word))
+        pre = vertex_map(FullGroupElement(action, (("", inv_word),)), graph)
+        translate_minus_y = {v for v in _window(graph, w)
+                             if v not in half.members and pre[v] in half.members}
         allowed = neighborhood_set(graph, half.boundary, length)
         stray = translate_minus_y - allowed
         if stray:
@@ -150,13 +142,11 @@ def stabilizer_test(phi: FullGroupElement, half: HalfSpace) -> bool:
 
 def push_set(phi: FullGroupElement, graph: Graph, vertices) -> frozenset:
     """Image of a vertex set under phi (all images must stay in the graph)."""
-    out = set()
+    image = vertex_map(phi, graph)
     for v in sorted(vertices):
-        w = graph.vertex_of(apply_element(phi, graph.labels[v]))
-        if w is None:
+        if image[v] < 0:
             raise NotStabilized(f"phi pushes vertex {v} outside the ball")
-        out.add(w)
-    return frozenset(out)
+    return frozenset(image[v] for v in vertices)
 
 
 def r_constant(half: HalfSpace, seg: GeodesicSegment, p: int | None = None) -> int:

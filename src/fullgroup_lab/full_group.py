@@ -7,6 +7,10 @@ pieces carrying identical words are merged back and pieces are sorted by
 prefix.  Two elements compare equal when their normal forms at a common
 refinement depth coincide literally; deciding equality of distinct words
 as group elements is the word problem and is out of scope.
+
+On a finite ball of the orbit an element is a partial permutation of the
+vertices, each moving at most d_phi steps along the labeled edges of its
+piece word; vertex_map lists it, so images are looked up, not recomputed.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .cantor_actions import (
     random_points,
 )
 from .errors import DepthCap, NotInvertible, UnknownGenerator
+from .schreier import MAP_CACHE_SIZE, SchreierBall, _lru
 
 DEFAULT_DEPTH_CAP = 20
 
@@ -155,6 +160,33 @@ def apply_element(elem: FullGroupElement, point: BoundaryPoint) -> BoundaryPoint
     return apply_word(elem.action, elem.word_at(point), point)
 
 
+def vertex_map(elem: FullGroupElement, ball: SchreierBall) -> list:
+    """The image vertex of every ball vertex under elem, -1 off the ball:
+    its piece word walked along the ball's labeled edges, or by the
+    transducers where a walk steps off the ball (it may come back)."""
+    if elem.action is not ball.action:
+        raise ValueError("element and ball live on different actions")
+
+    def walk():
+        succ = ball.successors()
+        off = [-1] * ball.n
+        rows = {word: [succ.get(g, off) for g in reversed(word)]
+                for _prefix, word in elem.pieces}
+        out = []
+        for v, label in enumerate(ball.labels):
+            w = v
+            for row in rows[elem.word_at(label)]:
+                w = row[w]
+                if w < 0:
+                    image = ball.vertex_of(apply_element(elem, label))
+                    w = -1 if image is None else image
+                    break
+            out.append(w)
+        return out
+
+    return _lru(ball._maps, elem, MAP_CACHE_SIZE, walk)
+
+
 def compose(phi: FullGroupElement, psi: FullGroupElement,
             depth_cap: int = DEFAULT_DEPTH_CAP) -> FullGroupElement:
     """The element acting as phi after psi (phi o psi).
@@ -213,6 +245,3 @@ def elements_from_json(action: ActionSystem, data) -> list:
         data = data["elements"]
     return [element_from_json(action, entry) for entry in data]
 
-
-def elements_to_json(elems) -> dict:
-    return {"elements": [element_to_json(e) for e in elems]}

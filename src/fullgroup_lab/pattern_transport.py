@@ -24,19 +24,9 @@ from .errors import (
     RimContact,
     TransportFailure,
 )
-from .full_group import apply_element, displacement_bound
+from .full_group import displacement_bound, invert, vertex_map
 from .line_geometry import GeodesicSegment, project_to_geodesic
 from .schreier import Graph
-
-
-def _labeled_adjacency(graph: Graph) -> list:
-    """Per-vertex map generator name -> target vertex (loops included)."""
-    if getattr(graph, "_labeled_adj", None) is None:
-        adj = [dict() for _ in range(graph.n)]
-        for u, name, v in graph.edges:
-            adj[u][name] = v
-        graph._labeled_adj = adj
-    return graph._labeled_adj
 
 
 def _ball_interior_ok(graph: Graph, v: int, n: int) -> bool:
@@ -52,30 +42,24 @@ def labeled_match(graph: Graph, v1: int, v2: int, n: int):
     it exists iff the rooted, generator-labeled neighborhoods are
     isomorphic (loops must match loops).
     """
-    adj = _labeled_adjacency(graph)
+    succ = graph.successors()
     match = {v1: v2}
     reverse = {v2: v1}
     frontier = [v1]
-    depth = {v1: 0}
-    while frontier:
+    for _depth in range(n):
         nxt = []
         for a in frontier:
-            if depth[a] >= n:
-                continue
             b = match[a]
-            if set(adj[a]) != set(adj[b]):
-                return None
-            for g, a2 in adj[a].items():
-                b2 = adj[b][g]
-                if a2 in match:
-                    if match[a2] != b2:
+            for row in succ.values():
+                a2, b2 = row[a], row[b]  # -1: the edge leaves the graph
+                if a2 in match or a2 < 0:
+                    if match.get(a2, -1) != b2:
                         return None
                     continue
-                if b2 in reverse:
+                if b2 in reverse or b2 < 0:
                     return None
                 match[a2] = b2
                 reverse[b2] = a2
-                depth[a2] = depth[a] + 1
                 nxt.append(a2)
         frontier = nxt
     return match
@@ -191,19 +175,30 @@ class TransportedHalfSpace:
         }
 
 
-def transport_halfspace(F, z: int, n: int, half: HalfSpace,
-                        seg: GeodesicSegment) -> TransportedHalfSpace:
-    """Build and verify the half space transported to the match point z."""
+def transport_anchor(F, n: int, half: HalfSpace, seg: GeodesicSegment,
+                     failure=TransportFailure) -> tuple:
+    """(p, R): the basepoint's projection p onto the geodesic and R at p,
+    once F stabilizes Y (else `failure` is raised) and n > N_phi."""
     graph = half.graph
-    chart = half.chart
     p = project_to_geodesic(graph, seg, graph.base)
     for phi in F:
         if not stabilizer_test(phi, half):
-            raise TransportFailure("every element of F must stabilize Y")
+            raise failure("every element of F must stabilize Y")
     R = r_constant(half, seg, p)
-    worst = max(n_phi(chart.m, R, displacement_bound(phi)) for phi in F)
+    worst = max(n_phi(half.chart.m, R, displacement_bound(phi)) for phi in F)
     if Fraction(n) <= worst:
         raise PreconditionNphi(f"need n > {worst}, got {n}")
+    return p, R
+
+
+def transport_halfspace(F, z: int, n: int, half: HalfSpace,
+                        seg: GeodesicSegment,
+                        anchor: tuple | None = None) -> TransportedHalfSpace:
+    """Build and verify the half space transported to the match point z
+    (anchor: transport_anchor(F, n, half, seg), computed if not given)."""
+    graph = half.graph
+    chart = half.chart
+    p, R = anchor or transport_anchor(F, n, half, seg)
     if not _ball_interior_ok(graph, z, n):
         raise RimContact(f"B_{n}({z}) touches the rim")
 
@@ -265,14 +260,11 @@ def transport_halfspace(F, z: int, n: int, half: HalfSpace,
 def _is_invariant(F, graph: Graph, subset: frozenset) -> bool:
     """Membership in the subset is preserved by every phi of F, both ways,
     over the window wide enough for the displacements."""
-    from .full_group import invert
-
     for phi in F:
-        margin = max(1, displacement_bound(phi))
-        window = graph.certified(margin)
+        window = graph.certified(max(1, displacement_bound(phi)))
         for direction in (phi, invert(phi)):
-            for x in sorted(window):
-                img = graph.vertex_of(apply_element(direction, graph.labels[x]))
-                if img is None or ((x in subset) != (img in subset)):
-                    return False
+            image = vertex_map(direction, graph)
+            if any(image[x] < 0 or (x in subset) != (image[x] in subset)
+                   for x in window):
+                return False
     return True

@@ -21,6 +21,20 @@ DEFAULT_VERTEX_CAP = 1 << 16
 # the anchors asked for again and again (the geodesic projection, the R
 # constant at p) while memory stays linear in n.
 ROW_CACHE_SIZE = 8
+# Element vertex maps a graph caches (full_group.vertex_map): verify asks
+# again for each sample element, its inverse and the family F.
+MAP_CACHE_SIZE = 16
+
+
+def _lru(cache: dict, key, size: int, compute):
+    """cache[key], computed on a miss; least recently used out first."""
+    value = cache.pop(key, None)
+    if value is None:
+        value = compute()
+        if len(cache) >= size:
+            del cache[next(iter(cache))]
+    cache[key] = value
+    return value
 
 
 class Graph:
@@ -41,7 +55,9 @@ class Graph:
         self.radius = radius
         self.index = {self._key(lab): i for i, lab in enumerate(self.labels)}
         self._adj = None
+        self._succ = None
         self._rows = {}
+        self._maps = {}
         if dist is not None:
             self.dist = list(dist)
         else:
@@ -78,6 +94,16 @@ class Graph:
             self._adj = [tuple(sorted(s)) for s in adj]
         return self._adj[v]
 
+    def successors(self) -> dict:
+        """Generator name -> list of each vertex's image along that
+        generator's edge, -1 where the edge leaves the graph."""
+        if self._succ is None:
+            names = dict.fromkeys(name for _u, name, _v in self.edges)
+            self._succ = {name: [-1] * self.n for name in names}
+            for u, name, v in self.edges:
+                self._succ[name][u] = v
+        return self._succ
+
     def degree_sequence(self):
         return sorted(len(self.neighbors(v)) for v in range(self.n))
 
@@ -99,14 +125,8 @@ class Graph:
 
     def distance_row(self, v: int) -> list:
         """BFS row of v, cached among the latest rows; do not modify it."""
-        rows = self._rows
-        row = rows.pop(v, None)
-        if row is None:
-            row = self.distances_from([v])
-            if len(rows) >= ROW_CACHE_SIZE:
-                del rows[next(iter(rows))]
-        rows[v] = row
-        return row
+        return _lru(self._rows, v, ROW_CACHE_SIZE,
+                    lambda: self.distances_from([v]))
 
     def d(self, u: int, v: int) -> int:
         """Distance from u to v by a BFS that stops at v; -1 if unreachable."""

@@ -15,15 +15,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cocycle import HalfSpace, n_phi, r_constant, stabilizer_test
-from .errors import FamilyFailure, OrderCap, PreconditionNphi, WindowTooSmall
-from .full_group import FullGroupElement, apply_element, displacement_bound, invert
-from .line_geometry import GeodesicSegment, project_to_geodesic
+from .cocycle import HalfSpace
+from .errors import FamilyFailure, OrderCap, WindowTooSmall
+from .full_group import FullGroupElement, displacement_bound, invert, vertex_map
+from .line_geometry import GeodesicSegment
 from .pattern_transport import (
     _ball_interior_ok,
     _is_invariant,
     pattern_match_points,
     repetition_radius,
+    transport_anchor,
     transport_halfspace,
 )
 from .schreier import Graph, neighborhood_set
@@ -61,19 +62,14 @@ class NestedFamily:
         }
 
 
-def nested_family(F, n: int, half: HalfSpace, seg: GeodesicSegment) -> NestedFamily:
-    """Build and certify as many consecutive anchors as the window allows."""
+def nested_family(F, n: int, half: HalfSpace, seg: GeodesicSegment,
+                  anchor: tuple | None = None) -> NestedFamily:
+    """Build and certify as many consecutive anchors as the window allows
+    (anchor: transport_anchor(F, n, half, seg), computed if not given)."""
     graph = half.graph
-    chart = half.chart
-    m = chart.m
-    p = project_to_geodesic(graph, seg, graph.base)
-    for phi in F:
-        if not stabilizer_test(phi, half):
-            raise FamilyFailure("every element of F must stabilize Y")
-    R = r_constant(half, seg, p)
-    worst = max(n_phi(m, R, displacement_bound(phi)) for phi in F)
-    if Fraction(n) <= worst:
-        raise PreconditionNphi(f"need n > {worst}, got {n}")
+    m = half.chart.m
+    anchor = anchor or transport_anchor(F, n, half, seg, FamilyFailure)
+    p = anchor[0]
 
     r = repetition_radius(F, n, graph, anchor=p)
     spacing = int(math.ceil(2 * r + 2 * n + 2 * Fraction(m) + 2))
@@ -117,7 +113,8 @@ def nested_family(F, n: int, half: HalfSpace, seg: GeodesicSegment) -> NestedFam
         if i == 0:
             sets[0] = frozenset(half.members)
         else:
-            sets[i] = transport_halfspace(F, match_of[i], n, half, seg).y_z
+            sets[i] = transport_halfspace(F, match_of[i], n, half, seg,
+                                          anchor).y_z
 
     rows = (graph.distances_from([match_of[i]]) for i in indices[:-1])
     checks["disjoint_n_balls"] = all(
@@ -188,12 +185,12 @@ class _PermTuple(tuple):
 
 def _permutation_on(phi: FullGroupElement, graph: Graph, domain: list) -> _PermTuple:
     index = {v: k for k, v in enumerate(domain)}
+    image = vertex_map(phi, graph)
     images = []
     for v in domain:
-        w = graph.vertex_of(apply_element(phi, graph.labels[v]))
-        if w is None or w not in index:
+        if image[v] not in index:
             raise FamilyFailure(f"element does not permute the domain at {v}")
-        images.append(index[w])
+        images.append(index[image[v]])
     if len(set(images)) != len(domain):
         raise FamilyFailure("element is not a permutation of the domain")
     return _PermTuple(images)
@@ -258,11 +255,8 @@ def _f_closed_core(F, graph: Graph) -> list:
     while changed:
         changed = False
         for phi in maps:
-            drop = set()
-            for v in core:
-                w = graph.vertex_of(apply_element(phi, graph.labels[v]))
-                if w is None or w not in core:
-                    drop.add(v)
+            image = vertex_map(phi, graph)
+            drop = {v for v in core if image[v] not in core}
             if drop:
                 core -= drop
                 changed = True

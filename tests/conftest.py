@@ -6,6 +6,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from fullgroup_lab import (
+    action_from_json,
+    action_to_json,
     build_ball,
     builtin_action,
     diametral_geodesic,
@@ -28,6 +30,23 @@ def grigorchuk():
 @pytest.fixture(scope="session")
 def dihedral():
     return builtin_action("dihedral")
+
+
+@pytest.fixture(scope="session")
+def thickline():
+    """The odometer with extra +-2 generators: a line of width 2 (beta = 1).
+
+    State t2 copies the first letter and moves to t; t2_inv moves to t_inv.
+    """
+    data = action_to_json(builtin_action("odometer"))
+    copy = {"0": "0", "1": "1"}
+    data["transducers"]["t2"] = {"transitions": {"0": "t", "1": "t"},
+                                 "outputs": dict(copy)}
+    data["transducers"]["t2_inv"] = {"transitions": {"0": "t_inv", "1": "t_inv"},
+                                     "outputs": dict(copy)}
+    data["generators"].update({"t2": "t2", "t2_inv": "t2_inv"})
+    data["name"] = "thickline"
+    return action_from_json(data)
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import fullgroup_lab
-from fullgroup_lab import builtin_action, cli
+from fullgroup_lab import build_ball, builtin_action, cli, cocycle
+from fullgroup_lab.cantor_actions import Transducer
 from fullgroup_lab.cli import main
 
 SWAP = {"pieces": [{"prefix": "0", "word": ["t"]},
@@ -195,3 +196,32 @@ def test_verify_raises_on_a_missing_check(monkeypatch):
     monkeypatch.setattr(cli, "CHECK_IDS", cli.CHECK_IDS + ("extra",))
     with pytest.raises(RuntimeError, match="expected"):
         cli.run_verify(builtin_action("odometer"), 8, 10, 1 << 16)
+
+
+def test_verify_looks_images_up_instead_of_rerunning_transducers(monkeypatch):
+    # transducer runs stay O(n) per verify (about 316 n when every vertex
+    # image re-ran them), and F's stabilizer tests are shared by every
+    # transport and the nested family
+    action = builtin_action("odometer")
+    n = build_ball(action, 200).n
+    samples = cli.sample_elements(action)
+    calls = {"apply": 0, "stabilizer_test": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Transducer, "apply", counted("apply", Transducer.apply))
+    stabilizer_test = cocycle.stabilizer_test
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fullgroup_lab") and \
+                getattr(module, "stabilizer_test", None) is stabilizer_test:
+            monkeypatch.setattr(module, "stabilizer_test",
+                                counted("stabilizer_test", stabilizer_test))
+    report = cli.run_verify(action, 200, 10, 1 << 16)
+    assert all(e["status"] == "pass" for e in report["checks"])
+    assert 0 < calls["apply"] <= 10 * n
+    assert 0 < calls["stabilizer_test"] <= \
+        len(samples["samples"]) + len(samples["kernel_family"])

@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fullgroup_lab import (
     apply_element,
@@ -18,7 +19,9 @@ from fullgroup_lab import (
     random_points,
 )
 from fullgroup_lab.errors import NotAPartition, NotInvertible
-from oracles import int_to_point, point_to_int
+from fullgroup_lab.full_group import vertex_map
+from fullgroup_lab.schreier import MAP_CACHE_SIZE
+from oracles import int_to_point, point_to_int, random_elements
 
 
 def test_pair_swap_valid_and_bijective_on_level3(odometer, pair_swap):
@@ -177,3 +180,53 @@ def test_unknown_generator_in_piece(odometer):
 
     with pytest.raises(UnknownGenerator):
         make_element(odometer, [("", ("zz",))])
+
+
+# --- elements as vertex maps of a ball ---------------------------------------
+
+def transducer_map(elem, ball) -> list:
+    """Reference route: run the transducers from every vertex's label."""
+    images = (ball.vertex_of(apply_element(elem, ball.labels[v]))
+              for v in range(ball.n))
+    return [-1 if w is None else w for w in images]
+
+
+@pytest.fixture(scope="module")
+def odo_ball_60(odometer):
+    return build_ball(odometer, 60)
+
+
+@pytest.mark.parametrize("name, radius", [
+    ("odometer", 60), ("grigorchuk", 40), ("dihedral", 40), ("thickline", 40)])
+def test_vertex_map_matches_the_transducers(request, name, radius):
+    # every vertex, rim included, for random piece tables
+    action = request.getfixturevalue(name)
+    ball = build_ball(action, radius)
+    for elem in random_elements(action, random.Random(radius), 12):
+        assert vertex_map(elem, ball) == transducer_map(elem, ball)
+        assert vertex_map(invert(elem), ball) == transducer_map(invert(elem), ball)
+    assert len(ball._maps) <= MAP_CACHE_SIZE
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_vertex_map_property_over_seeds(odometer, odo_ball_60, seed):
+    rng = random.Random(seed)
+    for elem in random_elements(odometer, rng, 2, max_depth=4, max_word=4):
+        assert vertex_map(elem, odo_ball_60) == transducer_map(elem, odo_ball_60)
+
+
+def test_vertex_map_walk_that_leaves_and_comes_back(odometer, odo_ball_60):
+    # t_inv runs first and steps off the ball at one rim vertex; t returns
+    ball = odo_ball_60
+    elem = make_element(odometer, [("", ("t", "t_inv"))])
+    rim = [v for v in range(ball.n) if ball.successors()["t_inv"][v] < 0]
+    assert len(rim) == 1 and ball.dist[rim[0]] == 60
+    image = vertex_map(elem, ball)
+    assert image[rim[0]] == rim[0]
+    assert image == list(range(ball.n))
+
+
+def test_vertex_map_rejects_an_element_of_another_action(grigorchuk, odo_ball_60):
+    with pytest.raises(ValueError):
+        vertex_map(make_element(grigorchuk, [("", ("a",))]), odo_ball_60)

@@ -98,6 +98,17 @@ def test_labeled_match_respects_loops(grigorchuk):
     assert labeled_match(ball, ball.base, ball.base, 2) is not None
 
 
+def test_labeled_match_needs_the_same_edges_leaving_the_ball(odometer):
+    # the rim vertex has no in-ball t or t_inv image; an inner vertex has both
+    ball = build_ball(odometer, 20)
+    rim = [v for v in range(ball.n) if ball.dist[v] == 20][0]
+    inner = [v for v in range(ball.n) if ball.dist[v] == 5][0]
+    assert labeled_match(ball, rim, inner, 1) is None
+    assert labeled_match(ball, inner, rim, 1) is None
+    assert labeled_match(ball, inner, ball.base, 3) is not None
+    assert labeled_match(ball, rim, rim, 2) is not None
+
+
 def test_transport_at_anchor_is_y_itself(odometer, lab):
     ball, half, seg = lab["ball"], lab["half"], lab["seg"]
     F = [lab["swap"]]

@@ -12,10 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from fullgroup_lab import (
     Graph,
-    action_from_json,
-    action_to_json,
     build_ball,
-    builtin_action,
     diametral_geodesic,
     fiber_diameter_check,
     fit_line_chart,
@@ -103,16 +100,8 @@ def test_fit_with_positive_beta():
         assert certificate_is_tight(chart)
 
 
-def test_thick_line_constants():
-    data = action_to_json(builtin_action("odometer"))
-    copy = {"0": "0", "1": "1"}
-    data["transducers"]["t2"] = {"transitions": {"0": "t", "1": "t"},
-                                 "outputs": dict(copy)}
-    data["transducers"]["t2_inv"] = {"transitions": {"0": "t_inv", "1": "t_inv"},
-                                     "outputs": dict(copy)}
-    data["generators"].update({"t2": "t2", "t2_inv": "t2_inv"})
-    data["name"] = "thickline"
-    ball = build_ball(action_from_json(data), 40)
+def test_thick_line_constants(thickline):
+    ball = build_ball(thickline, 40)
     chart = _assert_matches_oracle(ball)
     assert (chart.alpha, chart.beta, chart.m) == (1, 1, 3)
 
