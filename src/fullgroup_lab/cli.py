@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from .cantor_actions import (
@@ -40,7 +41,6 @@ from .errors import (
     InvalidPoint,
     NoRepetition,
     NotStabilized,
-    OrderCap,
     PatternMismatch,
     PreconditionNphi,
     RimContact,
@@ -84,12 +84,6 @@ from .stabilizer_lab import finite_embedding_order, nested_family
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 
-CHECK_IDS = (
-    "localfin", "biinf", "m_geod", "boundY", "cocycle_fin",
-    "cocycle_identity", "kernel_stab", "upp", "d_phi", "oneend",
-    "stab_transport", "nesting", "block_bound", "finite_order", "recurrence",
-)
-
 
 class UsageError(Exception):
     pass
@@ -117,7 +111,10 @@ def _load_json(path: str):
 
 
 def _emit(data, out: str | None):
-    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+    _write(json.dumps(data, sort_keys=True, indent=2) + "\n", out)
+
+
+def _write(text: str, out: str | None):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -142,9 +139,8 @@ def sample_elements(action):
                                      ("10", ()), ("11", ())])
         return {"samples": [pair_swap, shift, quad],
                 "kernel_family": [pair_swap]}
-    gens = [g for g in action.gen_names]
     samples = [identity_element(action)]
-    samples.extend(make_element(action, [("", (g,))]) for g in gens[:2])
+    samples.extend(make_element(action, [("", (g,))]) for g in action.gen_names[:2])
     return {"samples": samples, "kernel_family": [identity_element(action)]}
 
 
@@ -169,12 +165,7 @@ def cmd_graph(args) -> int:
     action = _load_action(args.action)
     graph = _build_graph(action, args)
     if args.dot:
-        text = graph_to_dot(graph, include_loops=not args.no_loops)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(graph_to_dot(graph, include_loops=not args.no_loops), args.out)
     else:
         _emit(graph_to_json(graph), args.out)
     return 0
@@ -227,13 +218,18 @@ def cmd_element(args) -> int:
     raise UsageError(f"unknown element operation {args.what!r}")
 
 
+def _window(action, radius: int, cap: int) -> tuple:
+    """(ball, chart, seg, half): the window every certificate works in."""
+    ball = build_ball(action, radius, cap=cap)
+    chart = fit_line_chart(ball)
+    seg = diametral_geodesic(ball)
+    return ball, chart, seg, half_space(chart)
+
+
 def cmd_cocycle(args) -> int:
     action = _load_action(args.action)
     elem = element_from_json(action, _load_json(args.element))
-    ball = build_ball(action, args.radius, cap=args.cap)
-    chart = fit_line_chart(ball)
-    seg = diametral_geodesic(ball)
-    half = half_space(chart)
+    ball, chart, seg, half = _window(action, args.radius, args.cap)
     value = cocycle_value(elem, half)
     R = r_constant(half, seg)
     dphi = displacement_bound(elem)
@@ -254,18 +250,13 @@ def cmd_cocycle(args) -> int:
 
 def cmd_transport(args) -> int:
     action = _load_action(args.action)
-    ball = build_ball(action, args.radius, cap=args.cap)
-    chart = fit_line_chart(ball)
-    seg = diametral_geodesic(ball)
-    half = half_space(chart)
+    ball, _, seg, half = _window(action, args.radius, args.cap)
     F = elements_from_json(action, _load_json(args.F))
     try:
         result = transport_halfspace(F, args.z, args.n, half, seg)
-    except TransportFailure as exc:
-        _emit({"passed": False, "error": str(exc), "report": exc.report}, args.out)
-        return CHECK_FAILED
-    except (PatternMismatch, PreconditionNphi, RimContact) as exc:
-        _emit({"passed": False, "error": str(exc), "report": {}}, args.out)
+    except (TransportFailure, PatternMismatch, PreconditionNphi, RimContact) as exc:
+        _emit({"passed": False, "error": str(exc),
+               "report": getattr(exc, "report", {})}, args.out)
         return CHECK_FAILED
     report = result.to_json(ball)
     report["passed"] = True
@@ -275,10 +266,7 @@ def cmd_transport(args) -> int:
 
 def cmd_stabilizer(args) -> int:
     action = _load_action(args.action)
-    ball = build_ball(action, args.radius, cap=args.cap)
-    chart = fit_line_chart(ball)
-    seg = diametral_geodesic(ball)
-    half = half_space(chart)
+    _, _, seg, half = _window(action, args.radius, args.cap)
     F = elements_from_json(action, _load_json(args.F))
     try:
         family = nested_family(F, args.n, half, seg)
@@ -286,18 +274,13 @@ def cmd_stabilizer(args) -> int:
         _emit({"passed": False, "error": str(exc), "report": exc.report}, args.out)
         return CHECK_FAILED
     orders = finite_embedding_order(F, family, cap=args.order_cap)
-    report = {
-        "anchors": len(family.anchor_indices),
-        "r": family.r,
-        "spacing": family.spacing,
-        "U": family.U,
-        "blocks": {str(i): len(family.blocks[i]) for i in family.block_indices},
+    report = family.to_json()
+    report.update({
         "nesting": family.checks["nesting"],
         "orders": {"blocks": orders.order_blocks, "brute": orders.order_brute},
         "agree": orders.agree,
-        "checks": {k: bool(v) for k, v in sorted(family.checks.items())},
         "passed": orders.agree,
-    }
+    })
     _emit(report, args.out)
     return 0 if orders.agree else CHECK_FAILED
 
@@ -319,255 +302,273 @@ def cmd_recurrence(args) -> int:
 
 
 # --- the verify pipeline --------------------------------------------------
+#
+# One function per check id.  A check takes the run `w` (its window,
+# parameters and sample_elements) and then the values of its dependencies,
+# and returns (status, witnesses, value).  The value goes to the checks
+# that depend on it; a string value is a skip reason instead, and they are
+# all reported skipped with it.
 
-def _check(entries, check_id, status, witnesses=None, parameters=None):
-    entries.append({
-        "id": check_id,
-        "status": status,
-        "witnesses": witnesses or {},
-        "parameters": parameters or {},
-    })
+def _status(ok: bool) -> str:
+    return "pass" if ok else "fail"
 
 
-def run_verify(action, radius: int, n: int, cap: int) -> dict:
-    ball = build_ball(action, radius, cap=cap)
-    chart = fit_line_chart(ball)
-    seg = diametral_geodesic(ball)
-    half = half_space(chart)
-    samples = sample_elements(action)
-    entries = []
+def _rollup(failed: bool, limited: bool) -> str:
+    return "fail" if failed else ("skipped" if limited else "pass")
 
-    fiber = fiber_diameter_check(chart)
-    _check(entries, "localfin", "pass" if fiber.passed else "fail",
-           fiber.to_json())
 
-    radii = sorted({max(2, radius // 4), max(3, radius // 2), radius})
+def _localfin(w):
+    fiber = fiber_diameter_check(w.chart)
+    return _status(fiber.passed), fiber.to_json(), None
+
+
+def _biinf(w):
+    radii = sorted({max(2, w.radius // 4), max(3, w.radius // 2), w.radius})
     growth = []
     for r in radii:
-        b = ball if r == radius else build_ball(action, r, cap=cap)
-        s = seg if r == radius else diametral_geodesic(b)
-        mid = s.vertices[len(s.vertices) // 2]
-        growth.append(max_geodesic_midpoint(b, mid))
+        b = w.ball if r == w.radius else build_ball(w.action, r, cap=w.cap)
+        s = w.seg if r == w.radius else diametral_geodesic(b)
+        growth.append(max_geodesic_midpoint(b, s.vertices[len(s.vertices) // 2]))
     increasing = all(a < b for a, b in zip(growth, growth[1:]))
-    _check(entries, "biinf", "pass" if increasing else "fail",
-           {"radii": radii, "midpoint_growth": growth})
+    return _status(increasing), {"radii": radii, "midpoint_growth": growth}, None
 
-    covering = m_covering_check(ball, seg, chart.m)
-    _check(entries, "m_geod", "pass" if covering.passed else "fail",
-           covering.to_json())
 
-    bound_ok = boundary_level_bound_ok(half)
-    _check(entries, "boundY", "pass" if bound_ok else "fail",
-           {"boundary": sorted(ball.label_str(v) for v in half.boundary),
-            "level_bound": _frac(chart.alpha + chart.beta - 1)})
+def _m_geod(w):
+    covering = m_covering_check(w.ball, w.seg, w.chart.m)
+    return _status(covering.passed), covering.to_json(), None
 
-    values = {}
-    fin_failed = False
-    fin_limited = False
-    fin_witness = {}
-    for elem in samples["samples"]:
+
+def _bound_y(w):
+    return _status(boundary_level_bound_ok(w.half)), {
+        "boundary": sorted(w.ball.label_str(v) for v in w.half.boundary),
+        "level_bound": _frac(w.chart.alpha + w.chart.beta - 1)}, None
+
+
+def _per_sample(samples, test) -> tuple:
+    """(results, witness, failed, limited) of test(elem) per sample element;
+    NotStabilized marks one window limited, another FullGroupLabError failed."""
+    results, witness = {}, {}
+    failed = limited = False
+    for elem in samples:
         try:
-            values[elem] = cocycle_value(elem, half)
-            fin_witness[_elem_desc(elem)] = len(values[elem].vertices)
+            results[elem] = test(elem)
         except NotStabilized as exc:
-            fin_limited = True
-            fin_witness[_elem_desc(elem)] = f"window limited: {exc}"
+            limited = True
+            witness[_elem_desc(elem)] = f"window limited: {exc}"
         except FullGroupLabError as exc:
-            fin_failed = True
-            fin_witness[_elem_desc(elem)] = f"error: {exc}"
-    fin_status = "fail" if fin_failed else ("skipped" if fin_limited else "pass")
-    _check(entries, "cocycle_fin", fin_status, fin_witness)
+            failed = True
+            witness[_elem_desc(elem)] = f"error: {exc}"
+    return results, witness, failed, limited
 
-    ident_witness = {}
-    ident_failed = fin_failed
-    ident_limited = fin_limited
+
+def _cocycle_fin(w):
+    values, witness, failed, limited = _per_sample(
+        w.samples, lambda elem: cocycle_value(elem, w.half))
+    witness.update((_elem_desc(e), len(c.vertices)) for e, c in values.items())
+    return _rollup(failed, limited), witness, (values, failed, limited)
+
+
+def _cocycle_identity(w, fin):
+    values, failed, limited = fin
+    witness = {}
     pairs_checked = 0
     for a in values:
         for b in values:
             key = f"{_elem_desc(a)} * {_elem_desc(b)}"
             try:
-                left = cocycle_value(compose(a, b), half).vertices
-                right = values[a].vertices ^ push_set(a, ball, values[b].vertices)
+                left = cocycle_value(compose(a, b), w.half).vertices
+                right = values[a].vertices ^ push_set(a, w.ball, values[b].vertices)
             except FullGroupLabError as exc:
-                ident_limited = True
-                ident_witness[key] = f"window limited: {exc}"
+                limited = True
+                witness[key] = f"window limited: {exc}"
                 continue
             if left != right:
-                ident_failed = True
-                ident_witness[key] = "mismatch"
+                failed = True
+                witness[key] = "mismatch"
             pairs_checked += 1
-    ident_witness["pairs_checked"] = pairs_checked
-    ident_status = "fail" if ident_failed else \
-        ("skipped" if ident_limited else "pass")
-    _check(entries, "cocycle_identity", ident_status, ident_witness)
+    witness["pairs_checked"] = pairs_checked
+    return _rollup(failed, limited), witness, None
 
-    kern_ok = True
-    kern_limited = False
-    kern_witness = {}
-    for elem in samples["samples"]:
-        try:
-            empty = stabilizer_test(elem, half)
-        except NotStabilized as exc:
-            kern_limited = True
-            kern_witness[_elem_desc(elem)] = f"window limited: {exc}"
-            continue
-        except FullGroupLabError as exc:
-            kern_ok = False
-            kern_witness[_elem_desc(elem)] = f"error: {exc}"
-            continue
-        image = vertex_map(elem, ball)
+
+def _kernel_stab(w):
+    members = w.half.members
+
+    def test(elem):
+        empty = stabilizer_test(elem, w.half)
+        image = vertex_map(elem, w.ball)
         fixes = not any(
-            image[v] < 0 or (v in half.members) != (image[v] in half.members)
-            for v in ball.certified(max(1, displacement_bound(elem))))
-        kern_witness[_elem_desc(elem)] = {"kernel": empty, "fixes_Y": fixes}
-        if empty != fixes:
-            kern_ok = False
-    kern_status = "fail" if not kern_ok else \
-        ("skipped" if kern_limited else "pass")
-    _check(entries, "kernel_stab", kern_status, kern_witness)
+            image[v] < 0 or (v in members) != (image[v] in members)
+            for v in w.ball.certified(max(1, displacement_bound(elem))))
+        return {"kernel": empty, "fixes_Y": fixes}
 
-    F = samples["kernel_family"]
-    p = project_to_geodesic(ball, seg, ball.base)
-    skipped_reason = None
+    results, witness, failed, limited = _per_sample(w.samples, test)
+    witness.update((_elem_desc(e), r) for e, r in results.items())
+    failed = failed or any(r["kernel"] != r["fixes_Y"] for r in results.values())
+    return _rollup(failed, limited), witness, None
+
+
+def _upp(w):
+    p = project_to_geodesic(w.ball, w.seg, w.ball.base)
     try:
-        r_rep = repetition_radius(F, n, ball, anchor=p)
-        matches = [z for z in pattern_match_points(F, ball, n, anchor=p) if z != p]
-        _check(entries, "upp", "pass",
-               {"r": r_rep, "matches": len(matches)}, {"n": n})
-        if not matches:
-            skipped_reason = "anchor pattern repeats nowhere else in the window"
+        matches = pattern_match_points(w.kernel_family, w.ball, w.n, anchor=p)
+        r = repetition_radius(matches, w.n, w.ball)
     except RimContact as exc:
-        _check(entries, "upp", "skipped", {"reason": str(exc)}, {"n": n})
-        matches = []
-        skipped_reason = str(exc)
+        return "skipped", {"reason": str(exc)}, str(exc)
     except NoRepetition as exc:
-        _check(entries, "upp", "fail", {"error": str(exc)}, {"n": n})
-        matches = []
-        skipped_reason = str(exc)
+        return "fail", {"error": str(exc)}, str(exc)
+    others = [z for z in matches if z != p]
+    witness = {"r": r, "matches": len(others)}
+    if not others:
+        return "pass", witness, "anchor pattern repeats nowhere else in the window"
+    return "pass", witness, (p, others)
 
-    dphi_ok = True
-    dphi_witness = {}
-    for elem in samples["samples"]:
+
+def _d_phi(w):
+    ok = True
+    witness = {}
+    for elem in w.samples:
         bound = displacement_bound(elem)
-        image = vertex_map(elem, ball)
+        image = vertex_map(elem, w.ball)
         worst = 0
-        for v in sorted(ball.certified(max(1, bound))):
+        for v in sorted(w.ball.certified(max(1, bound))):
             if image[v] < 0:
-                dphi_ok = False
+                ok = False
                 break
-            worst = max(worst, ball.d(v, image[v]))
-        dphi_witness[_elem_desc(elem)] = {"d_phi": bound, "max_displacement": worst}
-        if worst > bound:
-            dphi_ok = False
-    _check(entries, "d_phi", "pass" if dphi_ok else "fail", dphi_witness)
+            worst = max(worst, w.ball.d(v, image[v]))
+        witness[_elem_desc(elem)] = {"d_phi": bound, "max_displacement": worst}
+        ok = ok and worst <= bound
+    return _status(ok), witness, None
 
-    strip_minus, strip_plus = end_strips(ball, seg, chart.m)
-    plus_in = strip_plus <= half.members
-    minus_in = strip_minus <= half.members
-    oneend_ok = plus_in != minus_in
-    _check(entries, "oneend", "pass" if oneend_ok else "fail",
-           {"plus_end_in_Y": plus_in, "minus_end_in_Y": minus_in})
 
-    if skipped_reason:
-        _check(entries, "stab_transport", "skipped", {"reason": skipped_reason},
-               {"n": n})
-    else:
+def _oneend(w):
+    strip_minus, strip_plus = end_strips(w.ball, w.seg, w.chart.m)
+    plus_in = strip_plus <= w.half.members
+    minus_in = strip_minus <= w.half.members
+    return _status(plus_in != minus_in), \
+        {"plus_end_in_Y": plus_in, "minus_end_in_Y": minus_in}, None
+
+
+def _stab_transport(w, upp):
+    """Transports to the five matches nearest p; the value is F's transport
+    anchor, or None when F moves Y (each transport then fails with it)."""
+    p, matches = upp
+    try:
+        anchor = transport_anchor(w.kernel_family, w.n, w.half, w.seg)
+    except (NotStabilized, PreconditionNphi) as exc:
+        return "skipped", {"reason": str(exc)}, str(exc)
+    except TransportFailure:
+        anchor = None
+    base_row = w.ball.distance_row(p)
+    chosen = sorted(matches, key=lambda z: (base_row[z], z))[:5]
+    ok = True
+    witness = {"match_points": [w.ball.label_str(z) for z in chosen]}
+    for z in chosen:
         try:
-            anchor = transport_anchor(F, n, half, seg)
-        except (NotStabilized, PreconditionNphi) as exc:
-            skipped_reason = str(exc)
-        except TransportFailure:
-            anchor = None  # F moves Y: each transport below fails with it
-        if skipped_reason:
-            _check(entries, "stab_transport", "skipped",
-                   {"reason": skipped_reason}, {"n": n})
+            transport_halfspace(w.kernel_family, z, w.n, w.half, w.seg, anchor)
+        except (TransportFailure, PatternMismatch, PreconditionNphi,
+                RimContact, NotStabilized) as exc:
+            ok = False
+            witness[w.ball.label_str(z)] = str(exc)
+    return _status(ok), witness, anchor
+
+
+def _nesting(w, anchor):
+    try:
+        family = nested_family(w.kernel_family, w.n, w.half, w.seg, anchor)
+    except (WindowTooSmall, PreconditionNphi, NotStabilized) as exc:
+        return "skipped", {"reason": str(exc)}, str(exc)
+    summary = family.to_json()
+    return _status(family.checks["nesting"]), \
+        {k: summary[k] for k in ("anchors", "spacing", "r")}, family
+
+
+def _block_bound(w, family):
+    if not family.block_indices:
+        reason = "window too narrow for full anchor segments"
+        return "skipped", {"reason": reason}, reason
+    summary = family.to_json()
+    return _status(family.checks["block_bound"]), \
+        {k: summary[k] for k in ("U", "blocks")}, family
+
+
+def _finite_order(w, family):
+    orders = finite_embedding_order(w.kernel_family, family)
+    return _status(orders.agree), orders.to_json(), None
+
+
+def _recurrence(w):
+    # powers of two from 2 up to max(2, radius // 2)
+    radii = [1 << k for k in range(1, max(2, w.radius // 2).bit_length())]
+    series = escape_series(w.ball, radii)
+    if len(radii) < 2:
+        return "skipped", \
+            {"reason": "too few radii for a trend", **series.to_json()}, None
+    ok = series.is_nonincreasing() and \
+        series.probabilities[-1] < series.probabilities[0]
+    return _status(ok), series.to_json(), None
+
+
+# (id, check, dependencies, run parameters its entry reports), in report
+# order; every dependency comes earlier.  The parameters are data so that
+# an entry skipped without running reports them too.
+CHECKS = (
+    ("localfin", _localfin, (), ()),
+    ("biinf", _biinf, (), ()),
+    ("m_geod", _m_geod, (), ()),
+    ("boundY", _bound_y, (), ()),
+    ("cocycle_fin", _cocycle_fin, (), ()),
+    ("cocycle_identity", _cocycle_identity, ("cocycle_fin",), ()),
+    ("kernel_stab", _kernel_stab, (), ()),
+    ("upp", _upp, (), ("n",)),
+    ("d_phi", _d_phi, (), ()),
+    ("oneend", _oneend, (), ()),
+    ("stab_transport", _stab_transport, ("upp",), ("n",)),
+    ("nesting", _nesting, ("stab_transport",), ()),
+    ("block_bound", _block_bound, ("nesting",), ()),
+    ("finite_order", _finite_order, ("block_bound",), ()),
+    ("recurrence", _recurrence, (), ()),
+)
+CHECK_IDS = tuple(check_id for check_id, *_ in CHECKS)
+
+
+def run_verify(action, radius: int, n: int, cap: int) -> dict:
+    """Run CHECKS in order.  A check whose dependency gave a skip reason is
+    skipped with it; a check that raises FullGroupLabError fails with the
+    error, and so does every check that depends on it."""
+    ball, chart, seg, half = _window(action, radius, cap)
+    w = SimpleNamespace(action=action, radius=radius, n=n, cap=cap, ball=ball,
+                        chart=chart, seg=seg, half=half, **sample_elements(action))
+    entries, values = [], {}
+    for check_id, check, deps, params in CHECKS:
+        if not callable(check) or any(d not in values for d in deps):
+            raise RuntimeError(f"check {check_id!r} has no function or depends "
+                               f"on a check not run before it: {deps}")
+        upstream = [values[d] for d in deps]
+        blocked = next((v for v in upstream
+                        if isinstance(v, (str, FullGroupLabError))), None)
+        if isinstance(blocked, str):
+            status, witnesses, value = "skipped", {"reason": blocked}, blocked
+        elif blocked is not None:
+            status, witnesses, value = "fail", {"error": str(blocked)}, blocked
         else:
-            base_row = ball.distance_row(p)
-            chosen = sorted(matches, key=lambda z: (base_row[z], z))[:5]
-            t_ok = True
-            t_witness = {"match_points": [ball.label_str(z) for z in chosen]}
-            for z in chosen:
-                try:
-                    transport_halfspace(F, z, n, half, seg, anchor)
-                except (TransportFailure, PatternMismatch, PreconditionNphi,
-                        RimContact, NotStabilized) as exc:
-                    t_ok = False
-                    t_witness[ball.label_str(z)] = str(exc)
-            _check(entries, "stab_transport", "pass" if t_ok else "fail",
-                   t_witness, {"n": n})
-
-    if skipped_reason:
-        for check_id in ("nesting", "block_bound", "finite_order"):
-            _check(entries, check_id, "skipped", {"reason": skipped_reason})
-    else:
-        try:
-            family = nested_family(F, n, half, seg, anchor)
-        except (WindowTooSmall, PreconditionNphi, NotStabilized) as exc:
-            family = None
-            for check_id in ("nesting", "block_bound", "finite_order"):
-                _check(entries, check_id, "skipped", {"reason": str(exc)})
-        except FamilyFailure as exc:
-            family = None
-            for check_id in ("nesting", "block_bound", "finite_order"):
-                _check(entries, check_id, "fail", {"error": str(exc)})
-        if family is not None:
-            _check(entries, "nesting",
-                   "pass" if family.checks["nesting"] else "fail",
-                   {"anchors": len(family.anchor_indices),
-                    "spacing": family.spacing, "r": family.r})
-            if not family.block_indices:
-                reason = "window too narrow for full anchor segments"
-                _check(entries, "block_bound", "skipped", {"reason": reason})
-                _check(entries, "finite_order", "skipped", {"reason": reason})
-            else:
-                _check(entries, "block_bound",
-                       "pass" if family.checks["block_bound"] else "fail",
-                       {"U": family.U,
-                        "blocks": {str(i): len(family.blocks[i])
-                                   for i in family.block_indices}})
-                try:
-                    orders = finite_embedding_order(F, family)
-                    _check(entries, "finite_order",
-                           "pass" if orders.agree else "fail", orders.to_json())
-                except (FamilyFailure, OrderCap) as exc:
-                    _check(entries, "finite_order", "fail", {"error": str(exc)})
-
-    radii_rec = []
-    r = 2
-    while r <= max(2, radius // 2):
-        radii_rec.append(r)
-        r *= 2
-    series = escape_series(ball, radii_rec)
-    if len(radii_rec) < 2:
-        _check(entries, "recurrence", "skipped",
-               {"reason": "too few radii for a trend", **series.to_json()})
-    else:
-        rec_ok = series.is_nonincreasing() and \
-            series.probabilities[-1] < series.probabilities[0]
-        _check(entries, "recurrence", "pass" if rec_ok else "fail",
-               series.to_json())
-
-    ids = [e["id"] for e in entries]
-    if sorted(ids) != sorted(CHECK_IDS):
-        raise RuntimeError(f"verify produced checks {sorted(ids)}, "
-                           f"expected {sorted(CHECK_IDS)}")
-    order = {check_id: k for k, check_id in enumerate(CHECK_IDS)}
-    entries.sort(key=lambda e: order[e["id"]])
-
-    report = {
+            try:
+                status, witnesses, value = check(w, *upstream)
+            except FullGroupLabError as exc:
+                status, witnesses, value = "fail", {"error": str(exc)}, exc
+        values[check_id] = value
+        entries.append({"id": check_id, "status": status, "witnesses": witnesses,
+                        "parameters": {k: getattr(w, k) for k in params}})
+    return {
         "action": action.name,
         "action_hash": action.action_hash(),
         "chart_hash": chart.chart_hash(),
         "version": __version__,
-        "parameters": {
-            "radius": radius, "n": n, "cap": cap,
-            "order_cap": 10 ** 6, "depth_cap": 20,
-            "seed": os.environ.get("FULLGROUP_LAB_SEED", "0"),
-        },
+        "parameters": {"radius": radius, "n": n, "cap": cap,
+                       "order_cap": 10 ** 6, "depth_cap": 20,
+                       "seed": os.environ.get("FULLGROUP_LAB_SEED", "0")},
         "checks": entries,
         "timing": None,
     }
-    return report
 
 
 def cmd_verify(args) -> int:
@@ -577,7 +578,7 @@ def cmd_verify(args) -> int:
     if args.timing:
         report["timing"] = {"seconds": round(time.monotonic() - start, 3)}
     _emit(report, args.out)
-    failed = [e["id"] for e in report["checks"] if e["status"] == "fail"]
+    failed = any(e["status"] == "fail" for e in report["checks"])
     return CHECK_FAILED if failed else 0
 
 
@@ -668,10 +669,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (UnknownAction, UnknownGenerator, InvalidAction, InvalidPoint) as exc:
+    except (UsageError, UnknownAction, UnknownGenerator, InvalidAction,
+            InvalidPoint) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except FullGroupLabError as exc:

@@ -107,10 +107,9 @@ def pattern_match_points(F, graph: Graph, n: int, anchor: int | None = None) -> 
     return [z for z in candidates if same_pattern(F, graph, anchor, z, n)]
 
 
-def repetition_radius(F, n: int, graph: Graph, anchor: int | None = None) -> int:
-    """Smallest r such that every certified vertex sees a pattern match
-    within distance r.  Window-relative evidence, not a proof."""
-    matches = pattern_match_points(F, graph, n, anchor)
+def repetition_radius(matches, n: int, graph: Graph) -> int:
+    """Smallest r such that every certified vertex is within r of one of the
+    matches (pattern_match_points).  Window-relative evidence, not a proof."""
     if not matches:
         raise NoRepetition("anchor pattern repeats nowhere in the window")
     dist = graph.distances_from(matches)

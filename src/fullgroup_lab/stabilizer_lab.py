@@ -71,9 +71,9 @@ def nested_family(F, n: int, half: HalfSpace, seg: GeodesicSegment,
     anchor = anchor or transport_anchor(F, n, half, seg, FamilyFailure)
     p = anchor[0]
 
-    r = repetition_radius(F, n, graph, anchor=p)
-    spacing = int(math.ceil(2 * r + 2 * n + 2 * Fraction(m) + 2))
     matches = pattern_match_points(F, graph, n, anchor=p)
+    r = repetition_radius(matches, n, graph)
+    spacing = int(math.ceil(2 * r + 2 * n + 2 * Fraction(m) + 2))
 
     pos_p = seg.pos(p)
     anchors = {}

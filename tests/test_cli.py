@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,9 +8,12 @@ from pathlib import Path
 import pytest
 
 import fullgroup_lab
-from fullgroup_lab import build_ball, builtin_action, cli, cocycle
+from fullgroup_lab import (build_ball, builtin_action, cli, cocycle,
+                           pattern_transport)
 from fullgroup_lab.cantor_actions import Transducer
 from fullgroup_lab.cli import main
+from fullgroup_lab.errors import (FamilyFailure, FullGroupLabError, NoRepetition,
+                                  TransportFailure)
 
 SWAP = {"pieces": [{"prefix": "0", "word": ["t"]},
                    {"prefix": "1", "word": ["t_inv"]}]}
@@ -193,9 +197,86 @@ def test_verify_report_survives_python_O(tmp_path):
 
 
 def test_verify_raises_on_a_missing_check(monkeypatch):
-    monkeypatch.setattr(cli, "CHECK_IDS", cli.CHECK_IDS + ("extra",))
-    with pytest.raises(RuntimeError, match="expected"):
-        cli.run_verify(builtin_action("odometer"), 8, 10, 1 << 16)
+    # a table row with no function, or with a dependency not run before it,
+    # raises instead of being dropped from the report
+    for row in (("extra", None, (), ()),
+                ("extra", lambda w, v: ("pass", {}, None), ("recurrence",), ())):
+        monkeypatch.setattr(cli, "CHECKS", (row,) + cli.CHECKS)
+        with pytest.raises(RuntimeError, match="extra"):
+            cli.run_verify(builtin_action("odometer"), 8, 10, 1 << 16)
+        monkeypatch.undo()
+
+
+def _raises(exc):
+    def fn(*args, **kwargs):
+        raise exc
+    return fn
+
+
+def test_verify_check_error_stays_in_its_own_entry(monkeypatch, tmp_path):
+    intact = cli.run_verify(builtin_action("odometer"), 40, 10, 1 << 16)["checks"]
+    monkeypatch.setattr(cli, "end_strips",
+                        _raises(FullGroupLabError("strips unavailable")))
+    out = tmp_path / "verify.json"
+    assert main(["verify", "odometer", "--radius", "40", "--out", str(out)]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    oneend = cli.CHECK_IDS.index("oneend")
+    assert checks[oneend] == {"id": "oneend", "status": "fail",
+                              "witnesses": {"error": "strips unavailable"},
+                              "parameters": {}}
+    assert checks[:oneend] + checks[oneend + 1:] == \
+        intact[:oneend] + intact[oneend + 1:]
+
+
+FAMILY_IDS = ("nesting", "block_bound", "finite_order")
+
+
+@pytest.mark.parametrize("name, exc, expect", [
+    # upp's NoRepetition fails it and skips everything downstream with its reason
+    ("repetition_radius", NoRepetition("none"),
+     {"upp": ("fail", {"error": "none"}),
+      **{c: ("skipped", {"reason": "none"})
+         for c in ("stab_transport",) + FAMILY_IDS}}),
+    # a FamilyFailure fails the nested family and both checks built on it
+    ("nested_family", FamilyFailure("broken"),
+     {c: ("fail", {"error": "broken"}) for c in FAMILY_IDS}),
+    # a failed stab_transport does not stop the nested family
+    ("transport_halfspace", TransportFailure("no transport"),
+     {"stab_transport": ("fail", None)}),
+    # F moving Y is not a skip: the transports and the family still run
+    ("transport_anchor", TransportFailure("moved"),
+     {c: ("pass", None) for c in ("stab_transport",) + FAMILY_IDS}),
+])
+def test_verify_dependency_rules(monkeypatch, name, exc, expect):
+    monkeypatch.setattr(cli, name, _raises(exc))
+    checks = cli.run_verify(builtin_action("odometer"), 80, 10, 1 << 16)["checks"]
+    n_params = {"upp", "stab_transport"}
+    for e in checks:
+        status, witnesses = expect.get(e["id"], ("pass", None))
+        assert e["status"] == status, e["id"]
+        if witnesses is not None:
+            assert e["witnesses"] == witnesses
+            assert e["parameters"] == ({"n": 10} if e["id"] in n_params else {})
+
+
+# SHA-256 of run_verify reports (as `verify --out` writes them) for
+# (action, radius, n) at cap 1 << 16.  Together the six reach every
+# (check, status, skip reason) outcome of radius 2..40 x n in {1, 2, 4, 10}.
+GOLDEN = {
+    ("dihedral", 2, 1): "424f4a48a4defab3ace76a5197ef88d29c866b05b68b95a72d9328c0a77bb014",
+    ("dihedral", 2, 2): "84802c079f33422e892d942bf009d4a44dd506b4429eee9f084e6b295b885e2c",
+    ("odometer", 8, 1): "c172505b0e352aac8dc98b76c86a2af83f30494917b73597509a0c00745a434d",
+    ("odometer", 16, 10): "460ca36640df829c30ee314c84b94b8bc11d7644f3c5922738022155fc3c8c33",
+    ("odometer", 40, 10): "4c292e908afb951e228e50d8b70f3523014e59da84e6fb066edce3067729679b",
+    ("grigorchuk", 16, 10): "bcf0c8b15461daa6d89917caee50b55d67aed502b91544cf0d549c17639a3e4b",
+}
+
+
+@pytest.mark.parametrize("name, radius, n", sorted(GOLDEN))
+def test_verify_report_bytes_are_pinned(name, radius, n):
+    report = cli.run_verify(builtin_action(name), radius, n, 1 << 16)
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name, radius, n]
 
 
 def test_verify_looks_images_up_instead_of_rerunning_transducers(monkeypatch):
@@ -205,23 +286,24 @@ def test_verify_looks_images_up_instead_of_rerunning_transducers(monkeypatch):
     action = builtin_action("odometer")
     n = build_ball(action, 200).n
     samples = cli.sample_elements(action)
-    calls = {"apply": 0, "stabilizer_test": 0}
+    calls = {"apply": 0, "stabilizer_test": 0, "pattern_match_points": 0}
 
     def counted(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(Transducer, "apply", counted("apply", Transducer.apply))
-    stabilizer_test = cocycle.stabilizer_test
-    for name, module in list(sys.modules.items()):
-        if name.startswith("fullgroup_lab") and \
-                getattr(module, "stabilizer_test", None) is stabilizer_test:
-            monkeypatch.setattr(module, "stabilizer_test",
-                                counted("stabilizer_test", stabilizer_test))
+    for fn in (cocycle.stabilizer_test, pattern_transport.pattern_match_points):
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fullgroup_lab") and \
+                    getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted(fn.__name__, fn))
     report = cli.run_verify(action, 200, 10, 1 << 16)
     assert all(e["status"] == "pass" for e in report["checks"])
     assert 0 < calls["apply"] <= 10 * n
     assert 0 < calls["stabilizer_test"] <= \
         len(samples["samples"]) + len(samples["kernel_family"])
+    # one scan for upp, one for the nested family
+    assert 0 < calls["pattern_match_points"] <= 2

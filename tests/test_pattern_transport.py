@@ -42,7 +42,7 @@ def test_identity_pattern_matches_everywhere(odometer, lab):
     assert all(words == ((),) for _v, words in pattern.table)
     for n in (-5, 3, 40):
         assert same_pattern(F, ball, ball.base, vertex(ball, n), 2)
-    assert repetition_radius(F, 2, ball) == 0
+    assert repetition_radius(pattern_match_points(F, ball, 2), 2, ball) == 0
 
 
 def test_pair_swap_pattern_parity(lab):
@@ -51,7 +51,7 @@ def test_pair_swap_pattern_parity(lab):
     assert same_pattern(F, ball, vertex(ball, 0), vertex(ball, 2), 2)
     assert same_pattern(F, ball, vertex(ball, 0), vertex(ball, -4), 2)
     assert not same_pattern(F, ball, vertex(ball, 0), vertex(ball, 1), 2)
-    assert repetition_radius(F, 2, ball) == 1
+    assert repetition_radius(pattern_match_points(F, ball, 2), 2, ball) == 1
 
 
 def test_depth3_element_pattern_period(odometer, lab):
@@ -67,7 +67,7 @@ def test_depth3_element_pattern_period(odometer, lab):
         assert point_to_int(apply_element(elem, int_to_point(k + 1))) == k + 2
         assert point_to_int(apply_element(elem, int_to_point(k + 2))) == k + 1
         assert point_to_int(apply_element(elem, int_to_point(k))) == k
-    r = repetition_radius([elem], 3, ball)
+    r = repetition_radius(pattern_match_points([elem], ball, 3), 3, ball)
     assert r <= 8
     # oracle: pieces key on the low three bits, so the pattern has period 8
     assert r == 4
