@@ -2,14 +2,16 @@
 
 Exit codes: 0 when every executed check passes, 1 when a check fails or a
 computation cannot be certified, 2 for usage errors (unknown action,
-malformed input files).  Reports are byte-identical across repeated runs
-with the same inputs; `--timing` adds wall-clock seconds and is the only
-flag that breaks byte-equality.
+malformed input files, a radius, level or escape radius out of range).
+Reports are byte-identical across repeated runs with the same inputs;
+`--timing` adds wall-clock seconds and is the only flag that breaks
+byte-equality.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -39,6 +41,7 @@ from .errors import (
     FullGroupLabError,
     InvalidAction,
     InvalidPoint,
+    InvalidRadius,
     NoRepetition,
     NotStabilized,
     PatternMismatch,
@@ -326,8 +329,12 @@ def _biinf(w):
     radii = sorted({max(2, w.radius // 4), max(3, w.radius // 2), w.radius})
     growth = []
     for r in radii:
-        b = w.ball if r == w.radius else build_ball(w.action, r, cap=w.cap)
-        s = w.seg if r == w.radius else diametral_geodesic(b)
+        if r == w.radius:
+            b, s = w.ball, w.seg
+        else:
+            # only radius 1 and 2 ask for a window wider than the ball
+            b = w.ball.cut(r) if r < w.radius else build_ball(w.action, r, cap=w.cap)
+            s = diametral_geodesic(b)
         growth.append(max_geodesic_midpoint(b, s.vertices[len(s.vertices) // 2]))
     increasing = all(a < b for a, b in zip(growth, growth[1:]))
     return _status(increasing), {"radii": radii, "midpoint_growth": growth}, None
@@ -442,6 +449,9 @@ def _d_phi(w):
 
 def _oneend(w):
     strip_minus, strip_plus = end_strips(w.ball, w.seg, w.chart.m)
+    if strip_minus & strip_plus:
+        reason = "the end strips overlap: the window is too small to see two ends"
+        return "skipped", {"reason": reason}, None
     plus_in = strip_plus <= w.half.members
     minus_in = strip_minus <= w.half.members
     return _status(plus_in != minus_in), \
@@ -497,6 +507,9 @@ def _finite_order(w, family):
 
 
 def _recurrence(w):
+    if w.radius < 2:
+        return "skipped", \
+            {"reason": "the window is smaller than the first escape radius 2"}, None
     # powers of two from 2 up to max(2, radius // 2)
     radii = [1 << k for k in range(1, max(2, w.radius // 2).bit_length())]
     series = escape_series(w.ball, radii)
@@ -584,6 +597,10 @@ def cmd_verify(args) -> int:
 
 # --- argument parsing -----------------------------------------------------
 
+# Built once per process: main() is also called in-process, repeatedly (the
+# tests, the benchmark), and building the parser takes about 3 ms.  main()
+# never modifies it.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fullgroup-lab",
@@ -670,7 +687,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (UsageError, UnknownAction, UnknownGenerator, InvalidAction,
-            InvalidPoint) as exc:
+            InvalidPoint, InvalidRadius) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except FullGroupLabError as exc:

@@ -6,9 +6,16 @@ d(u, base), possibly negated so that orientation is stable across radii
 canonical key gets the larger f values).  Such an f is 1-Lipschitz, so
 alpha = 1 and the upper quasi-isometry inequality holds by the triangle
 inequality; beta is the integer maximum of d(u, v) - |f(u) - f(v)| over
-all certified vertex pairs, and m = alpha^2 + 2*alpha*beta.  The pair
-scans stream one BFS row at a time and use integer arithmetic only, so
-they hold O(n) memory.  All constants are exact.
+all certified vertex pairs, and m = alpha^2 + 2*alpha*beta.  All
+constants are exact.
+
+beta comes from one sweep over the fibers F_t = f^-1(t) in increasing t.
+f is integer-valued and changes by at most 1 along an edge, so each fiber
+separates the levels below it from those above: every path from a vertex
+x with f(x) < t to a vertex of F_t meets F_{t-1}.  The sweep therefore
+needs only the distances inside a fiber and between adjacent fibers,
+which short searches find on a line-like graph, instead of one BFS row
+per certified vertex (see _fit_constants).
 """
 
 from __future__ import annotations
@@ -60,10 +67,7 @@ class LineChart:
         return self.f[v]
 
     def fibers(self) -> dict:
-        out = {}
-        for v, val in enumerate(self.f):
-            out.setdefault(val, []).append(v)
-        return out
+        return _level_sets(self.f)
 
     def chart_hash(self) -> str:
         payload = {
@@ -101,17 +105,45 @@ def _pair_rows(graph: Graph):
         yield u, graph.distances_from([u]), certified[i + 1:]
 
 
+def _level_sets(f) -> dict:
+    out = {}
+    for v, val in enumerate(f):
+        out.setdefault(val, []).append(v)
+    return out
+
+
 def _fit_constants(graph: Graph, f):
     """alpha = 1 and the smallest beta over the certified pairs.
 
     f is 1-Lipschitz, so gap = |f(u) - f(v)| <= d(u, v): the upper
     inequality gap <= d + beta holds for any beta >= 0, and the lower one
     d - beta <= gap needs beta = max(d - gap), an integer.
+
+    The maximum is taken in one sweep over the fibers F_t in increasing t.
+    For a certified x with f(x) <= t, V_x is the vector of
+    d(x, y) - (t - f(x)) over y in F_t; beta is the largest entry at a
+    certified y over all such x and t.  V_x starts at t = f(x) as the
+    distances from x inside its fiber.  Every path from x to y in F_t with
+    f(x) < t meets the separator F_{t-1}, and a geodesic meets it at some
+    z with d(x, y) = d(x, z) + d(z, y), so one min-plus step
+    V_x(y) = min over z in F_{t-1} of V_x(z) + d(z, y) - 1 moves V_x on to
+    F_t.  Vectors that agree are the same from then on and are kept once:
+    on a line-like graph their entries lie in [0, beta] at certified y, so
+    few distinct vectors remain however large the graph is.
     """
-    beta = 0
-    for u, row, vs in _pair_rows(graph):
-        fu = f[u]
-        beta = max(beta, max(row[v] - abs(fu - f[v]) for v in vs))
+    certified = graph.certified(1)
+    beta, vectors, prev = 0, set(), []
+    for _t, fiber in sorted(_level_sets(f).items()):
+        if vectors:
+            step = [graph.distances_to(z, fiber) for z in prev]
+            vectors = {tuple(min(a + row[j] for a, row in zip(vec, step)) - 1
+                             for j in range(len(fiber)))
+                       for vec in vectors}
+        vectors.update(tuple(graph.distances_to(x, fiber))
+                       for x in fiber if x in certified)
+        at = [j for j, y in enumerate(fiber) if y in certified]
+        beta = max([beta] + [vec[j] for vec in vectors for j in at])
+        prev = fiber
     return Fraction(1), Fraction(beta)
 
 
@@ -177,10 +209,9 @@ def fiber_diameter_check(chart: LineChart) -> FiberReport:
     for level, verts in sorted(chart.fibers().items()):
         verts = [v for v in verts if v in certified]
         for i, u in enumerate(verts[:-1]):
-            row = chart.graph.distances_from([u])
-            for v in verts[i + 1:]:
-                if row[v] > worst:
-                    worst = row[v]
+            for d in chart.graph.distances_to(u, verts[i + 1:]):
+                if d > worst:
+                    worst = d
                     worst_level = level
     bound = chart.alpha * chart.beta
     return FiberReport(worst, bound, Fraction(worst) <= bound, worst_level)

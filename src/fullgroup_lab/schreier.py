@@ -8,6 +8,7 @@ ignored by all distance computations.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -128,16 +129,28 @@ class Graph:
         return _lru(self._rows, v, ROW_CACHE_SIZE,
                     lambda: self.distances_from([v]))
 
+    def distances_to(self, u: int, targets) -> list:
+        """Distance from u to each target by a BFS that stops once it has
+        reached them all; -1 for a target it cannot reach."""
+        dist = {u: 0}
+        left = set(targets)
+        left.discard(u)
+        layer, k = [u], 0
+        while left and layer:
+            k += 1
+            nxt = []
+            for x in layer:
+                for w in self.neighbors(x):
+                    if w not in dist:
+                        dist[w] = k
+                        nxt.append(w)
+            left.difference_update(nxt)
+            layer = nxt
+        return [dist.get(t, -1) for t in targets]
+
     def d(self, u: int, v: int) -> int:
         """Distance from u to v by a BFS that stops at v; -1 if unreachable."""
-        seen, layer, k = {u}, {u}, 0
-        while v not in layer:
-            if not layer:
-                return -1
-            layer = {w for x in layer for w in self.neighbors(x)} - seen
-            seen |= layer
-            k += 1
-        return k
+        return self.distances_to(u, (v,))[0]
 
     def certified(self, margin) -> frozenset:
         """Vertices whose in-graph neighborhood of the given margin is not
@@ -172,6 +185,18 @@ class SchreierBall(Graph):
 
     def point(self, v: int) -> BoundaryPoint:
         return self.labels[v]
+
+    def cut(self, radius: int) -> SchreierBall:
+        """The ball of a radius at most this one's, equal to what build_ball
+        returns: its vertices are a prefix of these (build_ball adds them
+        layer by layer), its edges those among them, in the same order."""
+        if not 0 <= radius <= self.radius:
+            raise InvalidRadius(f"cannot cut radius {radius} from a ball of "
+                                f"radius {self.radius}")
+        k = bisect.bisect_right(self.dist, radius)
+        edges = [(u, g, v) for u, g, v in self.edges if u < k and v < k]
+        return SchreierBall(self.action, self.labels[:k], edges, radius,
+                            self.dist[:k])
 
 
 class LevelGraph(Graph):

@@ -155,14 +155,28 @@ def test_verify_small_run(capsys):
 
 def test_verify_degrades_to_skips_on_small_windows(capsys):
     # windows too small for a check report "skipped", never crash the run
-    code, data = run_json(["verify", "odometer", "--radius", "8", "--n", "10"],
-                          capsys)
-    assert code == 0
-    statuses = {e["id"]: e["status"] for e in data["checks"]}
-    assert len(statuses) == 15
-    assert set(statuses.values()) <= {"pass", "skipped"}
-    assert statuses["localfin"] == "pass"
-    assert statuses["stab_transport"] == "skipped"
+    for radius in (1, 8):
+        code, data = run_json(["verify", "odometer", "--radius", str(radius),
+                               "--n", "10"], capsys)
+        assert code == 0
+        statuses = {e["id"]: e["status"] for e in data["checks"]}
+        assert len(statuses) == 15
+        assert set(statuses.values()) <= {"pass", "skipped"}
+        assert statuses["localfin"] == "pass"
+        assert statuses["stab_transport"] == "skipped"
+        for e in data["checks"]:
+            if e["id"] in ("oneend", "recurrence") and e["status"] == "skipped":
+                assert e["witnesses"]["reason"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["verify", "odometer", "--radius", "-3"], "radius must be >= 0"),
+    (["qi", "grigorchuk", "--level", "0"], "level must be >= 1"),
+], ids=["verify-radius", "qi-level"])
+def test_out_of_range_radius_is_usage_error(capsys, args, message):
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_verify_determinism_in_process(tmp_path):

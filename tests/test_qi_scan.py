@@ -1,9 +1,10 @@
-"""The integer QI scan and the distance layer against the rational oracles.
+"""The integer QI certificate and the distance layer against the rational oracles.
 
 Graphs are small line-like shapes (ladders, cycles, paths with pendant
-vertices, grid strips), optionally with a rim so that the certified window
-is a proper subset.  The library's integer scan must agree with the
-pairwise rational formula of ``oracles.qi_constants``.
+vertices, grid strips) and random trees with chords, whose fibers are
+wider and irregular, optionally with a rim so that the certified window is
+a proper subset.  The library's fiber sweep must agree with the pairwise
+rational formula of ``oracles.qi_constants``.
 """
 
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from fullgroup_lab import (
     Graph,
     build_ball,
+    build_level_graph,
     diametral_geodesic,
     fiber_diameter_check,
     fit_line_chart,
@@ -47,11 +49,17 @@ def _graph(n: int, edges, base: int = 0, rim: bool = False) -> Graph:
 
 @st.composite
 def line_like_graphs(draw):
-    kind = draw(st.sampled_from(["ladder", "cycle", "pendants", "strip"]))
+    kind = draw(st.sampled_from(["ladder", "cycle", "pendants", "strip", "tree"]))
     if kind == "ladder":
         n, edges = _grid(2, draw(st.integers(2, 15)))
     elif kind == "strip":
         n, edges = _grid(draw(st.integers(3, 4)), draw(st.integers(2, 8)))
+    elif kind == "tree":
+        # a random tree plus up to six chords, loops included
+        n = draw(st.integers(2, 25))
+        edges = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
+        edges += draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                         st.integers(0, n - 1)), max_size=6))
     elif kind == "cycle":
         n = draw(st.integers(3, 30))
         edges = [(i, (i + 1) % n) for i in range(n)]
@@ -81,6 +89,13 @@ def _assert_matches_oracle(graph):
     assert certificate_is_tight(chart) == qi_tight(rows, chart.f, certified, alpha, beta)
     assert check_qi_inequalities(chart)
     assert qi_holds(rows, chart.f, _certified_pairs(graph), alpha, beta)
+    # the widest certified fiber, and the lowest level where it occurs
+    same = [(rows[u][v], chart.f[u]) for u, v in _certified_pairs(graph)
+            if chart.f[u] == chart.f[v]]
+    diameter = max((d for d, _t in same), default=0)
+    level = min(t for d, t in same if d == diameter) if diameter else None
+    report = fiber_diameter_check(chart)
+    assert (report.max_fiber_diameter, report.worst_level) == (diameter, level)
     return chart
 
 
@@ -158,6 +173,17 @@ def test_d_matches_all_pairs_with_disconnected_pairs(g1, g2):
     assert graph.d(0, shift) == -1
 
 
+def test_distances_to_stops_once_every_target_is_reached(monkeypatch):
+    graph = _graph(1000, [(i, i + 1) for i in range(999)])
+    expanded = []
+    neighbors = Graph.neighbors
+    monkeypatch.setattr(Graph, "neighbors",
+                        lambda self, v: expanded.append(v) or neighbors(self, v))
+    assert graph.distances_to(500, [500]) == [0] and expanded == []
+    assert graph.distances_to(500, [503, 500, 498]) == [3, 0, 2]
+    assert sorted(expanded) == [498, 499, 500, 501, 502]
+
+
 def test_row_cache_keeps_the_latest_rows():
     graph = _graph(40, [(i, i + 1) for i in range(39)])
     first = graph.distance_row(0)
@@ -169,6 +195,26 @@ def test_row_cache_keeps_the_latest_rows():
         assert len(graph._rows) <= ROW_CACHE_SIZE
     assert graph.distance_row(0) is not first
     assert graph.distance_row(0) == first
+
+
+def test_chart_and_fiber_check_take_at_most_three_rows(monkeypatch, odometer,
+                                                     grigorchuk, thickline):
+    # the double BFS for the diametral pair and the row of the minus end;
+    # the fiber sweep and the fiber check use searches that stop early
+    graphs = [build_ball(odometer, 200), build_level_graph(grigorchuk, 10),
+              build_ball(thickline, 40)]
+    rows = []
+    full_row = Graph.distances_from
+
+    def counted(self, sources):
+        rows.append(sources)
+        return full_row(self, sources)
+
+    monkeypatch.setattr(Graph, "distances_from", counted)
+    for graph in graphs:
+        rows.clear()
+        fiber_diameter_check(fit_line_chart(graph))
+        assert 0 < len(rows) <= 3
 
 
 def test_certificate_stages_hold_at_most_the_row_bound(odometer):

@@ -12,7 +12,7 @@ from fullgroup_lab import (
     path_graph,
     regular_tree_ball,
 )
-from fullgroup_lab.errors import BallTooLarge
+from fullgroup_lab.errors import BallTooLarge, InvalidRadius
 from oracles import int_to_point, is_simple_path, point_to_int, wreath_apply_word_letters, WREATH
 
 
@@ -159,6 +159,19 @@ def test_ball_monotone_growth():
         assert set(small_pts) <= set(big_pts)
         for pt, d in small_pts.items():
             assert big_pts[pt] == d
+
+
+def test_cut_ball_equals_build_ball(thickline):
+    actions = [builtin_action(name) for name in ("odometer", "grigorchuk", "dihedral")]
+    for action in actions + [thickline]:
+        big = build_ball(action, 40)
+        for r in range(41):
+            cut, built = big.cut(r), build_ball(action, r)
+            assert (cut.labels, cut.edges, cut.dist, cut.radius) == \
+                (built.labels, built.edges, built.dist, built.radius)
+        for r in (-1, 41):
+            with pytest.raises(InvalidRadius):
+                big.cut(r)
 
 
 def test_exports(odometer):
