@@ -1,10 +1,11 @@
 """Quasi-isometry charts and geodesic infrastructure.
 
 fit_line_chart maps vertices to integers via distances from a diametral
-endpoint and certifies the two-sided distance bounds with exact rational
-constants:  alpha^-1 d(u,v) - beta <= |f(u)-f(v)| <= alpha d(u,v) + beta.
-The covering constant m = alpha^2 + 2 alpha beta bounds the distance of
-any vertex to any long geodesic.
+endpoint.  Such an f is 1-Lipschitz and onto an interval of integers, so
+alpha = 1 and gamma = 0, and the chart certifies the two-sided distance
+bounds  d(u,v) - beta <= |f(u)-f(v)| <= d(u,v)  with the least integer
+beta.  The covering constant m = 1 + 2 beta bounds the distance of any
+vertex to any long geodesic.
 """
 
 from fullgroup_lab import (
@@ -22,7 +23,7 @@ odo = builtin_action("odometer")
 ball = build_ball(odo, 30)
 chart = fit_line_chart(ball)
 print("== odometer chart ==")
-print(f"alpha={chart.alpha} beta={chart.beta} gamma={chart.gamma} m={chart.m}")
+print(f"alpha=1 beta={chart.beta} gamma=0 m={chart.m}")
 print("f at the base:", chart.f[ball.base])
 print("f equals the signed integer position:",
       all(chart.f[v] in range(-30, 31) for v in range(ball.n)))
@@ -56,4 +57,4 @@ print()
 print("== level-10 Grigorchuk chart ==")
 lg = build_level_graph(builtin_action("grigorchuk"), 10)
 chart10 = fit_line_chart(lg)
-print(f"1024 vertices: alpha={chart10.alpha} beta={chart10.beta} m={chart10.m}")
+print(f"1024 vertices: alpha=1 beta={chart10.beta} m={chart10.m}")

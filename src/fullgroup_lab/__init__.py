@@ -2,10 +2,10 @@
 
 The package materializes, on finite windows, the objects behind the
 line-like-orbit picture: Schreier balls and level graphs, quasi-isometry
-charts to the integers with exact rational constants, the half-space
-cocycle and its kernel, repeating local patterns with transported half
-spaces, nested families with uniformly bounded blocks, and exact
-random-walk escape probabilities.
+charts to the integers with integer constants, the half-space cocycle and
+its kernel, repeating local patterns with transported half spaces, nested
+families with uniformly bounded blocks, and exact rational random-walk
+escape probabilities.
 """
 
 from .cantor_actions import (

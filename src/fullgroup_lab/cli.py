@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every executed check passes, 1 when a check fails or a
 computation cannot be certified, 2 for usage errors (unknown action,
-malformed input files, a radius, level or escape radius out of range).
+malformed input files, a radius, level, escape radius or --n out of
+range).
 Reports are byte-identical across repeated runs with the same inputs;
 `--timing` adds wall-clock seconds and is the only flag that breaks
 byte-equality.
@@ -16,7 +17,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from types import SimpleNamespace
 
 from . import __version__
@@ -125,8 +125,19 @@ def _write(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _frac(x) -> str:
-    return str(Fraction(x))
+def _chart_radius(radius: int) -> int:
+    """A line chart needs two vertices, so a radius-0 window is a usage
+    error; build_ball refuses a negative radius."""
+    if radius == 0:
+        raise UsageError("radius must be >= 1 to fit a line chart, got 0")
+    return radius
+
+
+def _pattern_radius(n: int) -> int:
+    """--n is a pattern radius; a negative one would match everywhere."""
+    if n < 0:
+        raise UsageError(f"n must be >= 0, got {n}")
+    return n
 
 
 def _elem_desc(elem) -> str:
@@ -176,6 +187,8 @@ def cmd_graph(args) -> int:
 
 def cmd_qi(args) -> int:
     action = _load_action(args.action)
+    if args.level is None:
+        _chart_radius(args.radius)
     graph = _build_graph(action, args)
     chart = fit_line_chart(graph)
     seg = diametral_geodesic(graph)
@@ -183,10 +196,11 @@ def cmd_qi(args) -> int:
     covering = m_covering_check(graph, seg, chart.m)
     report = {
         "action": action.name,
-        "alpha": _frac(chart.alpha),
-        "beta": _frac(chart.beta),
-        "gamma": _frac(chart.gamma),
-        "m": _frac(chart.m),
+        # f is 1-Lipschitz and onto an interval: alpha = 1 and gamma = 0
+        "alpha": "1",
+        "beta": str(chart.beta),
+        "gamma": "0",
+        "m": str(chart.m),
         "chart_hash": chart.chart_hash(),
         "fiber_report": fiber.to_json(),
         "covering_report": covering.to_json(),
@@ -223,7 +237,7 @@ def cmd_element(args) -> int:
 
 def _window(action, radius: int, cap: int) -> tuple:
     """(ball, chart, seg, half): the window every certificate works in."""
-    ball = build_ball(action, radius, cap=cap)
+    ball = build_ball(action, _chart_radius(radius), cap=cap)
     chart = fit_line_chart(ball)
     seg = diametral_geodesic(ball)
     return ball, chart, seg, half_space(chart)
@@ -245,7 +259,7 @@ def cmd_cocycle(args) -> int:
         "kernel": value.is_empty,
         "R": R,
         "d_phi": dphi,
-        "N_phi": _frac(n_phi(chart.m, R, dphi)),
+        "N_phi": str(n_phi(chart.m, R, dphi)),
     }
     _emit(report, args.out)
     return 0
@@ -253,10 +267,11 @@ def cmd_cocycle(args) -> int:
 
 def cmd_transport(args) -> int:
     action = _load_action(args.action)
+    n = _pattern_radius(args.n)
     ball, _, seg, half = _window(action, args.radius, args.cap)
     F = elements_from_json(action, _load_json(args.F))
     try:
-        result = transport_halfspace(F, args.z, args.n, half, seg)
+        result = transport_halfspace(F, args.z, n, half, seg)
     except (TransportFailure, PatternMismatch, PreconditionNphi, RimContact) as exc:
         _emit({"passed": False, "error": str(exc),
                "report": getattr(exc, "report", {})}, args.out)
@@ -269,10 +284,11 @@ def cmd_transport(args) -> int:
 
 def cmd_stabilizer(args) -> int:
     action = _load_action(args.action)
+    n = _pattern_radius(args.n)
     _, _, seg, half = _window(action, args.radius, args.cap)
     F = elements_from_json(action, _load_json(args.F))
     try:
-        family = nested_family(F, args.n, half, seg)
+        family = nested_family(F, n, half, seg)
     except FamilyFailure as exc:
         _emit({"passed": False, "error": str(exc), "report": exc.report}, args.out)
         return CHECK_FAILED
@@ -348,7 +364,7 @@ def _m_geod(w):
 def _bound_y(w):
     return _status(boundary_level_bound_ok(w.half)), {
         "boundary": sorted(w.ball.label_str(v) for v in w.half.boundary),
-        "level_bound": _frac(w.chart.alpha + w.chart.beta - 1)}, None
+        "level_bound": str(w.chart.beta)}, None
 
 
 def _per_sample(samples, test) -> tuple:
@@ -587,7 +603,7 @@ def run_verify(action, radius: int, n: int, cap: int) -> dict:
 def cmd_verify(args) -> int:
     action = _load_action(args.action)
     start = time.monotonic()
-    report = run_verify(action, args.radius, args.n, args.cap)
+    report = run_verify(action, args.radius, _pattern_radius(args.n), args.cap)
     if args.timing:
         report["timing"] = {"seconds": round(time.monotonic() - start, 3)}
     _emit(report, args.out)

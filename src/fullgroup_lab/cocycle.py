@@ -9,7 +9,6 @@ certificate records the hash of the chart that pinned Y.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NotStabilized
 from .full_group import FullGroupElement, displacement_bound, invert, vertex_map
@@ -54,10 +53,10 @@ def half_space(chart: LineChart) -> HalfSpace:
 
 
 def boundary_level_bound_ok(half: HalfSpace) -> bool:
-    """Check that every certified boundary vertex has f in [0, a+b-1]."""
-    chart = half.chart
-    hi = chart.alpha + chart.beta - 1
-    return all(0 <= Fraction(chart.f[v]) <= hi for v in half.boundary)
+    """Check that every certified boundary vertex has f in [0, beta], the
+    bound [0, alpha + beta - 1] at alpha = 1."""
+    f, beta = half.chart.f, half.chart.beta
+    return all(0 <= f[v] <= beta for v in half.boundary)
 
 
 @dataclass(frozen=True)
@@ -172,6 +171,6 @@ def r_constant(half: HalfSpace, seg: GeodesicSegment, p: int | None = None) -> i
     return max(row[v] for v in targets)
 
 
-def n_phi(m, R: int, dphi: int) -> Fraction:
-    """The transport constant 6m + R + 2*d_phi (exact)."""
-    return 6 * Fraction(m) + R + 2 * dphi
+def n_phi(m: int, R: int, dphi: int) -> int:
+    """The transport constant 6m + R + 2*d_phi."""
+    return 6 * m + R + 2 * dphi

@@ -1,13 +1,14 @@
-"""Quasi-isometry charts to the integer line and geodesic infrastructure.
+"""Line charts to the integers and geodesic infrastructure.
 
 A chart is fitted from one endpoint of a diametral pair: f(x) = d(u, x) -
 d(u, base), possibly negated so that orientation is stable across radii
 (the end whose point has the lexicographically smaller (period, preperiod)
-canonical key gets the larger f values).  Such an f is 1-Lipschitz, so
-alpha = 1 and the upper quasi-isometry inequality holds by the triangle
-inequality; beta is the integer maximum of d(u, v) - |f(u) - f(v)| over
-all certified vertex pairs, and m = alpha^2 + 2*alpha*beta.  All
-constants are exact.
+canonical key gets the larger f values).  Such an f is 1-Lipschitz and maps
+the connected graph onto a whole interval of integers, so alpha = 1 and
+gamma = 0 are facts, not fitted constants: the upper quasi-isometry
+inequality holds by the triangle inequality, and the one constant left is
+the integer beta, the maximum of d(u, v) - |f(u) - f(v)| over all certified
+vertex pairs.  The covering constant is m = 1 + 2*beta.
 
 beta comes from one sweep over the fibers F_t = f^-1(t) in increasing t.
 f is integer-valued and changes by at most 1 along an edge, so each fiber
@@ -15,7 +16,7 @@ separates the levels below it from those above: every path from a vertex
 x with f(x) < t to a vertex of F_t meets F_{t-1}.  The sweep therefore
 needs only the distances inside a fiber and between adjacent fibers,
 which short searches find on a line-like graph, instead of one BFS row
-per certified vertex (see _fit_constants).
+per certified vertex (see _fit_beta).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NotConnected, NotGeodesic
 from .schreier import Graph
@@ -56,25 +56,25 @@ class LineChart:
 
     graph: Graph
     f: tuple
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-    m: Fraction
+    beta: int
     minus_end: int
     plus_end: int
 
-    def value(self, v: int) -> int:
-        return self.f[v]
+    @property
+    def m(self) -> int:
+        """The covering constant alpha^2 + 2*alpha*beta at alpha = 1."""
+        return 1 + 2 * self.beta
 
     def fibers(self) -> dict:
         return _level_sets(self.f)
 
     def chart_hash(self) -> str:
+        # f is 1-Lipschitz and onto an interval: alpha = 1 and gamma = 0
         payload = {
             "f": list(self.f),
-            "alpha": str(self.alpha),
+            "alpha": "1",
             "beta": str(self.beta),
-            "gamma": str(self.gamma),
+            "gamma": "0",
             "labels": [self.graph.label_str(v) for v in range(self.graph.n)],
         }
         return hashlib.sha256(
@@ -82,7 +82,7 @@ class LineChart:
 
 
 def fit_line_chart(graph: Graph) -> LineChart:
-    """Fit f and the minimal certificate constants on certified pairs."""
+    """Fit f and the minimal beta over the certified pairs."""
     if graph.n < 2:
         raise NotConnected("need at least 2 vertices")
     minus_end, plus_end = _oriented_ends(graph)
@@ -92,17 +92,7 @@ def fit_line_chart(graph: Graph) -> LineChart:
     off = drow[graph.base]
     f = tuple(drow[v] - off for v in range(graph.n))
 
-    alpha, beta = _fit_constants(graph, f)
-    gamma = _fit_gamma(f)
-    m = alpha * alpha + 2 * alpha * beta
-    return LineChart(graph, f, alpha, beta, gamma, m, minus_end, plus_end)
-
-
-def _pair_rows(graph: Graph):
-    """Yield (u, BFS row of u, certified vertices after u), one row at a time."""
-    certified = sorted(graph.certified(1))
-    for i, u in enumerate(certified[:-1]):
-        yield u, graph.distances_from([u]), certified[i + 1:]
+    return LineChart(graph, f, _fit_beta(graph, f), minus_end, plus_end)
 
 
 def _level_sets(f) -> dict:
@@ -112,8 +102,8 @@ def _level_sets(f) -> dict:
     return out
 
 
-def _fit_constants(graph: Graph, f):
-    """alpha = 1 and the smallest beta over the certified pairs.
+def _fit_beta(graph: Graph, f) -> int:
+    """The smallest beta over the certified pairs.
 
     f is 1-Lipschitz, so gap = |f(u) - f(v)| <= d(u, v): the upper
     inequality gap <= d + beta holds for any beta >= 0, and the lower one
@@ -144,54 +134,13 @@ def _fit_constants(graph: Graph, f):
         at = [j for j, y in enumerate(fiber) if y in certified]
         beta = max([beta] + [vec[j] for vec in vectors for j in at])
         prev = fiber
-    return Fraction(1), Fraction(beta)
-
-
-def _fit_gamma(f) -> Fraction:
-    image = sorted(set(f))
-    gamma = 0
-    for lo, hi in zip(image, image[1:]):
-        # worst integer strictly between consecutive image values
-        worst = (hi - lo) // 2
-        gamma = max(gamma, worst)
-    return Fraction(gamma)
-
-
-def _qi_holds(chart: LineChart, beta: Fraction) -> bool:
-    """Both inequalities d/alpha - beta <= gap <= alpha*d + beta, exactly.
-
-    With alpha = p/q > 0 and beta = r/s they read, after clearing the
-    denominators, d*q*s - r*p <= gap*p*s and gap*q*s <= p*d*s + r*q.
-    """
-    f = chart.f
-    p, q = chart.alpha.numerator, chart.alpha.denominator
-    r, s = beta.numerator, beta.denominator
-    qs, rp, ps, rq = q * s, r * p, p * s, r * q
-    for u, row, vs in _pair_rows(chart.graph):
-        fu = f[u]
-        for v in vs:
-            d = row[v]
-            gap = abs(fu - f[v])
-            if d * qs - rp > gap * ps or gap * qs > d * ps + rq:
-                return False
-    return True
-
-
-def certificate_is_tight(chart: LineChart) -> bool:
-    """True when beta lowered by half a unit is negative or breaks a pair."""
-    lowered = chart.beta - Fraction(1, 2)
-    return lowered < 0 or not _qi_holds(chart, lowered)
-
-
-def check_qi_inequalities(chart: LineChart) -> bool:
-    """Re-verify both quasi-isometry inequalities over the certified pairs."""
-    return _qi_holds(chart, chart.beta)
+    return beta
 
 
 @dataclass(frozen=True)
 class FiberReport:
     max_fiber_diameter: int
-    bound: Fraction
+    bound: int
     passed: bool
     worst_level: int | None
 
@@ -202,7 +151,8 @@ class FiberReport:
 
 
 def fiber_diameter_check(chart: LineChart) -> FiberReport:
-    """Every fiber f^-1(n) must have diameter at most alpha*beta."""
+    """Every certified fiber f^-1(t) must have diameter at most beta
+    (alpha*beta at alpha = 1)."""
     certified = chart.graph.certified(1)
     worst = 0
     worst_level = None
@@ -213,8 +163,7 @@ def fiber_diameter_check(chart: LineChart) -> FiberReport:
                 if d > worst:
                     worst = d
                     worst_level = level
-    bound = chart.alpha * chart.beta
-    return FiberReport(worst, bound, Fraction(worst) <= bound, worst_level)
+    return FiberReport(worst, chart.beta, worst <= chart.beta, worst_level)
 
 
 @dataclass(frozen=True)
@@ -306,7 +255,7 @@ def project_to_geodesic(graph: Graph, seg: GeodesicSegment, x: int) -> int:
 @dataclass(frozen=True)
 class CoveringReport:
     max_distance: int
-    m: Fraction
+    m: int
     passed: bool
     witness: int | None
 
@@ -315,9 +264,8 @@ class CoveringReport:
                 "passed": self.passed, "witness": self.witness}
 
 
-def m_covering_check(graph: Graph, seg: GeodesicSegment, m) -> CoveringReport:
+def m_covering_check(graph: Graph, seg: GeodesicSegment, m: int) -> CoveringReport:
     """Every certified vertex must lie within m of the geodesic."""
-    m = Fraction(m)
     dist = graph.distances_from(sorted(set(seg.vertices)))
     certified = graph.certified(max(1, m))
     worst = 0
@@ -326,4 +274,4 @@ def m_covering_check(graph: Graph, seg: GeodesicSegment, m) -> CoveringReport:
         if dist[v] > worst:
             worst = dist[v]
             witness = v
-    return CoveringReport(worst, m, Fraction(worst) <= m, witness)
+    return CoveringReport(worst, m, worst <= m, witness)

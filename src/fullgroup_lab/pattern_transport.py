@@ -11,10 +11,8 @@ of the geodesic window.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cocycle import HalfSpace, n_phi, r_constant, stabilizer_test
 from .errors import (
@@ -134,11 +132,11 @@ def _reach_avoiding(graph: Graph, seeds, forbidden) -> frozenset:
     return frozenset(seen)
 
 
-def end_strips(graph: Graph, seg: GeodesicSegment, m) -> tuple:
-    """(minus strip, plus strip): the outermost ceil(m) certified geodesic
-    vertices on each side of the window; a set "contains an end" when it
-    contains the whole strip on that side."""
-    width = max(1, int(math.ceil(Fraction(m))))
+def end_strips(graph: Graph, seg: GeodesicSegment, m: int) -> tuple:
+    """(minus strip, plus strip): the outermost m certified geodesic
+    vertices on each side of the window (at least one); a set "contains an
+    end" when it contains the whole strip on that side."""
+    width = max(1, m)
     if graph.radius is None:
         certified = list(range(len(seg.vertices)))
     else:
@@ -185,7 +183,7 @@ def transport_anchor(F, n: int, half: HalfSpace, seg: GeodesicSegment,
             raise failure("every element of F must stabilize Y")
     R = r_constant(half, seg, p)
     worst = max(n_phi(half.chart.m, R, displacement_bound(phi)) for phi in F)
-    if Fraction(n) <= worst:
+    if n <= worst:
         raise PreconditionNphi(f"need n > {worst}, got {n}")
     return p, R
 

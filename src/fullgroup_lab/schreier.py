@@ -9,7 +9,6 @@ ignored by all distance computations.
 from __future__ import annotations
 
 import bisect
-import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -152,12 +151,12 @@ class Graph:
         """Distance from u to v by a BFS that stops at v; -1 if unreachable."""
         return self.distances_to(u, (v,))[0]
 
-    def certified(self, margin) -> frozenset:
+    def certified(self, margin: int) -> frozenset:
         """Vertices whose in-graph neighborhood of the given margin is not
         truncated by the rim; rimless graphs certify everything."""
         if self.radius is None:
             return frozenset(range(self.n))
-        cutoff = self.radius - math.ceil(margin)
+        cutoff = self.radius - margin
         return frozenset(v for v in range(self.n) if self.dist[v] <= cutoff)
 
     def bfs_parents(self, root: int):

@@ -11,9 +11,7 @@ symmetric groups on the blocks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cocycle import HalfSpace
 from .errors import FamilyFailure, OrderCap, WindowTooSmall
@@ -73,7 +71,7 @@ def nested_family(F, n: int, half: HalfSpace, seg: GeodesicSegment,
 
     matches = pattern_match_points(F, graph, n, anchor=p)
     r = repetition_radius(matches, n, graph)
-    spacing = int(math.ceil(2 * r + 2 * n + 2 * Fraction(m) + 2))
+    spacing = 2 * r + 2 * n + 2 * m + 2
 
     pos_p = seg.pos(p)
     anchors = {}
@@ -137,7 +135,7 @@ def nested_family(F, n: int, half: HalfSpace, seg: GeodesicSegment,
         if i - 1 not in anchors or i + 2 not in anchors:
             continue
         segment = seg.segment_between(anchors[i - 1], anchors[i + 2])
-        bound_set = neighborhood_set(graph, segment, int(math.ceil(Fraction(m))))
+        bound_set = neighborhood_set(graph, segment, m)
         block = (sets[i] - sets[i + 1]) & window
         blocks[i] = frozenset(block)
         block_bounds[i] = len(bound_set)

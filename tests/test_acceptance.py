@@ -88,13 +88,16 @@ def test_criterion_2_line_shape():
 def test_criterion_3_qi_certificates():
     ball = build_ball(builtin_action("odometer"), 200)
     chart = fit_line_chart(ball)
-    assert (chart.alpha, chart.beta, chart.gamma, chart.m) == (1, 0, 0, 1)
+    # alpha = 1 and gamma = 0: f is 1-Lipschitz and onto an interval
+    assert all(abs(chart.f[u] - chart.f[v]) <= 1 for u, _g, v in ball.edges)
+    assert sorted(set(chart.f)) == list(range(min(chart.f), max(chart.f) + 1))
+    assert (chart.beta, chart.m) == (0, 1)
 
     lg = build_level_graph(builtin_action("grigorchuk"), 10)
     chart10 = fit_line_chart(lg)
     fiber = fiber_diameter_check(chart10)
     assert fiber.passed
-    assert Fraction(fiber.max_fiber_diameter) <= chart10.alpha * chart10.beta
+    assert fiber.max_fiber_diameter <= chart10.beta
     seg = diametral_geodesic(lg)
     assert m_covering_check(lg, seg, chart10.m).passed
 
@@ -132,9 +135,8 @@ def test_criterion_5_paper_constants():
         ball = build_ball(builtin_action(name), 32)
         chart = fit_line_chart(ball)
         half = half_space(chart)
-        hi = chart.alpha + chart.beta - 1
         for v in half.boundary:
-            assert 0 <= Fraction(chart.f[v]) <= hi
+            assert 0 <= chart.f[v] <= chart.beta
 
     # recompute N_phi from independently reported fields
     action = builtin_action("odometer")

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import fullgroup_lab
-from fullgroup_lab import (build_ball, builtin_action, cli, cocycle,
-                           pattern_transport)
+from fullgroup_lab import (action_to_json, build_ball, builtin_action, cli,
+                           cocycle, pattern_transport)
 from fullgroup_lab.cantor_actions import Transducer
 from fullgroup_lab.cli import main
 from fullgroup_lab.errors import (FamilyFailure, FullGroupLabError, NoRepetition,
@@ -172,11 +172,34 @@ def test_verify_degrades_to_skips_on_small_windows(capsys):
 @pytest.mark.parametrize("args, message", [
     (["verify", "odometer", "--radius", "-3"], "radius must be >= 0"),
     (["qi", "grigorchuk", "--level", "0"], "level must be >= 1"),
-], ids=["verify-radius", "qi-level"])
-def test_out_of_range_radius_is_usage_error(capsys, args, message):
+    # a one-vertex window has no line chart
+    (["verify", "odometer", "--radius", "0"], "radius must be >= 1"),
+    (["qi", "odometer", "--radius", "0"], "radius must be >= 1"),
+    (["cocycle", "odometer", "--element", "{swap}", "--radius", "0"],
+     "radius must be >= 1"),
+    (["transport", "odometer", "--F", "{family}", "--n", "10", "--z", "3",
+      "--radius", "0"], "radius must be >= 1"),
+    (["stabilizer", "odometer", "--F", "{family}", "--n", "10", "--radius", "0"],
+     "radius must be >= 1"),
+    # a negative pattern radius would match everywhere
+    (["verify", "odometer", "--radius", "40", "--n", "-1"], "n must be >= 0"),
+    (["transport", "odometer", "--F", "{family}", "--n", "-1", "--z", "3"],
+     "n must be >= 0"),
+    (["stabilizer", "odometer", "--F", "{family}", "--n", "-1"], "n must be >= 0"),
+], ids=["verify-radius", "qi-level", "verify-radius0", "qi-radius0",
+        "cocycle-radius0", "transport-radius0", "stabilizer-radius0",
+        "verify-n", "transport-n", "stabilizer-n"])
+def test_out_of_range_radius_is_usage_error(capsys, swap_file, family_file,
+                                            args, message):
+    args = [a.format(swap=swap_file, family=family_file) for a in args]
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_graph_accepts_radius_zero(capsys):
+    code, data = run_json(["graph", "odometer", "--radius", "0"], capsys)
+    assert code == 0 and len(data["vertices"]) == 1
 
 
 def test_verify_determinism_in_process(tmp_path):
@@ -292,6 +315,43 @@ def test_verify_report_bytes_are_pinned(name, radius, n):
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name, radius, n]
 
+
+
+# SHA-256 of `qi` and `cocycle` reports (as `--out` writes them).  They pin
+# the strings of the chart constants (alpha, beta, gamma, m, the fiber
+# bound) and of N_phi; the thick line has beta = 1 and m = 3.
+REPORT_GOLDEN = {
+    "qi-odometer-r40": (
+        ["qi", "odometer", "--radius", "40"],
+        "aeaefd16eeb8536bbf8b91303ea6117314f15f308d9c806b6a25b80e914d625b"),
+    "qi-grigorchuk-level10": (
+        ["qi", "grigorchuk", "--level", "10"],
+        "2c9053ef6d5cc0debf85619918c1167f793d3cd119b1f031057062df33ac95d0"),
+    "qi-dihedral-r16": (
+        ["qi", "dihedral", "--radius", "16"],
+        "a2bdead8c316dd23c2f4638a0ce5b33498abe9ee06df1f9e6268ac716f7a4902"),
+    "qi-thickline-r40": (
+        ["qi", "{thickline}", "--radius", "40"],
+        "d94e83086c1d34f9b63064def56406025378f0c657728c9529c66b545405290d"),
+    "cocycle-odometer-swap-r64": (
+        ["cocycle", "odometer", "--element", "{swap}", "--radius", "64"],
+        "3324b56fe2d0875271aacfdb7abcbe327258a601e716cb6eed8889bd7859f6d2"),
+    "cocycle-thickline-swap-r64": (
+        ["cocycle", "{thickline}", "--element", "{swap}", "--radius", "64"],
+        "c0e8b8f4ad3a74afc0bc9eb78adbf30582d37cdb62134a92eeb8bc9e4fcd80eb"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_GOLDEN))
+def test_qi_and_cocycle_report_bytes_are_pinned(tmp_path, thickline, swap_file,
+                                                case):
+    args, digest = REPORT_GOLDEN[case]
+    thick = tmp_path / "thickline.json"
+    thick.write_text(json.dumps(action_to_json(thickline)))
+    out = tmp_path / "report.json"
+    args = [a.format(thickline=thick, swap=swap_file) for a in args]
+    assert main(args + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 def test_verify_looks_images_up_instead_of_rerunning_transducers(monkeypatch):
     # transducer runs stay O(n) per verify (about 316 n when every vertex

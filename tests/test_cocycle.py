@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -57,9 +56,8 @@ def test_boundary_level_bound_grigorchuk_level8(grigorchuk):
     chart = fit_line_chart(lg)
     half = half_space(chart)
     # oracle: definition scan
-    hi = chart.alpha + chart.beta - 1
     for v in half.boundary:
-        assert 0 <= Fraction(chart.f[v]) <= hi
+        assert 0 <= chart.f[v] <= chart.beta
 
 
 def test_cocycle_identity_element(odo_half_200, odometer):
@@ -137,7 +135,6 @@ def test_n_phi_formula():
     assert n_phi(1, 1, 1) == 9
     assert n_phi(1, 1, 0) == 7
     assert n_phi(16, 5, 3) == 107
-    assert n_phi(Fraction(3, 2), 2, 1) == Fraction(13)
 
 
 def test_cocycle_identity_random_pairs(odometer, odo_ball_200, odo_half_200):
