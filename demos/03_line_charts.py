@@ -36,8 +36,8 @@ print(f"max fiber diameter {report.max_fiber_diameter} <= alpha*beta = {report.b
 
 print()
 print("== the diametral geodesic covers the ball within m ==")
-seg = diametral_geodesic(ball)
-cov = m_covering_check(ball, seg, chart.m)
+seg = chart.geodesic
+cov = m_covering_check(seg, chart.m)
 print(f"geodesic length {len(seg)}, max distance {cov.max_distance} <= m:",
       cov.passed)
 

@@ -18,7 +18,6 @@ from fullgroup_lab import (
     n_phi,
     r_constant,
     stabilizer_test,
-    diametral_geodesic,
 )
 from fullgroup_lab.cocycle import push_set
 
@@ -26,7 +25,6 @@ odo = builtin_action("odometer")
 ball = build_ball(odo, 64)
 chart = fit_line_chart(ball)
 half = half_space(chart)
-seg = diametral_geodesic(ball)
 
 print("== the half space ==")
 print("|Y| =", len(half.members), " boundary:",
@@ -58,6 +56,6 @@ print("  t stabilizes Y:", stabilizer_test(shift, half))
 
 print()
 print("== the transport constant ==")
-R = r_constant(half, seg)
+R = r_constant(half)
 print(f"  R = {R}; for the pair swap (d_phi = 1): "
       f"N_phi = 6m + R + 2 d_phi = {n_phi(chart.m, R, 1)}")

@@ -11,13 +11,13 @@ ball around the match point.
 from fullgroup_lab import (
     build_ball,
     builtin_action,
-    diametral_geodesic,
     fit_line_chart,
     half_space,
     make_element,
     pattern_match_points,
     repetition_radius,
     same_pattern,
+    transport_anchor,
     transport_halfspace,
 )
 
@@ -25,7 +25,6 @@ odo = builtin_action("odometer")
 ball = build_ball(odo, 200)
 chart = fit_line_chart(ball)
 half = half_space(chart)
-seg = diametral_geodesic(ball)
 swap = make_element(odo, [("0", ("t",)), ("1", ("t_inv",))])
 F = [swap]
 
@@ -43,9 +42,10 @@ print(f"  every window vertex sees a match within r = {r}"
 
 print()
 print("== transporting the half space to matched vertices ==")
+anchor = transport_anchor(F, 10, half)  # the basepoint's projection, and R
 for target in (26, -52):
     z = [v for v in range(ball.n) if chart.f[v] == target][0]
-    result = transport_halfspace(F, z, 10, half, seg)
+    result = transport_halfspace(F, z, 10, half, anchor)
     values = sorted(chart.f[v] for v in result.y_z)
     print(f"  z at f = {target:+d}: Y_z = [f >= {values[0]:+d}],"
           f" boundary {[ball.label_str(v) for v in result.boundary]},"

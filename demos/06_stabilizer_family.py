@@ -11,20 +11,19 @@ window, and the two must agree.
 from fullgroup_lab import (
     build_ball,
     builtin_action,
-    diametral_geodesic,
     finite_embedding_order,
     fit_line_chart,
     half_space,
     identity_element,
     make_element,
     nested_family,
+    transport_anchor,
 )
 
 odo = builtin_action("odometer")
 ball = build_ball(odo, 200)
 chart = fit_line_chart(ball)
 half = half_space(chart)
-seg = diametral_geodesic(ball)
 
 swap = make_element(odo, [("0", ("t",)), ("1", ("t_inv",))])
 quad = make_element(odo, [("00", ("t", "t")), ("01", ("t_inv", "t_inv")),
@@ -33,7 +32,7 @@ quad = make_element(odo, [("00", ("t", "t")), ("01", ("t_inv", "t_inv")),
 for name, F, n in (("identity", [identity_element(odo)], 8),
                    ("pair swap", [swap], 10),
                    ("pair swap + quad swap", [swap, quad], 12)):
-    family = nested_family(F, n, half, seg)
+    family = nested_family(F, n, half, transport_anchor(F, n, half))
     orders = finite_embedding_order(F, family)
     sizes = [len(family.blocks[i]) for i in family.block_indices]
     print(f"== F = {name} (n = {n}) ==")

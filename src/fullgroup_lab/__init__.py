@@ -56,12 +56,11 @@ from .line_geometry import (
     project_to_geodesic,
 )
 from .pattern_transport import (
-    LocalPattern,
     TransportedHalfSpace,
-    local_pattern,
     pattern_match_points,
     repetition_radius,
     same_pattern,
+    transport_anchor,
     transport_halfspace,
 )
 from .recurrence import EscapeReport, escape_probability, escape_series, simulate_escape

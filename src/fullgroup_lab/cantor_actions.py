@@ -13,7 +13,6 @@ Words act from the left: the rightmost letter of a word is applied first.
 from __future__ import annotations
 
 import json
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,12 +30,6 @@ from .errors import (
 LETTERS = "01"
 
 IDENTITY_STATE = "e"
-
-
-def default_rng() -> random.Random:
-    """RNG for randomized spot checks; FULLGROUP_LAB_SEED pins the seed."""
-    seed = int(os.environ.get("FULLGROUP_LAB_SEED", "0"))
-    return random.Random(seed)
 
 
 def _primitive_root(word: str) -> str:

@@ -2,8 +2,8 @@
 
 Exit codes: 0 when every executed check passes, 1 when a check fails or a
 computation cannot be certified, 2 for usage errors (unknown action,
-malformed input files, a radius, level, escape radius or --n out of
-range).
+malformed input files, a radius, level, escape radius, --n, --z or
+--order-cap out of range).
 Reports are byte-identical across repeated runs with the same inputs;
 `--timing` adds wall-clock seconds and is the only flag that breaks
 byte-equality.
@@ -189,11 +189,9 @@ def cmd_qi(args) -> int:
     action = _load_action(args.action)
     if args.level is None:
         _chart_radius(args.radius)
-    graph = _build_graph(action, args)
-    chart = fit_line_chart(graph)
-    seg = diametral_geodesic(graph)
+    chart = fit_line_chart(_build_graph(action, args))
     fiber = fiber_diameter_check(chart)
-    covering = m_covering_check(graph, seg, chart.m)
+    covering = m_covering_check(chart.geodesic, chart.m)
     report = {
         "action": action.name,
         # f is 1-Lipschitz and onto an interval: alpha = 1 and gamma = 0
@@ -235,20 +233,26 @@ def cmd_element(args) -> int:
     raise UsageError(f"unknown element operation {args.what!r}")
 
 
-def _window(action, radius: int, cap: int) -> tuple:
-    """(ball, chart, seg, half): the window every certificate works in."""
-    ball = build_ball(action, _chart_radius(radius), cap=cap)
-    chart = fit_line_chart(ball)
-    seg = diametral_geodesic(ball)
-    return ball, chart, seg, half_space(chart)
+def _window(action, radius: int, cap: int):
+    """The half space every certificate works in; its chart holds the ball
+    and the geodesic."""
+    return half_space(fit_line_chart(
+        build_ball(action, _chart_radius(radius), cap=cap)))
+
+
+def _report_failure(exc, out) -> int:
+    _emit({"passed": False, "error": str(exc),
+           "report": getattr(exc, "report", {})}, out)
+    return CHECK_FAILED
 
 
 def cmd_cocycle(args) -> int:
     action = _load_action(args.action)
     elem = element_from_json(action, _load_json(args.element))
-    ball, chart, seg, half = _window(action, args.radius, args.cap)
+    half = _window(action, args.radius, args.cap)
+    ball, chart = half.graph, half.chart
     value = cocycle_value(elem, half)
-    R = r_constant(half, seg)
+    R = r_constant(half)
     dphi = displacement_bound(elem)
     report = {
         "action": action.name,
@@ -268,15 +272,17 @@ def cmd_cocycle(args) -> int:
 def cmd_transport(args) -> int:
     action = _load_action(args.action)
     n = _pattern_radius(args.n)
-    ball, _, seg, half = _window(action, args.radius, args.cap)
+    half = _window(action, args.radius, args.cap)
+    if not 0 <= args.z < half.graph.n:
+        raise UsageError(f"z must be a vertex of the ball, 0 <= z < "
+                         f"{half.graph.n}, got {args.z}")
     F = elements_from_json(action, _load_json(args.F))
     try:
-        result = transport_halfspace(F, args.z, n, half, seg)
+        result = transport_halfspace(F, args.z, n, half,
+                                     transport_anchor(F, n, half))
     except (TransportFailure, PatternMismatch, PreconditionNphi, RimContact) as exc:
-        _emit({"passed": False, "error": str(exc),
-               "report": getattr(exc, "report", {})}, args.out)
-        return CHECK_FAILED
-    report = result.to_json(ball)
+        return _report_failure(exc, args.out)
+    report = result.to_json(half.graph)
     report["passed"] = True
     _emit(report, args.out)
     return 0
@@ -285,13 +291,18 @@ def cmd_transport(args) -> int:
 def cmd_stabilizer(args) -> int:
     action = _load_action(args.action)
     n = _pattern_radius(args.n)
-    _, _, seg, half = _window(action, args.radius, args.cap)
+    if args.order_cap < 1:
+        raise UsageError(f"order cap must be >= 1, got {args.order_cap}")
+    half = _window(action, args.radius, args.cap)
     F = elements_from_json(action, _load_json(args.F))
     try:
-        family = nested_family(F, n, half, seg)
+        anchor = transport_anchor(F, n, half)
+    except TransportFailure as exc:
+        return _report_failure(exc, args.out)
+    try:
+        family = nested_family(F, n, half, anchor)
     except FamilyFailure as exc:
-        _emit({"passed": False, "error": str(exc), "report": exc.report}, args.out)
-        return CHECK_FAILED
+        return _report_failure(exc, args.out)
     orders = finite_embedding_order(F, family, cap=args.order_cap)
     report = family.to_json()
     report.update({
@@ -346,7 +357,7 @@ def _biinf(w):
     growth = []
     for r in radii:
         if r == w.radius:
-            b, s = w.ball, w.seg
+            b, s = w.ball, w.chart.geodesic
         else:
             # only radius 1 and 2 ask for a window wider than the ball
             b = w.ball.cut(r) if r < w.radius else build_ball(w.action, r, cap=w.cap)
@@ -357,7 +368,7 @@ def _biinf(w):
 
 
 def _m_geod(w):
-    covering = m_covering_check(w.ball, w.seg, w.chart.m)
+    covering = m_covering_check(w.chart.geodesic, w.chart.m)
     return _status(covering.passed), covering.to_json(), None
 
 
@@ -431,7 +442,7 @@ def _kernel_stab(w):
 
 
 def _upp(w):
-    p = project_to_geodesic(w.ball, w.seg, w.ball.base)
+    p = project_to_geodesic(w.chart.geodesic, w.ball.base)
     try:
         matches = pattern_match_points(w.kernel_family, w.ball, w.n, anchor=p)
         r = repetition_radius(matches, w.n, w.ball)
@@ -464,7 +475,7 @@ def _d_phi(w):
 
 
 def _oneend(w):
-    strip_minus, strip_plus = end_strips(w.ball, w.seg, w.chart.m)
+    strip_minus, strip_plus = end_strips(w.chart.geodesic, w.chart.m)
     if strip_minus & strip_plus:
         reason = "the end strips overlap: the window is too small to see two ends"
         return "skipped", {"reason": reason}, None
@@ -476,21 +487,25 @@ def _oneend(w):
 
 def _stab_transport(w, upp):
     """Transports to the five matches nearest p; the value is F's transport
-    anchor, or None when F moves Y (each transport then fails with it)."""
+    anchor, or the TransportFailure when F moves Y: each transport then
+    fails with it, and so does every check that depends on this one."""
     p, matches = upp
     try:
-        anchor = transport_anchor(w.kernel_family, w.n, w.half, w.seg)
+        anchor = transport_anchor(w.kernel_family, w.n, w.half)
     except (NotStabilized, PreconditionNphi) as exc:
         return "skipped", {"reason": str(exc)}, str(exc)
-    except TransportFailure:
-        anchor = None
+    except TransportFailure as exc:
+        anchor = exc
     base_row = w.ball.distance_row(p)
     chosen = sorted(matches, key=lambda z: (base_row[z], z))[:5]
-    ok = True
     witness = {"match_points": [w.ball.label_str(z) for z in chosen]}
+    if isinstance(anchor, TransportFailure):
+        witness.update((label, str(anchor)) for label in witness["match_points"])
+        return "fail", witness, anchor
+    ok = True
     for z in chosen:
         try:
-            transport_halfspace(w.kernel_family, z, w.n, w.half, w.seg, anchor)
+            transport_halfspace(w.kernel_family, z, w.n, w.half, anchor)
         except (TransportFailure, PatternMismatch, PreconditionNphi,
                 RimContact, NotStabilized) as exc:
             ok = False
@@ -500,7 +515,7 @@ def _stab_transport(w, upp):
 
 def _nesting(w, anchor):
     try:
-        family = nested_family(w.kernel_family, w.n, w.half, w.seg, anchor)
+        family = nested_family(w.kernel_family, w.n, w.half, anchor)
     except (WindowTooSmall, PreconditionNphi, NotStabilized) as exc:
         return "skipped", {"reason": str(exc)}, str(exc)
     summary = family.to_json()
@@ -564,9 +579,10 @@ def run_verify(action, radius: int, n: int, cap: int) -> dict:
     """Run CHECKS in order.  A check whose dependency gave a skip reason is
     skipped with it; a check that raises FullGroupLabError fails with the
     error, and so does every check that depends on it."""
-    ball, chart, seg, half = _window(action, radius, cap)
-    w = SimpleNamespace(action=action, radius=radius, n=n, cap=cap, ball=ball,
-                        chart=chart, seg=seg, half=half, **sample_elements(action))
+    half = _window(action, radius, cap)
+    w = SimpleNamespace(action=action, radius=radius, n=n, cap=cap,
+                        ball=half.graph, chart=half.chart, half=half,
+                        **sample_elements(action))
     entries, values = [], {}
     for check_id, check, deps, params in CHECKS:
         if not callable(check) or any(d not in values for d in deps):
@@ -590,7 +606,7 @@ def run_verify(action, radius: int, n: int, cap: int) -> dict:
     return {
         "action": action.name,
         "action_hash": action.action_hash(),
-        "chart_hash": chart.chart_hash(),
+        "chart_hash": w.chart.chart_hash(),
         "version": __version__,
         "parameters": {"radius": radius, "n": n, "cap": cap,
                        "order_cap": 10 ** 6, "depth_cap": 20,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import NotStabilized
 from .full_group import FullGroupElement, displacement_bound, invert, vertex_map
 from .full_group import apply_element  # unused; perfbench/tests reads it here
-from .line_geometry import GeodesicSegment, LineChart, project_to_geodesic
+from .line_geometry import LineChart, project_to_geodesic
 from .schreier import Graph, neighborhood_set
 
 
@@ -148,17 +148,11 @@ def push_set(phi: FullGroupElement, graph: Graph, vertices) -> frozenset:
     return frozenset(image[v] for v in vertices)
 
 
-def r_constant(half: HalfSpace, seg: GeodesicSegment, p: int | None = None) -> int:
-    """Minimal R with both boundaries inside the R-ball around p.
-
-    p defaults to the projection of the basepoint onto the geodesic and
-    must lie on the geodesic.
-    """
+def r_constant(half: HalfSpace) -> int:
+    """Minimal R with both boundaries inside the R-ball around p, the
+    projection of the basepoint onto the chart's geodesic."""
     graph = half.graph
-    if p is None:
-        p = project_to_geodesic(graph, seg, graph.base)
-    if p not in seg.vertices:
-        raise ValueError("anchor point must lie on the geodesic")
+    p = project_to_geodesic(half.chart.geodesic, graph.base)
     rim_margin = graph.certified(2)
     for v in half.boundary | half.co_boundary:
         if v not in rim_margin:

@@ -15,7 +15,6 @@ piece word; vertex_map lists it, so images are looked up, not recomputed.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .cantor_actions import (
@@ -23,9 +22,7 @@ from .cantor_actions import (
     BoundaryPoint,
     _check_prefix_partition,
     apply_word,
-    default_rng,
     level_apply_word,
-    random_points,
 )
 from .errors import DepthCap, NotInvertible, UnknownGenerator
 from .schreier import MAP_CACHE_SIZE, SchreierBall, _lru
@@ -105,14 +102,14 @@ class FullGroupElement:
 
 
 def make_element(action: ActionSystem, pieces,
-                 depth_cap: int = DEFAULT_DEPTH_CAP,
-                 rng: random.Random | None = None) -> FullGroupElement:
+                 depth_cap: int = DEFAULT_DEPTH_CAP) -> FullGroupElement:
     """Validate and normalize a piece table.
 
-    The partition condition is checked exactly; bijectivity is checked on
-    the level-(max prefix depth + max word length) quotient, which is
-    exact for letter-preserving transducer words, and spot-checked on
-    random boundary points.
+    The partition condition is checked exactly, and so is bijectivity on
+    the level-L quotient, L = max prefix depth + max word length (at least
+    every generator's piece depth): from that level on, each piece word
+    maps a level-L cylinder onto a level-L cylinder, so the element is a
+    bijection exactly when the quotient is a permutation.
     """
     norm = []
     for prefix, word in pieces:
@@ -140,15 +137,6 @@ def make_element(action: ActionSystem, pieces,
         raise NotInvertible(
             f"level-{level} action is not a permutation "
             f"({len(images)} images for {2 ** level} cells)")
-
-    rng = rng or default_rng()
-    sample = random_points(rng, 32)
-    seen = {}
-    for pt in sample:
-        img = apply_element(elem, pt)
-        if img in seen and seen[img] != pt:
-            raise NotInvertible(f"collision at {img.label()}")
-        seen[img] = pt
     return elem
 
 

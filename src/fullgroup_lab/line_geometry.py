@@ -3,7 +3,8 @@
 A chart is fitted from one endpoint of a diametral pair: f(x) = d(u, x) -
 d(u, base), possibly negated so that orientation is stable across radii
 (the end whose point has the lexicographically smaller (period, preperiod)
-canonical key gets the larger f values).  Such an f is 1-Lipschitz and maps
+canonical key gets the larger f values), and the chart keeps the geodesic
+between the two ends.  Such an f is 1-Lipschitz and maps
 the connected graph onto a whole interval of integers, so alpha = 1 and
 gamma = 0 are facts, not fitted constants: the upper quasi-isometry
 inequality holds by the triangle inequality, and the one constant left is
@@ -52,13 +53,13 @@ def _oriented_ends(graph: Graph) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class LineChart:
-    """A certified map of graph vertices to integers."""
+    """A certified map of graph vertices to integers, with the geodesic
+    between the oriented diametral ends that f was fitted from."""
 
     graph: Graph
     f: tuple
     beta: int
-    minus_end: int
-    plus_end: int
+    geodesic: GeodesicSegment
 
     @property
     def m(self) -> int:
@@ -82,7 +83,8 @@ class LineChart:
 
 
 def fit_line_chart(graph: Graph) -> LineChart:
-    """Fit f and the minimal beta over the certified pairs."""
+    """Fit f and the minimal beta over the certified pairs, and keep the
+    geodesic between the two ends f was fitted from."""
     if graph.n < 2:
         raise NotConnected("need at least 2 vertices")
     minus_end, plus_end = _oriented_ends(graph)
@@ -92,7 +94,8 @@ def fit_line_chart(graph: Graph) -> LineChart:
     off = drow[graph.base]
     f = tuple(drow[v] - off for v in range(graph.n))
 
-    return LineChart(graph, f, _fit_beta(graph, f), minus_end, plus_end)
+    return LineChart(graph, f, _fit_beta(graph, f),
+                     _geodesic(graph, minus_end, plus_end))
 
 
 def _level_sets(f) -> dict:
@@ -196,7 +199,10 @@ class GeodesicSegment:
 
 def diametral_geodesic(graph: Graph) -> GeodesicSegment:
     """Shortest path between the oriented diametral ends, geodesy verified."""
-    minus_end, plus_end = _oriented_ends(graph)
+    return _geodesic(graph, *_oriented_ends(graph))
+
+
+def _geodesic(graph: Graph, minus_end: int, plus_end: int) -> GeodesicSegment:
     parent, dist = graph.bfs_parents(minus_end)
     path = [plus_end]
     while path[-1] != minus_end:
@@ -241,9 +247,9 @@ def max_geodesic_midpoint(graph: Graph, v: int) -> int:
         n += 1
 
 
-def project_to_geodesic(graph: Graph, seg: GeodesicSegment, x: int) -> int:
+def project_to_geodesic(seg: GeodesicSegment, x: int) -> int:
     """Closest geodesic vertex to x; ties resolved toward the minus end."""
-    row = graph.distance_row(x)
+    row = seg.graph.distance_row(x)
     best = None
     best_d = None
     for v in seg.vertices:
@@ -264,8 +270,9 @@ class CoveringReport:
                 "passed": self.passed, "witness": self.witness}
 
 
-def m_covering_check(graph: Graph, seg: GeodesicSegment, m: int) -> CoveringReport:
-    """Every certified vertex must lie within m of the geodesic."""
+def m_covering_check(seg: GeodesicSegment, m: int) -> CoveringReport:
+    """Every certified vertex of seg's graph must lie within m of seg."""
+    graph = seg.graph
     dist = graph.distances_from(sorted(set(seg.vertices)))
     certified = graph.certified(max(1, m))
     worst = 0

@@ -63,26 +63,6 @@ def labeled_match(graph: Graph, v1: int, v2: int, n: int):
     return match
 
 
-@dataclass(frozen=True)
-class LocalPattern:
-    """Piece words used by each element of F over an n-neighborhood."""
-
-    graph: Graph
-    center: int
-    depth: int
-    table: tuple  # ((vertex, (word per element of F)), ...) sorted
-
-
-def local_pattern(F, graph: Graph, v: int, n: int) -> LocalPattern:
-    if not _ball_interior_ok(graph, v, n):
-        raise RimContact(f"B_{n}({v}) touches the rim")
-    row = graph.distance_row(v)
-    verts = sorted(u for u in range(graph.n) if 0 <= row[u] <= n)
-    table = tuple(
-        (u, tuple(phi.word_at(graph.labels[u]) for phi in F)) for u in verts)
-    return LocalPattern(graph, v, n, table)
-
-
 def same_pattern(F, graph: Graph, v1: int, v2: int, n: int) -> bool:
     """Neighborhoods isomorphic and piece words equal under the match."""
     h = labeled_match(graph, v1, v2, n)
@@ -132,10 +112,11 @@ def _reach_avoiding(graph: Graph, seeds, forbidden) -> frozenset:
     return frozenset(seen)
 
 
-def end_strips(graph: Graph, seg: GeodesicSegment, m: int) -> tuple:
-    """(minus strip, plus strip): the outermost m certified geodesic
-    vertices on each side of the window (at least one); a set "contains an
+def end_strips(seg: GeodesicSegment, m: int) -> tuple:
+    """(minus strip, plus strip): the outermost m certified vertices of seg
+    on each side of its graph's window (at least one); a set "contains an
     end" when it contains the whole strip on that side."""
+    graph = seg.graph
     width = max(1, m)
     if graph.radius is None:
         certified = list(range(len(seg.vertices)))
@@ -172,30 +153,27 @@ class TransportedHalfSpace:
         }
 
 
-def transport_anchor(F, n: int, half: HalfSpace, seg: GeodesicSegment,
-                     failure=TransportFailure) -> tuple:
-    """(p, R): the basepoint's projection p onto the geodesic and R at p,
-    once F stabilizes Y (else `failure` is raised) and n > N_phi."""
-    graph = half.graph
-    p = project_to_geodesic(graph, seg, graph.base)
+def transport_anchor(F, n: int, half: HalfSpace) -> tuple:
+    """(p, R): the basepoint's projection p onto the chart's geodesic and R
+    at p.  Raises TransportFailure unless F stabilizes Y, and
+    PreconditionNphi unless n > N_phi."""
     for phi in F:
         if not stabilizer_test(phi, half):
-            raise failure("every element of F must stabilize Y")
-    R = r_constant(half, seg, p)
+            raise TransportFailure("every element of F must stabilize Y")
+    R = r_constant(half)
     worst = max(n_phi(half.chart.m, R, displacement_bound(phi)) for phi in F)
     if n <= worst:
         raise PreconditionNphi(f"need n > {worst}, got {n}")
-    return p, R
+    return project_to_geodesic(half.chart.geodesic, half.graph.base), R
 
 
 def transport_halfspace(F, z: int, n: int, half: HalfSpace,
-                        seg: GeodesicSegment,
-                        anchor: tuple | None = None) -> TransportedHalfSpace:
-    """Build and verify the half space transported to the match point z
-    (anchor: transport_anchor(F, n, half, seg), computed if not given)."""
+                        anchor: tuple) -> TransportedHalfSpace:
+    """Build and verify the half space transported to the match point z;
+    anchor is transport_anchor(F, n, half)."""
     graph = half.graph
     chart = half.chart
-    p, R = anchor or transport_anchor(F, n, half, seg)
+    p, R = anchor
     if not _ball_interior_ok(graph, z, n):
         raise RimContact(f"B_{n}({z}) touches the rim")
 
@@ -229,7 +207,7 @@ def transport_halfspace(F, z: int, n: int, half: HalfSpace,
     checks["boundary_minus"] = side_boundary(a_minus) == frozenset(
         h[u] for u in half.co_boundary)
 
-    strip_minus, strip_plus = end_strips(graph, seg, chart.m)
+    strip_minus, strip_plus = end_strips(chart.geodesic, chart.m)
     plus_in_aplus = strip_plus <= a_plus
     plus_in_aminus = strip_plus <= a_minus
     minus_in_aplus = strip_minus <= a_plus

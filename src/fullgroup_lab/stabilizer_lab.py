@@ -16,13 +16,11 @@ from dataclasses import dataclass
 from .cocycle import HalfSpace
 from .errors import FamilyFailure, OrderCap, WindowTooSmall
 from .full_group import FullGroupElement, displacement_bound, invert, vertex_map
-from .line_geometry import GeodesicSegment
 from .pattern_transport import (
     _ball_interior_ok,
     _is_invariant,
     pattern_match_points,
     repetition_radius,
-    transport_anchor,
     transport_halfspace,
 )
 from .schreier import Graph, neighborhood_set
@@ -60,13 +58,12 @@ class NestedFamily:
         }
 
 
-def nested_family(F, n: int, half: HalfSpace, seg: GeodesicSegment,
-                  anchor: tuple | None = None) -> NestedFamily:
+def nested_family(F, n: int, half: HalfSpace, anchor: tuple) -> NestedFamily:
     """Build and certify as many consecutive anchors as the window allows
-    (anchor: transport_anchor(F, n, half, seg), computed if not given)."""
+    along the chart's geodesic; anchor is transport_anchor(F, n, half)."""
     graph = half.graph
     m = half.chart.m
-    anchor = anchor or transport_anchor(F, n, half, seg, FamilyFailure)
+    seg = half.chart.geodesic
     p = anchor[0]
 
     matches = pattern_match_points(F, graph, n, anchor=p)
@@ -111,8 +108,7 @@ def nested_family(F, n: int, half: HalfSpace, seg: GeodesicSegment,
         if i == 0:
             sets[0] = frozenset(half.members)
         else:
-            sets[i] = transport_halfspace(F, match_of[i], n, half, seg,
-                                          anchor).y_z
+            sets[i] = transport_halfspace(F, match_of[i], n, half, anchor).y_z
 
     rows = (graph.distances_from([match_of[i]]) for i in indices[:-1])
     checks["disjoint_n_balls"] = all(

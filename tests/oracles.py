@@ -195,8 +195,11 @@ def random_partition(rng, max_depth: int) -> list:
 
 def random_elements(action, rng, count: int, max_depth: int = 3,
                     max_word: int = 3) -> list:
-    """Pseudo-random validated elements (resampling past invalid tables)."""
-    from fullgroup_lab import make_element
+    """Pseudo-random validated elements (resampling past invalid tables).
+
+    After each valid table it draws 32 points and drops them, so that each
+    seed keeps giving the elements its tests were written against."""
+    from fullgroup_lab import make_element, random_points
     from fullgroup_lab.errors import NotInvertible
 
     gens = list(action.gen_names)
@@ -207,9 +210,10 @@ def random_elements(action, rng, count: int, max_depth: int = 3,
                             for _ in range(rng.randrange(max_word + 1))))
                   for p in prefixes]
         try:
-            out.append(make_element(action, pieces, rng=rng))
+            out.append(make_element(action, pieces))
         except NotInvertible:
             continue
+        random_points(rng, 32)
     return out
 
 

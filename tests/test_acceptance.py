@@ -20,7 +20,6 @@ from fullgroup_lab import (
     builtin_action,
     cocycle_value,
     compose,
-    diametral_geodesic,
     escape_probability,
     fiber_diameter_check,
     finite_embedding_order,
@@ -37,6 +36,7 @@ from fullgroup_lab import (
     random_points,
     regular_tree_ball,
     stabilizer_test,
+    transport_anchor,
     transport_halfspace,
 )
 from fullgroup_lab.cocycle import push_set
@@ -98,8 +98,7 @@ def test_criterion_3_qi_certificates():
     fiber = fiber_diameter_check(chart10)
     assert fiber.passed
     assert fiber.max_fiber_diameter <= chart10.beta
-    seg = diametral_geodesic(lg)
-    assert m_covering_check(lg, seg, chart10.m).passed
+    assert m_covering_check(chart10.geodesic, chart10.m).passed
 
 
 @criterion(4, "cocycle identity and kernel closure over 100 random elements", 60.0)
@@ -143,9 +142,8 @@ def test_criterion_5_paper_constants():
     ball = build_ball(action, 32)
     chart = fit_line_chart(ball)
     half = half_space(chart)
-    seg = diametral_geodesic(ball)
     swap = make_element(action, [("0", ("t",)), ("1", ("t_inv",))])
-    R = r_constant(half, seg)
+    R = r_constant(half)
     d_phi = max(len(w) for _p, w in swap.pieces)
     reported = n_phi(chart.m, R, d_phi)
     assert reported == 6 * chart.m + R + 2 * d_phi
@@ -158,12 +156,13 @@ def test_criterion_6_transport_and_nesting():
     ball = build_ball(action, 200)
     chart = fit_line_chart(ball)
     half = half_space(chart)
-    seg = diametral_geodesic(ball)
     swap = make_element(action, [("0", ("t",)), ("1", ("t_inv",))])
     F = [swap]
 
     # constants from the derived oracle: m=1, R=1, d_phi=1 so N_phi=9 < 10
-    R = r_constant(half, seg)
+    R = r_constant(half)
+    anchor = transport_anchor(F, 10, half)
+    assert anchor == (ball.base, R)
     assert (chart.m, R, n_phi(chart.m, R, 1)) == (1, 1, 9)
 
     p = ball.base
@@ -173,7 +172,7 @@ def test_criterion_6_transport_and_nesting():
     assert len(chosen) == 5
     strip_checks = 0
     for z in chosen:
-        result = transport_halfspace(F, z, 10, half, seg)
+        result = transport_halfspace(F, z, 10, half, anchor)
         assert result.checks["boundary_in_R_ball"]
         assert result.checks["one_end_each"]
         assert result.checks["invariance"]
@@ -181,7 +180,7 @@ def test_criterion_6_transport_and_nesting():
         strip_checks += 1
     assert strip_checks == 5
 
-    family = nested_family(F, 10, half, seg)
+    family = nested_family(F, 10, half, anchor)
     assert len(family.anchor_indices) >= 3
     window = ball.certified(1)
     for i in family.anchor_indices[:-1]:
@@ -196,7 +195,6 @@ def test_criterion_7_finite_order():
     action = builtin_action("odometer")
     ball = build_ball(action, 200)
     half = half_space(fit_line_chart(ball))
-    seg = diametral_geodesic(ball)
     swap = make_element(action, [("0", ("t",)), ("1", ("t_inv",))])
     quad = make_element(action, [("00", ("t", "t")), ("01", ("t_inv", "t_inv")),
                                  ("10", ()), ("11", ())])
@@ -206,7 +204,8 @@ def test_criterion_7_finite_order():
         (swap, quad): (12, 8),
     }
     for F, (n, order) in expected.items():
-        family = nested_family(list(F), n, half, seg)
+        family = nested_family(list(F), n, half,
+                               transport_anchor(list(F), n, half))
         report = finite_embedding_order(list(F), family)
         assert report.agree
         assert report.order_blocks == report.order_brute == order

@@ -9,7 +9,7 @@ import pytest
 
 import fullgroup_lab
 from fullgroup_lab import (action_to_json, build_ball, builtin_action, cli,
-                           cocycle, pattern_transport)
+                           cocycle, make_element, pattern_transport)
 from fullgroup_lab.cantor_actions import Transducer
 from fullgroup_lab.cli import main
 from fullgroup_lab.errors import (FamilyFailure, FullGroupLabError, NoRepetition,
@@ -18,6 +18,7 @@ from fullgroup_lab.errors import (FamilyFailure, FullGroupLabError, NoRepetition
 SWAP = {"pieces": [{"prefix": "0", "word": ["t"]},
                    {"prefix": "1", "word": ["t_inv"]}]}
 FAMILY = {"elements": [SWAP]}
+SHIFT = {"pieces": [{"prefix": "", "word": ["t"]}]}
 
 
 @pytest.fixture()
@@ -186,9 +187,17 @@ def test_verify_degrades_to_skips_on_small_windows(capsys):
     (["transport", "odometer", "--F", "{family}", "--n", "-1", "--z", "3"],
      "n must be >= 0"),
     (["stabilizer", "odometer", "--F", "{family}", "--n", "-1"], "n must be >= 0"),
+    # z is a vertex index of the ball; -1 is not the last vertex
+    (["transport", "odometer", "--F", "{family}", "--n", "10", "--z", "99999",
+      "--radius", "64"], "z must be a vertex of the ball"),
+    (["transport", "odometer", "--F", "{family}", "--n", "10", "--z", "-1",
+      "--radius", "64"], "z must be a vertex of the ball"),
+    (["stabilizer", "odometer", "--F", "{family}", "--n", "10",
+      "--order-cap", "-1"], "order cap must be >= 1"),
 ], ids=["verify-radius", "qi-level", "verify-radius0", "qi-radius0",
         "cocycle-radius0", "transport-radius0", "stabilizer-radius0",
-        "verify-n", "transport-n", "stabilizer-n"])
+        "verify-n", "transport-n", "stabilizer-n", "transport-z-large",
+        "transport-z-negative", "stabilizer-order-cap"])
 def test_out_of_range_radius_is_usage_error(capsys, swap_file, family_file,
                                             args, message):
     args = [a.format(swap=swap_file, family=family_file) for a in args]
@@ -280,9 +289,11 @@ FAMILY_IDS = ("nesting", "block_bound", "finite_order")
     # a failed stab_transport does not stop the nested family
     ("transport_halfspace", TransportFailure("no transport"),
      {"stab_transport": ("fail", None)}),
-    # F moving Y is not a skip: the transports and the family still run
+    # F moving Y is not a skip: every transport fails with it, and so does
+    # each check built on the nested family
     ("transport_anchor", TransportFailure("moved"),
-     {c: ("pass", None) for c in ("stab_transport",) + FAMILY_IDS}),
+     {"stab_transport": ("fail", None),
+      **{c: ("fail", {"error": "moved"}) for c in FAMILY_IDS}}),
 ])
 def test_verify_dependency_rules(monkeypatch, name, exc, expect):
     monkeypatch.setattr(cli, name, _raises(exc))
@@ -294,6 +305,44 @@ def test_verify_dependency_rules(monkeypatch, name, exc, expect):
         if witnesses is not None:
             assert e["witnesses"] == witnesses
             assert e["parameters"] == ({"n": 10} if e["id"] in n_params else {})
+
+
+MOVED = "every element of F must stabilize Y"
+
+
+def test_verify_reports_a_family_that_moves_y(monkeypatch):
+    # F = {t} moves Y: each of the five transports fails with that error,
+    # and so do the three checks built on the nested family
+    samples = cli.sample_elements
+
+    def shifted(action):
+        return {**samples(action),
+                "kernel_family": [make_element(action, [("", ("t",))])]}
+
+    monkeypatch.setattr(cli, "sample_elements", shifted)
+    report = cli.run_verify(builtin_action("odometer"), 80, 10, 1 << 16)
+    checks = {e["id"]: e for e in report["checks"]}
+    transport = checks["stab_transport"]
+    assert transport["status"] == "fail"
+    points = transport["witnesses"]["match_points"]
+    assert len(points) == 5 and all(
+        transport["witnesses"][z] == MOVED for z in points)
+    for check_id in FAMILY_IDS:
+        assert checks[check_id]["status"] == "fail"
+        assert checks[check_id]["witnesses"] == {"error": MOVED}
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "4b3b2be7a86f3c93c42487777c2770bf208ff8667cc4ee2df6326d089c26d4cc"
+
+
+def test_stabilizer_reports_a_family_that_moves_y(tmp_path, capsys):
+    path = tmp_path / "shift.json"
+    path.write_text(json.dumps({"elements": [SHIFT]}))
+    out = tmp_path / "report.json"
+    assert main(["stabilizer", "odometer", "--F", str(path), "--n", "10",
+                 "--out", str(out)]) == 1
+    assert out.read_text() == \
+        '{\n  "error": "%s",\n  "passed": false,\n  "report": {}\n}\n' % MOVED
 
 
 # SHA-256 of run_verify reports (as `verify --out` writes them) for

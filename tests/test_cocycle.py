@@ -8,7 +8,6 @@ from fullgroup_lab import (
     build_level_graph,
     cocycle_value,
     compose,
-    diametral_geodesic,
     fit_line_chart,
     half_space,
     identity_element,
@@ -101,8 +100,7 @@ def test_r_constant_odometer(odometer):
     ball = build_ball(odometer, 8)
     chart = fit_line_chart(ball)
     half = half_space(chart)
-    seg = diametral_geodesic(ball)
-    assert r_constant(half, seg) == 1
+    assert r_constant(half) == 1
     # oracle: B_1(0) = {-1, 0, 1} contains dY = {0} and dY^c = {-1}
     zero = ball.vertex_of(int_to_point(0))
     covered = neighborhood_set(ball, {zero}, 1)
@@ -113,18 +111,15 @@ def test_r_constant_two_vertex_graph():
     g = path_graph(2)
     chart = fit_line_chart(g)
     half = half_space(chart)
-    seg = diametral_geodesic(g)
-    p = [v for v in seg.vertices if chart.f[v] == 0][0]
-    assert r_constant(half, seg, p) == 1
+    assert r_constant(half) == 1
 
 
 def test_r_constant_grigorchuk_recheck(grigorchuk):
     ball = build_ball(grigorchuk, 20)
     chart = fit_line_chart(ball)
     half = half_space(chart)
-    seg = diametral_geodesic(ball)
-    R = r_constant(half, seg)
-    p = [v for v in seg.vertices if chart.f[v] == 0][0]
+    R = r_constant(half)
+    p = [v for v in chart.geodesic.vertices if chart.f[v] == 0][0]
     covered = neighborhood_set(ball, {p}, R)
     assert (half.boundary | half.co_boundary) <= covered
     smaller = neighborhood_set(ball, {p}, R - 1) if R > 0 else set()

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -19,7 +20,7 @@ from fullgroup_lab import (
     random_points,
 )
 from fullgroup_lab.errors import NotAPartition, NotInvertible
-from fullgroup_lab.full_group import vertex_map
+from fullgroup_lab.full_group import FullGroupElement, vertex_map
 from fullgroup_lab.schreier import MAP_CACHE_SIZE
 from oracles import int_to_point, point_to_int, random_elements
 
@@ -56,6 +57,30 @@ def test_non_invertible_rejected(odometer):
     with pytest.raises(NotInvertible):
         make_element(odometer, [("00", ("t", "t")), ("10", ("t_inv", "t_inv")),
                                 ("01", ()), ("11", ())])
+
+
+def test_level_test_decides_bijectivity_exactly(odometer, dihedral):
+    # every piece table of depth <= 2 with words of length <= 1: a table
+    # make_element accepts is injective on the 16 points w(0) and w(1) with
+    # |w| = 3, and every table it rejects maps two of them to one point
+    partitions = (("",), ("0", "1"), ("0", "10", "11"), ("00", "01", "1"),
+                  ("00", "01", "10", "11"))
+    points = [canonical_point("".join(w), period)
+              for w in itertools.product("01", repeat=3) for period in "01"]
+    verdicts = []
+    for action in (odometer, dihedral):
+        words = [()] + [(g,) for g in action.gen_names]
+        for prefixes in partitions:
+            for table in itertools.product(words, repeat=len(prefixes)):
+                pieces = tuple(zip(prefixes, table))
+                try:
+                    elem, accepted = make_element(action, pieces), True
+                except NotInvertible:
+                    elem, accepted = FullGroupElement(action, pieces), False
+                images = {apply_element(elem, x) for x in points}
+                assert (len(images) == len(points)) == accepted, pieces
+                verdicts.append(accepted)
+    assert len(verdicts) == 294 and 0 < sum(verdicts) < 294
 
 
 def test_pair_swap_integer_action(odometer, pair_swap):

@@ -13,7 +13,7 @@ from fullgroup_lab import (
     project_to_geodesic,
     star_graph,
 )
-from fullgroup_lab.line_geometry import LineChart
+from fullgroup_lab.line_geometry import GeodesicSegment, LineChart
 from fullgroup_lab.errors import NotConnected, NotGeodesic
 from oracles import all_pairs, exhaustive_midpoint, point_to_int, qi_holds, qi_tight
 
@@ -80,7 +80,7 @@ def test_fiber_check_flags_fat_fiber():
     # a 4-cycle carries a 2-point fiber at distance 2; beta = 1 is too small
     g = Graph([f"c{i}" for i in range(4)],
               [(0, "s", 1), (1, "s", 2), (2, "s", 3), (3, "s", 0)], base=0)
-    chart = LineChart(g, (0, 1, 2, 1), 1, 0, 2)
+    chart = LineChart(g, (0, 1, 2, 1), 1, GeodesicSegment(g, (0, 1, 2)))
     report = fiber_diameter_check(chart)
     assert not report.passed  # the f=1 fiber has diameter 2 > beta = 1
 
@@ -98,12 +98,15 @@ def test_diametral_geodesic_odometer(odometer):
     assert len(seg) == 20
     values = [point_to_int(ball.point(v)) for v in seg.vertices]
     assert values == list(range(-10, 11))  # oriented toward +infinity
+    # the chart keeps the geodesic between the ends it was fitted from
+    assert fit_line_chart(ball).geodesic == seg
 
 
 def test_diametral_geodesic_grigorchuk_level6(grigorchuk):
     lg = build_level_graph(grigorchuk, 6)
     seg = diametral_geodesic(lg)
     assert len(seg) == 2 ** 6 - 1
+    assert fit_line_chart(lg).geodesic == seg
     rows = all_pairs(lg)
     for i, u in enumerate(seg.vertices):
         for j in range(i + 1, len(seg.vertices), 7):
@@ -162,35 +165,32 @@ def test_projection_on_geodesic_is_identity(odometer):
     ball = build_ball(odometer, 6)
     seg = diametral_geodesic(ball)
     for v in seg.vertices:
-        assert project_to_geodesic(ball, seg, v) == v
+        assert project_to_geodesic(seg, v) == v
 
 
 def test_projection_tie_breaks_toward_minus_end():
     # x (vertex 7) adjacent to geodesic vertices 3 and 5 only
     edges = [(i, "s", i + 1) for i in range(6)] + [(7, "s", 3), (7, "s", 5)]
     g = Graph([f"v{i}" for i in range(8)], edges, base=0)
-    from fullgroup_lab.line_geometry import GeodesicSegment
-
     seg = GeodesicSegment(g, tuple(range(7)))
-    assert project_to_geodesic(g, seg, 7) == 3
+    assert project_to_geodesic(seg, 7) == 3
 
 
 def test_m_covering_pass(odometer, grigorchuk):
     ball = build_ball(odometer, 8)
     seg = diametral_geodesic(ball)
-    report = m_covering_check(ball, seg, 1)
+    report = m_covering_check(seg, 1)
     assert report.passed and report.max_distance == 0
 
     lg = build_level_graph(grigorchuk, 9)
     chart = fit_line_chart(lg)
-    seg = diametral_geodesic(lg)
-    assert m_covering_check(lg, seg, chart.m).passed
+    assert m_covering_check(chart.geodesic, chart.m).passed
 
 
 def test_m_covering_fails_on_star():
     g = star_graph(3)
     seg = diametral_geodesic(g)
-    report = m_covering_check(g, seg, 0)
+    report = m_covering_check(seg, 0)
     assert not report.passed and report.max_distance == 1
 
 
@@ -223,3 +223,5 @@ def test_diametral_geodesic_rejects_a_detour(monkeypatch):
     monkeypatch.setattr(Graph, "bfs_parents", detour)
     with pytest.raises(NotGeodesic):
         diametral_geodesic(g)
+    with pytest.raises(NotGeodesic):
+        fit_line_chart(g)

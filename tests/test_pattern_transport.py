@@ -2,15 +2,14 @@ import pytest
 
 from fullgroup_lab import (
     build_ball,
-    diametral_geodesic,
     fit_line_chart,
     half_space,
     identity_element,
-    local_pattern,
     make_element,
     pattern_match_points,
     repetition_radius,
     same_pattern,
+    transport_anchor,
     transport_halfspace,
 )
 from fullgroup_lab.errors import PatternMismatch, PreconditionNphi, RimContact
@@ -26,9 +25,12 @@ def lab(odometer, pair_swap):
         "ball": ball,
         "chart": chart,
         "half": half_space(chart),
-        "seg": diametral_geodesic(ball),
         "swap": pair_swap,
     }
+
+
+def transport(F, z: int, n: int, half):
+    return transport_halfspace(F, z, n, half, transport_anchor(F, n, half))
 
 
 def vertex(ball, n):
@@ -38,8 +40,6 @@ def vertex(ball, n):
 def test_identity_pattern_matches_everywhere(odometer, lab):
     ball = lab["ball"]
     F = [identity_element(odometer)]
-    pattern = local_pattern(F, ball, ball.base, 2)
-    assert all(words == ((),) for _v, words in pattern.table)
     for n in (-5, 3, 40):
         assert same_pattern(F, ball, ball.base, vertex(ball, n), 2)
     assert repetition_radius(pattern_match_points(F, ball, 2), 2, ball) == 0
@@ -77,7 +77,7 @@ def test_pattern_rim_contact(lab):
     ball = lab["ball"]
     far = vertex(ball, 195)
     with pytest.raises(RimContact):
-        local_pattern([lab["swap"]], ball, far, 10)
+        pattern_match_points([lab["swap"]], ball, 10, anchor=far)
 
 
 def test_grigorchuk_pattern_repeats_for_depth2_element(grigorchuk):
@@ -110,20 +110,20 @@ def test_labeled_match_needs_the_same_edges_leaving_the_ball(odometer):
 
 
 def test_transport_at_anchor_is_y_itself(odometer, lab):
-    ball, half, seg = lab["ball"], lab["half"], lab["seg"]
+    ball, half = lab["ball"], lab["half"]
     F = [lab["swap"]]
-    result = transport_halfspace(F, ball.base, 10, half, seg)
+    result = transport(F, ball.base, 10, half)
     window = ball.certified(1)
     assert result.y_z & window == half.members & window
     assert all(result.checks.values())
 
 
 def test_transport_translates_half_space(odometer, lab):
-    ball, half, seg = lab["ball"], lab["half"], lab["seg"]
+    ball, half = lab["ball"], lab["half"]
     F = [lab["swap"]]
     for shift in (2, 26, -40):
         z = vertex(ball, shift)
-        result = transport_halfspace(F, z, 10, half, seg)
+        result = transport(F, z, 10, half)
         values = sorted(point_to_int(ball.point(v)) for v in result.y_z)
         # oracle: integer bookkeeping, the transported set is a half line
         assert values[0] == shift
@@ -133,31 +133,31 @@ def test_transport_translates_half_space(odometer, lab):
 
 
 def test_transport_guard_small_n(odometer, lab):
-    ball, half, seg = lab["ball"], lab["half"], lab["seg"]
+    ball, half = lab["ball"], lab["half"]
     with pytest.raises(PreconditionNphi):
-        transport_halfspace([lab["swap"]], vertex(ball, 2), 5, half, seg)
+        transport([lab["swap"]], vertex(ball, 2), 5, half)
 
 
 def test_transport_requires_kernel_family(odometer, lab):
     from fullgroup_lab.errors import TransportFailure
 
-    ball, half, seg = lab["ball"], lab["half"], lab["seg"]
+    ball, half = lab["ball"], lab["half"]
     shift = make_element(odometer, [("", ("t",))])
     with pytest.raises(TransportFailure):
-        transport_halfspace([shift], vertex(ball, 2), 10, half, seg)
+        transport([shift], vertex(ball, 2), 10, half)
 
 
 def test_transport_pattern_mismatch(odometer, lab):
-    ball, half, seg = lab["ball"], lab["half"], lab["seg"]
+    ball, half = lab["ball"], lab["half"]
     with pytest.raises(PatternMismatch):
-        transport_halfspace([lab["swap"]], vertex(ball, 3), 10, half, seg)
+        transport([lab["swap"]], vertex(ball, 3), 10, half)
 
 
 def test_transport_partition_and_boundaries(odometer, lab):
-    ball, half, seg = lab["ball"], lab["half"], lab["seg"]
+    ball, half = lab["ball"], lab["half"]
     F = [lab["swap"]]
     z = vertex(ball, -26)
-    result = transport_halfspace(F, z, 10, half, seg)
+    result = transport(F, z, 10, half)
     window = ball.certified(1)
     assert (result.a_plus | result.a_minus) >= window
     assert not result.a_plus & result.a_minus
@@ -168,10 +168,10 @@ def test_transport_partition_and_boundaries(odometer, lab):
 
 
 def test_transport_ends_and_invariance(odometer, lab):
-    ball, half, seg = lab["ball"], lab["half"], lab["seg"]
+    ball, half = lab["ball"], lab["half"]
     F = [lab["swap"]]
-    result = transport_halfspace(F, vertex(ball, 52), 10, half, seg)
-    strip_minus, strip_plus = end_strips(ball, seg, lab["chart"].m)
+    result = transport(F, vertex(ball, 52), 10, half)
+    strip_minus, strip_plus = end_strips(lab["chart"].geodesic, lab["chart"].m)
     assert strip_plus <= result.y_z
     assert not strip_minus & result.y_z
     assert strip_minus <= result.a_plus | result.a_minus

@@ -18,7 +18,8 @@ from fullgroup_lab import (
     fit_line_chart,
     max_geodesic_midpoint,
 )
-from fullgroup_lab.schreier import ROW_CACHE_SIZE
+from fullgroup_lab import cli
+from fullgroup_lab.schreier import DEFAULT_VERTEX_CAP, ROW_CACHE_SIZE
 from oracles import all_pairs, qi_constants, qi_holds, qi_tight
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -179,6 +180,25 @@ def test_chart_and_fiber_check_take_at_most_three_rows(monkeypatch, odometer,
         rows.clear()
         fiber_diameter_check(fit_line_chart(graph))
         assert 0 < len(rows) <= 3
+
+
+def test_window_takes_at_most_four_full_searches(monkeypatch, capsys, odometer):
+    # the double BFS for the diametral pair, the row of the minus end and
+    # the BFS tree that gives the geodesic, each run once; `qi` adds the
+    # covering row
+    calls = []
+    for name in ("distances_from", "bfs_parents"):
+        def counted(self, *args, _full=getattr(Graph, name)):
+            calls.append(args)
+            return _full(self, *args)
+
+        monkeypatch.setattr(Graph, name, counted)
+    cli._window(odometer, 200, DEFAULT_VERTEX_CAP)
+    assert 0 < len(calls) <= 4
+    calls.clear()
+    assert cli.main(["qi", "grigorchuk", "--level", "10"]) == 0
+    capsys.readouterr()
+    assert 0 < len(calls) <= 6
 
 
 def test_certificate_stages_hold_at_most_the_row_bound(odometer):

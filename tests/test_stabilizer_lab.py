@@ -3,27 +3,31 @@ import pytest
 from fullgroup_lab import (
     build_ball,
     compose,
-    diametral_geodesic,
     finite_embedding_order,
     fit_line_chart,
     half_space,
     identity_element,
     nested_family,
+    transport_anchor,
 )
-from fullgroup_lab.errors import OrderCap, PreconditionNphi, WindowTooSmall
+from fullgroup_lab.errors import (OrderCap, PreconditionNphi, TransportFailure,
+                                  WindowTooSmall)
 from fullgroup_lab.stabilizer_lab import mulclose
 from oracles import permutation_closure_order, point_to_int
 
 
 @pytest.fixture(scope="module")
-def lab(odo_ball_200, odo_chart_200, odo_half_200, odo_seg_200):
-    return {"ball": odo_ball_200, "chart": odo_chart_200,
-            "half": odo_half_200, "seg": odo_seg_200}
+def lab(odo_ball_200, odo_chart_200, odo_half_200):
+    return {"ball": odo_ball_200, "chart": odo_chart_200, "half": odo_half_200}
+
+
+def family_of(F, n: int, half):
+    return nested_family(F, n, half, transport_anchor(F, n, half))
 
 
 def test_identity_family_slabs(odometer, lab):
     F = [identity_element(odometer)]
-    family = nested_family(F, 8, lab["half"], lab["seg"])
+    family = family_of(F, 8, lab["half"])
     assert len(family.anchor_indices) >= 3
     assert all(family.checks.values())
     # slabs: consecutive half-line differences along the geodesic
@@ -35,7 +39,7 @@ def test_identity_family_slabs(odometer, lab):
 
 def test_pair_swap_family(odometer, lab, pair_swap):
     F = [pair_swap]
-    family = nested_family(F, 10, lab["half"], lab["seg"])
+    family = family_of(F, 10, lab["half"])
     assert len(family.anchor_indices) >= 3
     assert family.spacing == 2 * family.r + 2 * 10 + 2 * 1 + 2
     assert all(family.checks.values())
@@ -58,28 +62,27 @@ def test_window_too_small(odometer, pair_swap):
     ball = build_ball(odometer, 20)
     chart = fit_line_chart(ball)
     half = half_space(chart)
-    seg = diametral_geodesic(ball)
     with pytest.raises(WindowTooSmall):
-        nested_family([pair_swap], 10, half, seg)  # spacing 26 > window 20
+        family_of([pair_swap], 10, half)  # spacing 26 > window 20
 
 
 def test_nphi_guard(odometer, lab, pair_swap):
     with pytest.raises(PreconditionNphi):
-        nested_family([pair_swap], 9, lab["half"], lab["seg"])
+        transport_anchor([pair_swap], 9, lab["half"])
 
 
 def test_family_requires_kernel(odometer, lab):
+    # the anchor a family is built from exists only for a family fixing Y
     from fullgroup_lab import make_element
-    from fullgroup_lab.errors import FamilyFailure
 
     shift = make_element(odometer, [("", ("t",))])
-    with pytest.raises(FamilyFailure):
-        nested_family([shift], 10, lab["half"], lab["seg"])
+    with pytest.raises(TransportFailure, match="must stabilize Y"):
+        transport_anchor([shift], 10, lab["half"])
 
 
 def test_orders_identity(odometer, lab):
     F = [identity_element(odometer)]
-    family = nested_family(F, 8, lab["half"], lab["seg"])
+    family = family_of(F, 8, lab["half"])
     report = finite_embedding_order(F, family)
     assert report.order_blocks == report.order_brute == 1
     assert report.agree
@@ -87,7 +90,7 @@ def test_orders_identity(odometer, lab):
 
 def test_orders_pair_swap(odometer, lab, pair_swap):
     F = [pair_swap]
-    family = nested_family(F, 10, lab["half"], lab["seg"])
+    family = family_of(F, 10, lab["half"])
     report = finite_embedding_order(F, family)
     assert report.order_blocks == report.order_brute == 2
     assert report.agree
@@ -95,7 +98,7 @@ def test_orders_pair_swap(odometer, lab, pair_swap):
 
 def test_orders_depth2_family(odometer, lab, pair_swap, quad_swap):
     F = [pair_swap, quad_swap]
-    family = nested_family(F, 12, lab["half"], lab["seg"])
+    family = family_of(F, 12, lab["half"])
     report = finite_embedding_order(F, family)
     assert report.agree
     assert report.order_blocks == report.order_brute == 8
@@ -108,7 +111,7 @@ def test_orders_depth2_family(odometer, lab, pair_swap, quad_swap):
 
 def test_order_cap(odometer, lab, pair_swap, quad_swap):
     F = [pair_swap, quad_swap]
-    family = nested_family(F, 12, lab["half"], lab["seg"])
+    family = family_of(F, 12, lab["half"])
     with pytest.raises(OrderCap):
         finite_embedding_order(F, family, cap=3)
 
@@ -128,7 +131,7 @@ def test_blocks_product_embedding_injective_on_window(odometer, lab, pair_swap,
     from fullgroup_lab import apply_element
 
     F = [pair_swap, quad_swap]
-    family = nested_family(F, 12, lab["half"], lab["seg"])
+    family = family_of(F, 12, lab["half"])
     ball = lab["ball"]
     products = [pair_swap, quad_swap, compose(pair_swap, quad_swap),
                 compose(quad_swap, pair_swap)]
