@@ -18,6 +18,13 @@ x with f(x) < t to a vertex of F_t meets F_{t-1}.  The sweep therefore
 needs only the distances inside a fiber and between adjacent fibers,
 which short searches find on a line-like graph, instead of one BFS row
 per certified vertex (see _fit_beta).
+
+The longest geodesic centered at a vertex v rests on the same fact, for
+the level set S = g^-1(g(v)) of g = d(m, .) from a vertex m far from v:
+S meets every path between the two sides of v, so the distance between
+two ends on opposite sides is the least sum of their distances to a
+vertex of S.  The search takes one BFS row per vertex of S instead of one
+per endpoint pair and level (see max_geodesic_midpoint).
 """
 
 from __future__ import annotations
@@ -182,14 +189,6 @@ class GeodesicSegment:
     def pos(self, v: int) -> int:
         return self.vertices.index(v)
 
-    @property
-    def minus_end(self) -> int:
-        return self.vertices[0]
-
-    @property
-    def plus_end(self) -> int:
-        return self.vertices[-1]
-
     def segment_between(self, a: int, b: int) -> tuple:
         i, j = self.pos(a), self.pos(b)
         if i > j:
@@ -219,32 +218,51 @@ def _geodesic(graph: Graph, minus_end: int, plus_end: int) -> GeodesicSegment:
 def max_geodesic_midpoint(graph: Graph, v: int) -> int:
     """Largest n such that some length-2n geodesic has midpoint v.
 
-    Levelwise endpoint-pair extension: a pair (a, b) at level n satisfies
-    d(v,a) = d(v,b) = n and d(a,b) = 2n; level n+1 pairs extend both ends
-    by one edge.  Every longer geodesic through v restricts to a shorter
-    one, so the extension finds the exact maximum within the graph.
+    A pair (a, b) on the sphere dv^-1(n) is the pair of ends of such a
+    geodesic exactly when d(a, b) = 2n (the triangle inequality through v
+    allows no more), and the inner part of a geodesic through v is one
+    too, so the answer is the last n whose sphere holds such a pair.
+
+    The distances come through a separator.  f = d(m, .), for m the
+    smallest vertex farthest from v, is integer-valued and changes by at
+    most 1 along an edge, so S = f^-1(f(v)) meets every path from
+    {f <= f(v)} to {f >= f(v)}: for a pair on the two sides,
+    d(a, b) = min over z in S of d(z, a) + d(z, b), read off one BFS row
+    per z in S.  A pair on one side gets that sum as an upper bound only;
+    when the bound still reaches 2n, a search from a that stops at the
+    pair decides it.  On a line-like graph S is about a fiber wide, so a
+    call takes a few full rows however long the geodesic is.
     """
     dv = graph.distance_row(v)
-    pairs = {(v, v)}
+    m = dv.index(max(dv))
+    f = graph.distances_from([m])
+    cut = f[v]
+    separator = [z for z in range(graph.n) if f[z] == cut]
+    # rows used once per call: kept out of the graph's row cache
+    rows = [graph.distances_from([z]) for z in separator]
+    spheres = _level_sets(dv)
     n = 0
-    while True:
-        # pairs are unordered, kept as (smaller, larger) and grouped by the
-        # smaller end: one BFS row per group, none kept past the level
-        ends = {}
-        for a, b in pairs:
-            ext_a = [x for x in graph.neighbors(a) if dv[x] == n + 1]
-            ext_b = [y for y in graph.neighbors(b) if dv[y] == n + 1]
-            for x in ext_a:
-                for y in ext_b:
-                    ends.setdefault(min(x, y), set()).add(max(x, y))
-        nxt = set()
-        for x, ys in ends.items():
-            rx = graph.distances_from([x])
-            nxt.update((x, y) for y in ys if rx[y] == 2 * (n + 1))
-        if not nxt:
-            return n
-        pairs = nxt
+    while n + 1 in spheres and _has_pair_at(graph, spheres[n + 1], 2 * (n + 1),
+                                            f, cut, rows):
         n += 1
+    return n
+
+
+def _has_pair_at(graph: Graph, sphere, span: int, f, cut: int, rows) -> bool:
+    """Whether two vertices of the sphere lie span apart, given that none
+    lies farther: S = f^-1(cut) separates the sides, with one row per z in
+    S."""
+    for i, a in enumerate(sphere):
+        search = []
+        for b in sphere[i + 1:]:
+            if min(row[a] + row[b] for row in rows) < span:
+                continue
+            if (f[a] - cut) * (f[b] - cut) <= 0:
+                return True
+            search.append(b)
+        if search and span in graph.distances_to(a, search):
+            return True
+    return False
 
 
 def project_to_geodesic(seg: GeodesicSegment, x: int) -> int:

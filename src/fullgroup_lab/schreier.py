@@ -24,6 +24,9 @@ ROW_CACHE_SIZE = 8
 # Element vertex maps a graph caches (full_group.vertex_map): verify asks
 # again for each sample element, its inverse and the family F.
 MAP_CACHE_SIZE = 16
+# Certified sets a graph caches, one per margin: verify asks about a
+# hundred times, for two margins.
+CERTIFIED_CACHE_SIZE = 4
 
 
 def _lru(cache: dict, key, size: int, compute):
@@ -58,6 +61,7 @@ class Graph:
         self._succ = None
         self._rows = {}
         self._maps = {}
+        self._certified = {}
         if dist is not None:
             self.dist = list(dist)
         else:
@@ -153,11 +157,12 @@ class Graph:
 
     def certified(self, margin: int) -> frozenset:
         """Vertices whose in-graph neighborhood of the given margin is not
-        truncated by the rim; rimless graphs certify everything."""
-        if self.radius is None:
-            return frozenset(range(self.n))
-        cutoff = self.radius - margin
-        return frozenset(v for v in range(self.n) if self.dist[v] <= cutoff)
+        truncated by the rim; rimless graphs certify everything.  Cached
+        among the latest margins asked for."""
+        cutoff = None if self.radius is None else self.radius - margin
+        return _lru(self._certified, cutoff, CERTIFIED_CACHE_SIZE,
+                    lambda: frozenset(v for v in range(self.n)
+                                      if cutoff is None or self.dist[v] <= cutoff))
 
     def bfs_parents(self, root: int):
         """Deterministic BFS tree (smallest-index parent wins)."""

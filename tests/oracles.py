@@ -169,16 +169,45 @@ def is_simple_path(graph) -> bool:
     return all(d >= 0 for d in dist)
 
 
-def exhaustive_midpoint(graph, v: int) -> int:
-    """Max n with a length-2n geodesic centered at v, by raw enumeration."""
+def exhaustive_midpoints(graph) -> list:
+    """Max n with a length-2n geodesic centered at v, for every vertex v,
+    by enumeration over one all-pairs table: the ends of such a geodesic
+    lie on one sphere around v, so the pairs on each sphere are compared."""
     rows = all_pairs(graph)
-    best = 0
-    for a in range(graph.n):
-        for b in range(graph.n):
-            n = rows[v][a]
-            if n == rows[v][b] and rows[a][b] == 2 * n:
-                best = max(best, n)
-    return best
+    out = []
+    for v in range(graph.n):
+        spheres = {}
+        for a, n in enumerate(rows[v]):
+            spheres.setdefault(n, []).append(a)
+        out.append(max(n for n, sphere in spheres.items() if n >= 0 and any(
+            rows[a][b] == 2 * n for a in sphere for b in sphere)))
+    return out
+
+
+def midpoint_by_extension(graph, v: int) -> int:
+    """Max n with a length-2n geodesic centered at v, by levelwise
+    extension of endpoint pairs: a level-n pair (a, b) has
+    d(v, a) = d(v, b) = n and d(a, b) = 2n, and the level-(n+1) pairs
+    extend both ends by one edge.  One BFS row per pair group and level."""
+    dv = graph.distances_from([v])
+    pairs = {(v, v)}
+    n = 0
+    while True:
+        ends = {}
+        for a, b in pairs:
+            ext_a = [x for x in graph.neighbors(a) if dv[x] == n + 1]
+            ext_b = [y for y in graph.neighbors(b) if dv[y] == n + 1]
+            for x in ext_a:
+                for y in ext_b:
+                    ends.setdefault(min(x, y), set()).add(max(x, y))
+        nxt = set()
+        for x, ys in ends.items():
+            rx = graph.distances_from([x])
+            nxt.update((x, y) for y in ys if rx[y] == 2 * (n + 1))
+        if not nxt:
+            return n
+        pairs = nxt
+        n += 1
 
 
 def random_partition(rng, max_depth: int) -> list:

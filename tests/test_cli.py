@@ -154,6 +154,20 @@ def test_verify_small_run(capsys):
     assert data["timing"] is None
 
 
+def test_verify_timing_adds_window_and_check_seconds(capsys):
+    args = ["verify", "odometer", "--radius", "80", "--n", "10"]
+    _, plain = run_json(args, capsys)
+    code, timed = run_json(args + ["--timing"], capsys)
+    timing = timed.pop("timing")
+    # timing aside, the report is the one written without --timing
+    assert code == 0 and plain.pop("timing") is None and timed == plain
+    assert set(timing) == {"seconds", "window", "checks"}
+    assert set(timing["checks"]) == set(cli.CHECK_IDS)
+    parts = timing["window"] + sum(timing["checks"].values())
+    assert all(t >= 0 for t in timing["checks"].values())
+    assert parts <= timing["seconds"] + 0.001 * (len(cli.CHECK_IDS) + 1)
+
+
 def test_verify_degrades_to_skips_on_small_windows(capsys):
     # windows too small for a check report "skipped", never crash the run
     for radius in (1, 8):

@@ -11,11 +11,13 @@ from fullgroup_lab import (
     max_geodesic_midpoint,
     path_graph,
     project_to_geodesic,
+    regular_tree_ball,
     star_graph,
 )
 from fullgroup_lab.line_geometry import GeodesicSegment, LineChart
 from fullgroup_lab.errors import NotConnected, NotGeodesic
-from oracles import all_pairs, exhaustive_midpoint, point_to_int, qi_holds, qi_tight
+from oracles import (all_pairs, exhaustive_midpoints, point_to_int, qi_holds,
+                     qi_tight)
 
 
 def test_odometer_chart_constants(odometer):
@@ -124,7 +126,32 @@ def test_max_geodesic_midpoint_grigorchuk_level3(grigorchuk):
     seg = diametral_geodesic(lg)
     v = seg.vertices[3]
     assert max_geodesic_midpoint(lg, v) == 3
-    assert exhaustive_midpoint(lg, v) == 3
+    assert exhaustive_midpoints(lg)[v] == 3
+
+
+@pytest.mark.parametrize("name", ["odometer", "grigorchuk", "dihedral", "thickline"])
+def test_midpoint_at_every_vertex_of_small_balls(name, request):
+    big = build_ball(request.getfixturevalue(name), 40)
+    for r in (1, 2, 3, 5, 8, 13, 21, 40):
+        ball = big.cut(r)
+        expected = exhaustive_midpoints(ball)
+        assert [max_geodesic_midpoint(ball, v) for v in range(ball.n)] == expected
+
+
+@pytest.mark.parametrize("name", ["grigorchuk", "dihedral"])
+def test_midpoint_at_every_vertex_of_level_graphs(name, request):
+    action = request.getfixturevalue(name)
+    for level in range(1, 9):
+        graph = build_level_graph(action, level)
+        expected = exhaustive_midpoints(graph)
+        assert [max_geodesic_midpoint(graph, v) for v in range(graph.n)] == expected
+
+
+def test_midpoint_on_trees():
+    # a level set of a tree is wide, and most sphere pairs lie on one side
+    for graph in (regular_tree_ball(3, 4), regular_tree_ball(4, 3), star_graph(12)):
+        expected = exhaustive_midpoints(graph)
+        assert [max_geodesic_midpoint(graph, v) for v in range(graph.n)] == expected
 
 
 def test_midpoint_monotone_under_growth(odometer):

@@ -7,6 +7,8 @@ a proper subset.  The library's fiber sweep must agree with the pairwise
 rational formula of ``oracles.qi_constants``.
 """
 
+from types import SimpleNamespace
+
 from hypothesis import given, settings, strategies as st
 
 from fullgroup_lab import (
@@ -20,7 +22,7 @@ from fullgroup_lab import (
 )
 from fullgroup_lab import cli
 from fullgroup_lab.schreier import DEFAULT_VERTEX_CAP, ROW_CACHE_SIZE
-from oracles import all_pairs, qi_constants, qi_holds, qi_tight
+from oracles import all_pairs, midpoint_by_extension, qi_constants, qi_holds, qi_tight
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -120,6 +122,14 @@ def test_thick_line_constants(thickline):
     assert (chart.beta, chart.m) == (1, 3)
 
 
+@SETTINGS
+@given(line_like_graphs())
+def test_midpoint_matches_levelwise_extension(graph):
+    # trees with chords give wide separators and many one-sided pairs
+    for v in range(graph.n):
+        assert max_geodesic_midpoint(graph, v) == midpoint_by_extension(graph, v)
+
+
 # --- the distance layer -----------------------------------------------------------
 
 @SETTINGS
@@ -199,6 +209,26 @@ def test_window_takes_at_most_four_full_searches(monkeypatch, capsys, odometer):
     assert cli.main(["qi", "grigorchuk", "--level", "10"]) == 0
     capsys.readouterr()
     assert 0 < len(calls) <= 6
+
+
+def test_biinf_takes_a_few_full_rows_per_radius(monkeypatch, odometer):
+    # per radius: the midpoint's row, the row of the vertex farthest from it
+    # and one row per separator vertex; the two cut balls add their
+    # diametral pairs
+    half = cli._window(odometer, 400, DEFAULT_VERTEX_CAP)
+    w = SimpleNamespace(action=odometer, radius=400, cap=DEFAULT_VERTEX_CAP,
+                        ball=half.graph, chart=half.chart)
+    rows = []
+    full_row = Graph.distances_from
+
+    def counted(self, sources):
+        rows.append(sources)
+        return full_row(self, sources)
+
+    monkeypatch.setattr(Graph, "distances_from", counted)
+    status, witness, _ = cli._biinf(w)
+    assert status == "pass" and witness["midpoint_growth"] == [100, 200, 400]
+    assert 0 < len(rows) <= 16
 
 
 def test_certificate_stages_hold_at_most_the_row_bound(odometer):

@@ -174,6 +174,21 @@ def test_cut_ball_equals_build_ball(thickline):
                 big.cut(r)
 
 
+def test_certified_is_cached_and_equals_the_plain_filter(thickline):
+    ball = build_ball(thickline, 30)
+    graphs = [ball, ball.cut(12), build_level_graph(builtin_action("grigorchuk"), 5)]
+    for graph in graphs:
+        for margin in (-1, 0, 1, 2, 3, 7, 12, 40, 2, 1):
+            if graph.radius is None:
+                plain = frozenset(range(graph.n))
+            else:
+                plain = frozenset(v for v in range(graph.n)
+                                  if graph.dist[v] <= graph.radius - margin)
+            certified = graph.certified(margin)
+            assert certified == plain
+            assert graph.certified(margin) is certified
+
+
 def test_exports(odometer):
     ball = build_ball(odometer, 2)
     data = graph_to_json(ball)
