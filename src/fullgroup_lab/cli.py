@@ -6,7 +6,8 @@ malformed input files, a radius, level, escape radius, --n, --z or
 --order-cap out of range).
 Reports are byte-identical across repeated runs with the same inputs;
 `--timing` adds wall-clock seconds (the whole run, the window and each
-check of `verify`) and is the only flag that breaks byte-equality.
+check of `verify`) and the full BFS rows of the window and of each check,
+and is the only flag that breaks byte-equality.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ from .pattern_transport import (end_strips, pattern_match_points, repetition_rad
 from .recurrence import escape_series, simulate_escape
 from .schreier import (
     DEFAULT_VERTEX_CAP,
+    Graph,
     build_ball,
     build_level_graph,
     graph_to_dot,
@@ -450,16 +452,20 @@ def _upp(w):
         return "skipped", {"reason": str(exc)}, str(exc)
     except NoRepetition as exc:
         return "fail", {"error": str(exc)}, str(exc)
-    others = [z for z in matches if z != p]
-    witness = {"r": r, "matches": len(others)}
+    others = sum(z != p for z in matches)
+    witness = {"r": r, "matches": others}
     if not others:
         return "pass", witness, "anchor pattern repeats nowhere else in the window"
-    return "pass", witness, (p, others)
+    return "pass", witness, (p, matches, r)
 
 
 def _d_phi(w):
+    """d(v, phi v) is at least |f(v) - f(phi v)|, f being 1-Lipschitz, and
+    at most the length of v's piece word, which walks inside the ball from
+    a certified v; a search decides it only when the two differ."""
     ok = True
     witness = {}
+    f = w.chart.f
     for elem in w.samples:
         bound = displacement_bound(elem)
         image = vertex_map(elem, w.ball)
@@ -468,7 +474,10 @@ def _d_phi(w):
             if image[v] < 0:
                 ok = False
                 break
-            worst = max(worst, w.ball.d(v, image[v]))
+            d = abs(f[v] - f[image[v]])
+            if d < bound and d < len(elem.word_at(w.ball.labels[v])):
+                d = w.ball.d(v, image[v])
+            worst = max(worst, d)
         witness[_elem_desc(elem)] = {"d_phi": bound, "max_displacement": worst}
         ok = ok and worst <= bound
     return _status(ok), witness, None
@@ -489,7 +498,7 @@ def _stab_transport(w, upp):
     """Transports to the five matches nearest p; the value is F's transport
     anchor, or the TransportFailure when F moves Y: each transport then
     fails with it, and so does every check that depends on this one."""
-    p, matches = upp
+    p, matches, _r = upp
     try:
         anchor = transport_anchor(w.kernel_family, w.n, w.half)
     except (NotStabilized, PreconditionNphi) as exc:
@@ -497,7 +506,8 @@ def _stab_transport(w, upp):
     except TransportFailure as exc:
         anchor = exc
     base_row = w.ball.distance_row(p)
-    chosen = sorted(matches, key=lambda z: (base_row[z], z))[:5]
+    chosen = sorted((z for z in matches if z != p),
+                    key=lambda z: (base_row[z], z))[:5]
     witness = {"match_points": [w.ball.label_str(z) for z in chosen]}
     if isinstance(anchor, TransportFailure):
         witness.update((label, str(anchor)) for label in witness["match_points"])
@@ -513,9 +523,11 @@ def _stab_transport(w, upp):
     return _status(ok), witness, anchor
 
 
-def _nesting(w, anchor):
+def _nesting(w, anchor, upp):
+    _p, matches, r = upp
     try:
-        family = nested_family(w.kernel_family, w.n, w.half, anchor)
+        family = nested_family(w.kernel_family, w.n, w.half, anchor,
+                               repetition=(matches, r))
     except (WindowTooSmall, PreconditionNphi, NotStabilized) as exc:
         return "skipped", {"reason": str(exc)}, str(exc)
     summary = family.to_json()
@@ -567,7 +579,7 @@ CHECKS = (
     ("d_phi", _d_phi, (), ()),
     ("oneend", _oneend, (), ()),
     ("stab_transport", _stab_transport, ("upp",), ("n",)),
-    ("nesting", _nesting, ("stab_transport",), ()),
+    ("nesting", _nesting, ("stab_transport", "upp"), ()),
     ("block_bound", _block_bound, ("nesting",), ()),
     ("finite_order", _finite_order, ("block_bound",), ()),
     ("recurrence", _recurrence, (), ()),
@@ -580,10 +592,12 @@ def run_verify(action, radius: int, n: int, cap: int,
     """Run CHECKS in order.  A check whose dependency gave a skip reason is
     skipped with it; a check that raises FullGroupLabError fails with the
     error, and so does every check that depends on it.  With timing, the
-    report's `timing` holds the seconds of the window and of each check."""
-    start = time.perf_counter()
+    report's `timing` holds the seconds of the window and of each check,
+    and under `rows` the full BFS rows each of them computed."""
+    start, rows = time.perf_counter(), Graph.full_rows
     half = _window(action, radius, cap)
     seconds = {"window": round(time.perf_counter() - start, 3), "checks": {}}
+    full_rows = {"window": Graph.full_rows - rows, "checks": {}}
     w = SimpleNamespace(action=action, radius=radius, n=n, cap=cap,
                         ball=half.graph, chart=half.chart, half=half,
                         **sample_elements(action))
@@ -592,7 +606,7 @@ def run_verify(action, radius: int, n: int, cap: int,
         if not callable(check) or any(d not in values for d in deps):
             raise RuntimeError(f"check {check_id!r} has no function or depends "
                                f"on a check not run before it: {deps}")
-        start = time.perf_counter()
+        start, rows = time.perf_counter(), Graph.full_rows
         upstream = [values[d] for d in deps]
         blocked = next((v for v in upstream
                         if isinstance(v, (str, FullGroupLabError))), None)
@@ -607,6 +621,7 @@ def run_verify(action, radius: int, n: int, cap: int,
                 status, witnesses, value = "fail", {"error": str(exc)}, exc
         values[check_id] = value
         seconds["checks"][check_id] = round(time.perf_counter() - start, 3)
+        full_rows["checks"][check_id] = Graph.full_rows - rows
         entries.append({"id": check_id, "status": status, "witnesses": witnesses,
                         "parameters": {k: getattr(w, k) for k in params}})
     return {
@@ -618,7 +633,7 @@ def run_verify(action, radius: int, n: int, cap: int,
                        "order_cap": 10 ** 6, "depth_cap": 20,
                        "seed": os.environ.get("FULLGROUP_LAB_SEED", "0")},
         "checks": entries,
-        "timing": seconds if timing else None,
+        "timing": {**seconds, "rows": full_rows} if timing else None,
     }
 
 

@@ -167,10 +167,19 @@ def transport_anchor(F, n: int, half: HalfSpace) -> tuple:
     return project_to_geodesic(half.chart.geodesic, half.graph.base), R
 
 
-def transport_halfspace(F, z: int, n: int, half: HalfSpace,
-                        anchor: tuple) -> TransportedHalfSpace:
+def transport_halfspace(F, z: int, n: int, half: HalfSpace, anchor: tuple,
+                        strips: tuple | None = None) -> TransportedHalfSpace:
     """Build and verify the half space transported to the match point z;
-    anchor is transport_anchor(F, n, half)."""
+    anchor is transport_anchor(F, n, half), and strips the chart geodesic's
+    end_strips at m (computed when None).
+
+    Every check but cover and disjoint looks only near the match window
+    M = b_plus | b_minus.  A side grows from its marks along every edge
+    except into the other side's marks, so its boundary is its certified
+    part next to those marks, and M meets every edge between it and its
+    complement; the R-ball test searches from z only to depth R (a chart's
+    graph is connected, so a full row would hold no -1 for it to miss).
+    """
     graph = half.graph
     chart = half.chart
     p, R = anchor
@@ -196,18 +205,18 @@ def transport_halfspace(F, z: int, n: int, half: HalfSpace,
     checks["cover"] = w1 <= (a_plus | a_minus)
     checks["disjoint"] = not (a_plus & a_minus)
 
-    def side_boundary(side):
-        return frozenset(v for v in side & w1
-                         if any(u not in side for u in graph.neighbors(v)))
-
     if not (half.boundary <= set(h)) or not (half.co_boundary <= set(h)):
         raise TransportFailure("half-space boundary escapes the match window")
-    checks["boundary_plus"] = side_boundary(a_plus) == frozenset(
+    boundary_plus = _side_boundary(graph, a_plus, b_minus)
+    boundary_minus = _side_boundary(graph, a_minus, b_plus)
+    checks["boundary_plus"] = boundary_plus == frozenset(
         h[u] for u in half.boundary)
-    checks["boundary_minus"] = side_boundary(a_minus) == frozenset(
+    checks["boundary_minus"] = boundary_minus == frozenset(
         h[u] for u in half.co_boundary)
 
-    strip_minus, strip_plus = end_strips(chart.geodesic, chart.m)
+    if strips is None:
+        strips = end_strips(chart.geodesic, chart.m)
+    strip_minus, strip_plus = strips
     plus_in_aplus = strip_plus <= a_plus
     plus_in_aminus = strip_plus <= a_minus
     minus_in_aplus = strip_minus <= a_plus
@@ -216,12 +225,12 @@ def transport_halfspace(F, z: int, n: int, half: HalfSpace,
         (minus_in_aplus != minus_in_aminus) and \
         (plus_in_aplus != minus_in_aplus)
 
-    y_z = a_plus if plus_in_aplus else a_minus
-    boundary = side_boundary(y_z)
-    row_z = graph.distance_row(z)
-    checks["boundary_in_R_ball"] = all(row_z[v] <= R for v in boundary)
+    y_z, boundary = (a_plus, boundary_plus) if plus_in_aplus else \
+        (a_minus, boundary_minus)
+    near_z = graph.distances_within((z,), R)
+    checks["boundary_in_R_ball"] = all(v in near_z for v in boundary)
 
-    checks["invariance"] = _is_invariant(F, graph, y_z)
+    checks["invariance"] = _is_invariant(F, graph, y_z, b_plus | b_minus)
 
     result = TransportedHalfSpace(z, n, h, b_plus, b_minus, a_plus, a_minus,
                                   y_z, boundary, R, checks)
@@ -232,14 +241,33 @@ def transport_halfspace(F, z: int, n: int, half: HalfSpace,
     return result
 
 
-def _is_invariant(F, graph: Graph, subset: frozenset) -> bool:
+def _side_boundary(graph: Graph, side: frozenset, other_marks) -> frozenset:
+    """Certified vertices of side with a neighbor outside it, where side is
+    _reach_avoiding(graph, its marks, other_marks): such a neighbor is one
+    of other_marks, since the reach stops nowhere else."""
+    w1 = graph.certified(1)
+    return frozenset(v for u in other_marks for v in graph.neighbors(u)
+                     if v in side and v in w1)
+
+
+def _is_invariant(F, graph: Graph, subset: frozenset, seam) -> bool:
     """Membership in the subset is preserved by every phi of F, both ways,
-    over the window wide enough for the displacements."""
+    at every x of the window certified(max(1, d)), d = displacement_bound(phi).
+
+    seam must meet every edge between the subset and its complement.  phi(x)
+    is the end of a walk of at most d in-ball edges (vertex_map), and so is
+    invert(phi)(x), whose words have phi's lengths.  A walk that keeps off
+    the seam never changes side, and every walk from an x farther than d
+    from the seam keeps off it, so only the x within d of the seam are
+    tested.
+    """
     for phi in F:
-        window = graph.certified(max(1, displacement_bound(phi)))
+        d = displacement_bound(phi)
+        window = graph.certified(max(1, d))
+        near = [x for x in graph.distances_within(seam, d) if x in window]
         for direction in (phi, invert(phi)):
             image = vertex_map(direction, graph)
             if any(image[x] < 0 or (x in subset) != (image[x] in subset)
-                   for x in window):
+                   for x in near):
                 return False
     return True

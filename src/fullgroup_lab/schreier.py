@@ -51,6 +51,10 @@ class Graph:
     every vertex is certified at any margin.
     """
 
+    # Full BFS rows (distances_from calls) computed by every graph of the
+    # process; verify --timing reports how many each check took.
+    full_rows = 0
+
     def __init__(self, labels, edges, base=0, radius=None, dist=None):
         self.labels = list(labels)
         self.edges = list(edges)
@@ -113,6 +117,7 @@ class Graph:
 
     def distances_from(self, sources) -> list:
         """BFS distances (loopless simple adjacency); -1 if unreachable."""
+        Graph.full_rows += 1
         dist = [-1] * self.n
         q = deque()
         for s in sources:
@@ -131,6 +136,22 @@ class Graph:
         """BFS row of v, cached among the latest rows; do not modify it."""
         return _lru(self._rows, v, ROW_CACHE_SIZE,
                     lambda: self.distances_from([v]))
+
+    def distances_within(self, sources, k: int) -> dict:
+        """Vertex -> distance from the nearest source, for every vertex
+        within k of the sources, by a BFS that stops at depth k."""
+        dist = dict.fromkeys(sources, 0) if k >= 0 else {}
+        layer, depth = list(dist), 0
+        while layer and depth < k:
+            depth += 1
+            nxt = []
+            for u in layer:
+                for w in self.neighbors(u):
+                    if w not in dist:
+                        dist[w] = depth
+                        nxt.append(w)
+            layer = nxt
+        return dist
 
     def distances_to(self, u: int, targets) -> list:
         """Distance from u to each target by a BFS that stops once it has
@@ -300,11 +321,7 @@ def boundary_set(graph: Graph, W) -> BoundarySets:
 
 def neighborhood_set(graph: Graph, W, k: int) -> frozenset:
     """All vertices at distance <= k from W inside the graph."""
-    W = frozenset(W)
-    if k == 0:
-        return W
-    dist = graph.distances_from(sorted(W))
-    return frozenset(v for v in range(graph.n) if 0 <= dist[v] <= k)
+    return frozenset(graph.distances_within(W, k))
 
 
 # --- synthetic fixtures --------------------------------------------------

@@ -19,6 +19,7 @@ from .full_group import FullGroupElement, displacement_bound, invert, vertex_map
 from .pattern_transport import (
     _ball_interior_ok,
     _is_invariant,
+    end_strips,
     pattern_match_points,
     repetition_radius,
     transport_halfspace,
@@ -37,7 +38,6 @@ class NestedFamily:
     anchor_indices: tuple    # consecutive integers containing 0
     anchors: dict            # i -> y_i vertex
     matches: dict            # i -> z_i vertex
-    sets: dict               # i -> frozenset Y_i
     blocks: dict             # i -> frozenset Y_i \ Y_{i+1} (certified window)
     block_bounds: dict       # i -> size of the m-neighborhood bound set
     U: int
@@ -58,16 +58,36 @@ class NestedFamily:
         }
 
 
-def nested_family(F, n: int, half: HalfSpace, anchor: tuple) -> NestedFamily:
+def nested_family(F, n: int, half: HalfSpace, anchor: tuple,
+                  repetition: tuple | None = None) -> NestedFamily:
     """Build and certify as many consecutive anchors as the window allows
-    along the chart's geodesic; anchor is transport_anchor(F, n, half)."""
+    along the chart's geodesic; anchor is transport_anchor(F, n, half), and
+    repetition the (matches, r) of pattern_match_points and
+    repetition_radius at its p (computed when None).
+
+    The work per anchor stays near it, except for the whole-window set
+    tests of the transports, the nesting and the blocks:
+    - y_i's nearest match, if one lies within r, is found by a search
+      from y_i to depth r (a chart's graph is connected, so a full row
+      holds no -1 that could come out smaller);
+    - the matches' 2n-balls are disjoint when no later match lies within a
+      search to depth 2n from each one;
+    - a block's bound set is a search to depth m from its anchor segment;
+    - a block is F-invariant when membership holds at every x within d_phi
+      of the block: a walk of at most d_phi edges from a farther x never
+      reaches it (see _is_invariant).
+    Y_i and Y_{i+1} are the only transported half spaces held at a time.
+    """
     graph = half.graph
     m = half.chart.m
     seg = half.chart.geodesic
     p = anchor[0]
 
-    matches = pattern_match_points(F, graph, n, anchor=p)
-    r = repetition_radius(matches, n, graph)
+    if repetition is None:
+        matches = pattern_match_points(F, graph, n, anchor=p)
+        repetition = matches, repetition_radius(matches, n, graph)
+    matches, r = repetition
+    match_set = frozenset(matches)
     spacing = 2 * r + 2 * n + 2 * m + 2
 
     pos_p = seg.pos(p)
@@ -81,9 +101,10 @@ def nested_family(F, n: int, half: HalfSpace, anchor: tuple) -> NestedFamily:
         y = seg.vertices[q]
         if not _ball_interior_ok(graph, y, n):
             return False
-        row = graph.distance_row(y)
-        best = min(((row[z], z) for z in matches), default=None)
-        if best is None or best[0] > r:
+        near = graph.distances_within((y,), r)
+        best = min(((d, z) for z, d in near.items() if z in match_set),
+                   default=None)
+        if best is None:
             return False
         anchors[i] = y
         match_of[i] = best[1]
@@ -103,48 +124,50 @@ def nested_family(F, n: int, half: HalfSpace, anchor: tuple) -> NestedFamily:
             f"spacing {spacing} admits only {len(indices)} anchors")
 
     checks = {}
-    sets = {}
-    for i in indices:
-        if i == 0:
-            sets[0] = frozenset(half.members)
-        else:
-            sets[i] = transport_halfspace(F, match_of[i], n, half, anchor).y_z
 
-    rows = (graph.distances_from([match_of[i]]) for i in indices[:-1])
-    checks["disjoint_n_balls"] = all(
-        row[match_of[j]] > 2 * n
-        for k, row in enumerate(rows) for j in indices[k + 1:])
+    def apart(k: int) -> bool:
+        near = graph.distances_within((match_of[indices[k]],), 2 * n)
+        return all(match_of[j] not in near for j in indices[k + 1:])
+
+    checks["disjoint_n_balls"] = all(apart(k) for k in range(len(indices) - 1))
+
+    strips = end_strips(seg, m)
+
+    def transported(i: int) -> frozenset:
+        if i == 0:
+            return half.members
+        return transport_halfspace(F, match_of[i], n, half, anchor, strips).y_z
 
     d_max = max(1, max(displacement_bound(phi) for phi in F))
     window = graph.certified(d_max)
     nesting_ok = True
-    for i in indices[:-1]:
-        if not ((sets[i + 1] & window) <= (sets[i] & window)):
-            nesting_ok = False
-    checks["nesting"] = nesting_ok
-
     blocks = {}
     block_bounds = {}
     bound_ok = True
     invariant_ok = True
+    y_next = transported(indices[0])
     for i in indices[:-1]:
+        y_i, y_next = y_next, transported(i + 1)
+        if not ((y_next & window) <= (y_i & window)):
+            nesting_ok = False
         if i - 1 not in anchors or i + 2 not in anchors:
             continue
         segment = seg.segment_between(anchors[i - 1], anchors[i + 2])
         bound_set = neighborhood_set(graph, segment, m)
-        block = (sets[i] - sets[i + 1]) & window
-        blocks[i] = frozenset(block)
+        block = (y_i - y_next) & window
+        blocks[i] = block
         block_bounds[i] = len(bound_set)
         if not block <= bound_set or len(block) > len(bound_set):
             bound_ok = False
-        if not _is_invariant(F, graph, frozenset(block)):
+        if not _is_invariant(F, graph, block, block):
             invariant_ok = False
+    checks["nesting"] = nesting_ok
     checks["block_bound"] = bound_ok
     checks["block_invariance"] = invariant_ok
 
     U = max(block_bounds.values(), default=0)
     family = NestedFamily(graph, n, r, spacing, indices, anchors, match_of,
-                          sets, blocks, block_bounds, U, checks)
+                          blocks, block_bounds, U, checks)
     failed = [k for k, v in checks.items() if not v]
     if failed:
         raise FamilyFailure(f"family checks failed: {failed}",

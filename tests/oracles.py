@@ -268,3 +268,70 @@ def permutation_closure_order(perms, cap: int = 10 ** 6) -> int:
                     assert len(els) <= cap
         frontier = new
     return len(els)
+
+
+# --- whole-window forms of the transport checks -----------------------------
+
+def side_boundary_by_scan(graph, side) -> frozenset:
+    """Certified vertices of side with a neighbor outside it, by a scan
+    of the whole side."""
+    w1 = graph.certified(1)
+    return frozenset(v for v in side & w1
+                     if any(u not in side for u in graph.neighbors(v)))
+
+
+def is_invariant_by_scan(F, graph, subset) -> bool:
+    """Membership in subset is kept by every phi of F and its inverse at
+    every vertex of the window certified(max(1, d_phi))."""
+    from fullgroup_lab.full_group import displacement_bound, invert, vertex_map
+
+    for phi in F:
+        window = graph.certified(max(1, displacement_bound(phi)))
+        for direction in (phi, invert(phi)):
+            image = vertex_map(direction, graph)
+            if any(image[x] < 0 or (x in subset) != (image[x] in subset)
+                   for x in window):
+                return False
+    return True
+
+
+def transport_by_scan(F, z: int, n: int, half, anchor):
+    """(report, failed check names) of the half space transported to the
+    match point z, with every check over the whole window: boundaries by
+    scan, the R-ball from a full BFS row, invariance at every certified
+    vertex.  None when the half space's boundary escapes the match."""
+    from fullgroup_lab.pattern_transport import (_reach_avoiding, end_strips,
+                                                 labeled_match)
+
+    graph, chart = half.graph, half.chart
+    p, R = anchor
+    h = labeled_match(graph, p, z, n)
+    if not set(half.boundary) | set(half.co_boundary) <= set(h):
+        return None
+    b_plus = frozenset(h[u] for u in h if u in half.members)
+    b_minus = frozenset(h[u] for u in h if u not in half.members)
+    a_plus = _reach_avoiding(graph, b_plus, b_minus)
+    a_minus = _reach_avoiding(graph, b_minus, b_plus)
+    w1 = graph.certified(1)
+    boundary_plus = side_boundary_by_scan(graph, a_plus)
+    boundary_minus = side_boundary_by_scan(graph, a_minus)
+    checks = {
+        "cover": w1 <= a_plus | a_minus,
+        "disjoint": not a_plus & a_minus,
+        "boundary_plus": boundary_plus == {h[u] for u in half.boundary},
+        "boundary_minus": boundary_minus == {h[u] for u in half.co_boundary},
+    }
+    strip_minus, strip_plus = end_strips(chart.geodesic, chart.m)
+    ends = [strip <= side for strip in (strip_plus, strip_minus)
+            for side in (a_plus, a_minus)]
+    checks["one_end_each"] = ends[0] != ends[1] and ends[2] != ends[3] \
+        and ends[0] != ends[2]
+    y_z, boundary = (a_plus, boundary_plus) if ends[0] else \
+        (a_minus, boundary_minus)
+    row = graph.distances_from([z])
+    checks["boundary_in_R_ball"] = all(row[v] <= R for v in boundary)
+    checks["invariance"] = is_invariant_by_scan(F, graph, y_z)
+    report = {"z": z, "n": n, "R": R, "y_z_size": len(y_z),
+              "boundary": sorted(graph.label_str(v) for v in boundary),
+              "checks": dict(sorted(checks.items()))}
+    return report, [k for k, v in checks.items() if not v]

@@ -182,9 +182,13 @@ def test_criterion_6_transport_and_nesting():
 
     family = nested_family(F, 10, half, anchor)
     assert len(family.anchor_indices) >= 3
+    # the family keeps no Y_i; rebuild them at the anchors' matches
     window = ball.certified(1)
+    sets = {i: half.members if i == 0 else
+            transport_halfspace(F, family.matches[i], 10, half, anchor).y_z
+            for i in family.anchor_indices}
     for i in family.anchor_indices[:-1]:
-        assert (family.sets[i + 1] & window) <= (family.sets[i] & window)
+        assert (sets[i + 1] & window) <= (sets[i] & window)
     assert family.block_indices
     for i in family.block_indices:
         assert len(family.blocks[i]) <= family.U

@@ -1,19 +1,23 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import fullgroup_lab
 from fullgroup_lab import (action_to_json, build_ball, builtin_action, cli,
-                           cocycle, make_element, pattern_transport)
+                           cocycle, make_element, pattern_transport, schreier)
 from fullgroup_lab.cantor_actions import Transducer
 from fullgroup_lab.cli import main
 from fullgroup_lab.errors import (FamilyFailure, FullGroupLabError, NoRepetition,
                                   TransportFailure)
+from fullgroup_lab.full_group import displacement_bound, vertex_map
+from oracles import all_pairs, random_elements
 
 SWAP = {"pieces": [{"prefix": "0", "word": ["t"]},
                    {"prefix": "1", "word": ["t_inv"]}]}
@@ -161,11 +165,55 @@ def test_verify_timing_adds_window_and_check_seconds(capsys):
     timing = timed.pop("timing")
     # timing aside, the report is the one written without --timing
     assert code == 0 and plain.pop("timing") is None and timed == plain
-    assert set(timing) == {"seconds", "window", "checks"}
+    assert set(timing) == {"seconds", "window", "checks", "rows"}
     assert set(timing["checks"]) == set(cli.CHECK_IDS)
+    assert set(timing["rows"]) == {"window", "checks"}
+    assert set(timing["rows"]["checks"]) == set(cli.CHECK_IDS)
     parts = timing["window"] + sum(timing["checks"].values())
     assert all(t >= 0 for t in timing["checks"].values())
     assert parts <= timing["seconds"] + 0.001 * (len(cli.CHECK_IDS) + 1)
+
+
+def test_verify_timing_counts_every_full_row(monkeypatch):
+    # the window's and the checks' row counts add up to the distances_from
+    # calls of the run, cut balls included; the nested family takes none
+    calls = []
+    full_row = schreier.Graph.distances_from
+
+    def counted(self, sources):
+        calls.append(sources)
+        return full_row(self, sources)
+
+    monkeypatch.setattr(schreier.Graph, "distances_from", counted)
+    report = cli.run_verify(builtin_action("odometer"), 120, 10, 1 << 16,
+                            timing=True)
+    rows = report["timing"]["rows"]
+    assert rows["window"] + sum(rows["checks"].values()) == len(calls) > 0
+    assert rows["checks"]["biinf"] > 0 and rows["checks"]["nesting"] == 0
+
+
+def test_d_phi_matches_all_pairs_distances(odometer, thickline):
+    # the swap 2j-1 <-> 2j keeps every vertex in its fiber of the thick
+    # line's chart, so |f(v) - f(phi v)| = 0 < d(v, phi v) = 1 and only the
+    # search finds its displacement; the other swap crosses fibers
+    for action in (odometer, thickline):
+        half = cli._window(action, 40, 1 << 16)
+        ball = half.graph
+        samples = [make_element(action, [("0", ("t_inv",)), ("1", ("t",))]),
+                   make_element(action, [("0", ("t",)), ("1", ("t_inv",))])]
+        samples += random_elements(action, random.Random(9), 6, max_depth=2,
+                                   max_word=3)
+        w = SimpleNamespace(ball=ball, chart=half.chart, samples=samples)
+        status, witness, _ = cli._d_phi(w)
+        rows = all_pairs(ball)
+        for elem in samples:
+            image = vertex_map(elem, ball)
+            bound = displacement_bound(elem)
+            worst = max(rows[v][image[v]] for v in ball.certified(max(1, bound)))
+            assert witness[cli._elem_desc(elem)] == {"d_phi": bound,
+                                                     "max_displacement": worst}
+        assert status == "pass"
+        assert witness[cli._elem_desc(samples[0])]["max_displacement"] == 1
 
 
 def test_verify_degrades_to_skips_on_small_windows(capsys):
@@ -442,5 +490,5 @@ def test_verify_looks_images_up_instead_of_rerunning_transducers(monkeypatch):
     assert 0 < calls["apply"] <= 10 * n
     assert 0 < calls["stabilizer_test"] <= \
         len(samples["samples"]) + len(samples["kernel_family"])
-    # one scan for upp, one for the nested family
-    assert 0 < calls["pattern_match_points"] <= 2
+    # one scan, in upp: the nested family reuses its matches and r
+    assert calls["pattern_match_points"] == 1

@@ -132,6 +132,17 @@ def test_invert_examples(odometer, pair_swap):
     assert invert(shift).pieces == (("", ("t_inv",)),)
 
 
+@pytest.mark.parametrize("name", ["odometer", "grigorchuk", "thickline"])
+def test_invert_keeps_the_word_lengths(request, name):
+    # _is_invariant walks phi and its inverse within phi's displacement bound
+    action = request.getfixturevalue(name)
+    for elem in random_elements(action, random.Random(17), 20, max_depth=3,
+                                max_word=4):
+        lengths = {len(w) for _p, w in elem.pieces}
+        assert {len(w) for _p, w in invert(elem).pieces} == lengths
+        assert displacement_bound(invert(elem)) == displacement_bound(elem)
+
+
 def test_displacement_bound(odometer, pair_swap):
     assert displacement_bound(identity_element(odometer)) == 0
     assert displacement_bound(pair_swap) == 1

@@ -1,3 +1,6 @@
+import json
+import random
+
 import pytest
 
 from fullgroup_lab import (
@@ -12,9 +15,15 @@ from fullgroup_lab import (
     transport_anchor,
     transport_halfspace,
 )
-from fullgroup_lab.errors import PatternMismatch, PreconditionNphi, RimContact
-from fullgroup_lab.pattern_transport import end_strips, labeled_match
-from oracles import int_to_point, point_to_int
+from fullgroup_lab.cocycle import r_constant
+from fullgroup_lab.errors import (PatternMismatch, PreconditionNphi, RimContact,
+                                  TransportFailure)
+from fullgroup_lab.line_geometry import project_to_geodesic
+from fullgroup_lab.pattern_transport import (_is_invariant, _reach_avoiding,
+                                             _side_boundary, end_strips,
+                                             labeled_match)
+from oracles import (int_to_point, is_invariant_by_scan, point_to_int,
+                     random_elements, side_boundary_by_scan, transport_by_scan)
 
 
 @pytest.fixture(scope="module")
@@ -180,3 +189,106 @@ def test_transport_ends_and_invariance(odometer, lab):
     for k in sorted(values):
         if k % 2 == 0 and abs(k) <= 195:
             assert k + 1 in values
+
+
+# --- local checks against their whole-window oracles ------------------------
+
+def _families(action, seed: int) -> list:
+    """The pair swap, which stabilizes the odometer's Y but not the thick
+    line's, and a random pair, which mostly moves Y: transports both pass
+    and fail with a report."""
+    swap = make_element(action, [("0", ("t",)), ("1", ("t_inv",))])
+    return [[swap], random_elements(action, random.Random(seed), 2,
+                                    max_depth=2, max_word=2)]
+
+
+def _same_as_scan(F, z: int, n: int, half, anchor):
+    """The transport to z, success or TransportFailure, reports exactly
+    what the whole-window oracle reports."""
+    expected = transport_by_scan(F, z, n, half, anchor)
+    try:
+        result = transport_halfspace(F, z, n, half, anchor)
+    except TransportFailure as exc:
+        if expected is None:
+            assert "escapes the match window" in str(exc)
+            return
+        report, failed = expected
+        assert failed and str(exc) == f"transport checks failed: {failed}"
+        assert json.dumps(exc.report, sort_keys=True) == \
+            json.dumps(report, sort_keys=True)
+    else:
+        report, failed = expected
+        assert not failed
+        assert json.dumps(result.to_json(half.graph), sort_keys=True) == \
+            json.dumps(report, sort_keys=True)
+
+
+def _anchor(half) -> tuple:
+    """(p, R) without transport_anchor's stabilizer test."""
+    p = project_to_geodesic(half.chart.geodesic, half.graph.base)
+    return p, r_constant(half)
+
+
+def _compare_at_every_match(half, F, n: int):
+    """Every match point's transport reports what the oracle reports, and
+    on both sides of the first matches' windows the local boundary and
+    invariance tests agree with their scans."""
+    graph = half.graph
+    anchor = _anchor(half)
+    p = anchor[0]
+    matches = pattern_match_points(F, graph, n, anchor=p)
+    assert matches
+    for z in matches:
+        _same_as_scan(F, z, n, half, anchor)
+    for z in matches[:5]:
+        h = labeled_match(graph, p, z, n)
+        marks = {True: frozenset(h[u] for u in h if u in half.members),
+                 False: frozenset(h[u] for u in h if u not in half.members)}
+        for plus in (True, False):
+            side = _reach_avoiding(graph, marks[plus], marks[not plus])
+            assert _side_boundary(graph, side, marks[not plus]) == \
+                side_boundary_by_scan(graph, side)
+            assert _is_invariant(F, graph, side, marks[True] | marks[False]) \
+                == is_invariant_by_scan(F, graph, side)
+
+
+@pytest.mark.parametrize("radius", [60, 120, 200])
+def test_local_transport_checks_match_the_scans_on_the_odometer(odometer, radius):
+    half = half_space(fit_line_chart(build_ball(odometer, radius)))
+    for F in _families(odometer, radius):
+        _compare_at_every_match(half, F, 4)
+
+
+def test_local_transport_checks_match_the_scans_on_the_thick_line(thickline):
+    half = half_space(fit_line_chart(build_ball(thickline, 48)))
+    for F in _families(thickline, 48):
+        for n in (3, 8):
+            _compare_at_every_match(half, F, n)
+
+
+def test_r_ball_check_matches_the_full_row_at_every_radius(thickline):
+    # a transported boundary of the thick line lies 0 and 1 from z, so the
+    # check flips between R = 0 and R = 1
+    half = half_space(fit_line_chart(build_ball(thickline, 48)))
+    p, R = _anchor(half)
+    F = _families(thickline, 48)[0]
+    for z in pattern_match_points(F, half.graph, 4, anchor=p)[:5]:
+        for radius in range(R + 1):
+            _same_as_scan(F, z, 4, half, (p, radius))
+
+
+def test_local_invariance_matches_the_scan_on_small_sets(odometer):
+    # a set is its own seam: every x farther than d_phi from it stays out
+    ball = build_ball(odometer, 60)
+    rng = random.Random(5)
+    families = _families(odometer, 5) + [[identity_element(odometer)]]
+    agree = {True: 0, False: 0}
+    for _ in range(60):
+        F = rng.choice(families)
+        start = rng.randrange(ball.n)
+        S = frozenset(v for v in ball.distances_within((start,), rng.randrange(6))
+                      if rng.random() < 0.8)
+        local = _is_invariant(F, ball, S, S)
+        assert local == is_invariant_by_scan(F, ball, S)
+        agree[local] += 1
+    assert agree[True] and agree[False]

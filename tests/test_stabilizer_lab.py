@@ -9,9 +9,11 @@ from fullgroup_lab import (
     identity_element,
     nested_family,
     transport_anchor,
+    transport_halfspace,
 )
 from fullgroup_lab.errors import (OrderCap, PreconditionNphi, TransportFailure,
                                   WindowTooSmall)
+from fullgroup_lab.schreier import Graph
 from fullgroup_lab.stabilizer_lab import mulclose
 from oracles import permutation_closure_order, point_to_int
 
@@ -51,11 +53,14 @@ def test_pair_swap_family(odometer, lab, pair_swap):
         assert len(values) % 2 == 0
         for j in range(0, len(values), 2):
             assert values[j] % 2 == 0 and values[j + 1] == values[j] + 1
-    # nesting read off the sets directly
-    idx = family.anchor_indices
-    for i in idx[:-1]:
-        window = ball.certified(1)
-        assert (family.sets[i + 1] & window) <= (family.sets[i] & window)
+    # nesting read off the Y_i, rebuilt at the anchors' matches
+    anchor = transport_anchor(F, 10, lab["half"])
+    sets = {i: lab["half"].members if i == 0 else transport_halfspace(
+        F, family.matches[i], 10, lab["half"], anchor).y_z
+        for i in family.anchor_indices}
+    window = ball.certified(1)
+    for i in family.anchor_indices[:-1]:
+        assert (sets[i + 1] & window) <= (sets[i] & window)
 
 
 def test_window_too_small(odometer, pair_swap):
@@ -144,3 +149,22 @@ def test_blocks_product_embedding_injective_on_window(odometer, lab, pair_swap,
                     apply_element(elem, ball.point(v))))
         signatures.add(tuple(signature))
     assert len(signatures) == len(products)
+
+
+def test_nested_family_takes_at_most_one_full_row(monkeypatch, odometer,
+                                                  pair_swap):
+    # the repetition radius's row; every anchor's work is a bounded search
+    half = half_space(fit_line_chart(build_ball(odometer, 400)))
+    F = [pair_swap]
+    anchor = transport_anchor(F, 10, half)
+    rows = []
+    full_row = Graph.distances_from
+
+    def counted(self, sources):
+        rows.append(sources)
+        return full_row(self, sources)
+
+    monkeypatch.setattr(Graph, "distances_from", counted)
+    family = nested_family(F, 10, half, anchor)
+    assert all(family.checks.values()) and len(family.anchor_indices) > 10
+    assert len(rows) <= 1
