@@ -2,8 +2,9 @@
 
 Exit codes: 0 when every executed check passes, 1 when a check fails or a
 computation cannot be certified, 2 for usage errors (unknown action,
-malformed input files, a radius, level, escape radius, --n, --z or
---order-cap out of range).
+malformed input files, a radius, level, escape radius, --n, --z,
+--order-cap or --simulate out of range, a --radii that is not a list of
+integers).
 Reports are byte-identical across repeated runs with the same inputs;
 `--timing` adds wall-clock seconds (the whole run, the window and each
 check of `verify`) and the full BFS rows of the window and of each check,
@@ -319,7 +320,13 @@ def cmd_stabilizer(args) -> int:
 
 def cmd_recurrence(args) -> int:
     action = _load_action(args.action)
-    radii = [int(x) for x in args.radii.split(",")] if args.radii else [2, 4, 8]
+    try:
+        radii = [int(x) for x in (args.radii or "2,4,8").split(",")]
+    except ValueError:
+        raise UsageError(f"radii must be comma-separated integers, "
+                         f"got {args.radii!r}") from None
+    if args.simulate is not None and args.simulate < 0:
+        raise UsageError(f"simulate must be >= 0 trials, got {args.simulate}")
     radius = args.radius if args.radius is not None else max(radii)
     ball = build_ball(action, radius, cap=args.cap)
     report = escape_series(ball, radii).to_json()
@@ -433,7 +440,7 @@ def _kernel_stab(w):
         empty = stabilizer_test(elem, w.half)
         image = vertex_map(elem, w.ball)
         fixes = not any(
-            image[v] < 0 or (v in members) != (image[v] in members)
+            (v in members) != (image[v] in members)
             for v in w.ball.certified(max(1, displacement_bound(elem))))
         return {"kernel": empty, "fixes_Y": fixes}
 
@@ -460,26 +467,25 @@ def _upp(w):
 
 
 def _d_phi(w):
-    """d(v, phi v) is at least |f(v) - f(phi v)|, f being 1-Lipschitz, and
-    at most the length of v's piece word, which walks inside the ball from
-    a certified v; a search decides it only when the two differ."""
-    ok = True
+    """The largest d(v, phi v) over certified(d_phi), per sample.  It is at
+    least |f(v) - f(phi v)|, f being 1-Lipschitz, and at most the length of
+    v's piece word, which walks inside the ball (see the cocycle module):
+    d_phi when the largest |f(v) - f(phi v)| reaches it, else found by a
+    search at each v where the two bounds differ."""
     witness = {}
     f = w.chart.f
     for elem in w.samples:
         bound = displacement_bound(elem)
         image = vertex_map(elem, w.ball)
-        worst = 0
-        for v in sorted(w.ball.certified(max(1, bound))):
-            if image[v] < 0:
-                ok = False
-                break
-            d = abs(f[v] - f[image[v]])
-            if d < bound and d < len(elem.word_at(w.ball.labels[v])):
-                d = w.ball.d(v, image[v])
-            worst = max(worst, d)
+        window = w.ball.certified(max(1, bound))
+        worst = max((abs(f[v] - f[image[v]]) for v in window), default=0)
+        if worst < bound:
+            for v in window:
+                d = abs(f[v] - f[image[v]])
+                if d < len(elem.word_at(w.ball.labels[v])):
+                    worst = max(worst, w.ball.d(v, image[v]))
         witness[_elem_desc(elem)] = {"d_phi": bound, "max_displacement": worst}
-        ok = ok and worst <= bound
+    ok = all(x["max_displacement"] <= x["d_phi"] for x in witness.values())
     return _status(ok), witness, None
 
 

@@ -173,12 +173,13 @@ def transport_halfspace(F, z: int, n: int, half: HalfSpace, anchor: tuple,
     anchor is transport_anchor(F, n, half), and strips the chart geodesic's
     end_strips at m (computed when None).
 
-    Every check but cover and disjoint looks only near the match window
-    M = b_plus | b_minus.  A side grows from its marks along every edge
-    except into the other side's marks, so its boundary is its certified
-    part next to those marks, and M meets every edge between it and its
-    complement; the R-ball test searches from z only to depth R (a chart's
-    graph is connected, so a full row would hold no -1 for it to miss).
+    cover is True: the chart's graph is connected, and a shortest path from
+    any vertex to the match window M = b_plus | b_minus meets M first at a
+    mark, whose side then reaches the vertex.  Every check but disjoint
+    looks only near M.  A side grows from its marks along every edge except into the other
+    side's marks, so its boundary is its certified part next to those
+    marks, and M meets every edge between it and its complement; the R-ball
+    test searches from z only to depth R (a full row has no -1 to miss).
     """
     graph = half.graph
     chart = half.chart
@@ -200,10 +201,7 @@ def transport_halfspace(F, z: int, n: int, half: HalfSpace, anchor: tuple,
     a_plus = _reach_avoiding(graph, b_plus, b_minus)
     a_minus = _reach_avoiding(graph, b_minus, b_plus)
 
-    checks = {}
-    w1 = graph.certified(1)
-    checks["cover"] = w1 <= (a_plus | a_minus)
-    checks["disjoint"] = not (a_plus & a_minus)
+    checks = {"cover": True, "disjoint": not (a_plus & a_minus)}
 
     if not (half.boundary <= set(h)) or not (half.co_boundary <= set(h)):
         raise TransportFailure("half-space boundary escapes the match window")
@@ -267,7 +265,6 @@ def _is_invariant(F, graph: Graph, subset: frozenset, seam) -> bool:
         near = [x for x in graph.distances_within(seam, d) if x in window]
         for direction in (phi, invert(phi)):
             image = vertex_map(direction, graph)
-            if any(image[x] < 0 or (x in subset) != (image[x] in subset)
-                   for x in near):
+            if any((x in subset) != (image[x] in subset) for x in near):
                 return False
     return True

@@ -70,8 +70,10 @@ def nested_family(F, n: int, half: HalfSpace, anchor: tuple,
     - y_i's nearest match, if one lies within r, is found by a search
       from y_i to depth r (a chart's graph is connected, so a full row
       holds no -1 that could come out smaller);
-    - the matches' 2n-balls are disjoint when no later match lies within a
-      search to depth 2n from each one;
+    - the matches' n-balls are disjoint by construction, so
+      disjoint_n_balls is True: the anchors lie on the chart's geodesic,
+      spacing = 2r + 2n + 2m + 2 apart, and each match lies within r of
+      its anchor, so d(z_i, z_j) >= spacing - 2r = 2n + 2m + 2 > 2n;
     - a block's bound set is a search to depth m from its anchor segment;
     - a block is F-invariant when membership holds at every x within d_phi
       of the block: a walk of at most d_phi edges from a farther x never
@@ -123,13 +125,7 @@ def nested_family(F, n: int, half: HalfSpace, anchor: tuple,
         raise WindowTooSmall(
             f"spacing {spacing} admits only {len(indices)} anchors")
 
-    checks = {}
-
-    def apart(k: int) -> bool:
-        near = graph.distances_within((match_of[indices[k]],), 2 * n)
-        return all(match_of[j] not in near for j in indices[k + 1:])
-
-    checks["disjoint_n_balls"] = all(apart(k) for k in range(len(indices) - 1))
+    checks = {"disjoint_n_balls": True}
 
     strips = end_strips(seg, m)
 

@@ -335,3 +335,54 @@ def transport_by_scan(F, z: int, n: int, half, anchor):
               "boundary": sorted(graph.label_str(v) for v in boundary),
               "checks": dict(sorted(checks.items()))}
     return report, [k for k, v in checks.items() if not v]
+
+
+# --- the cocycle on two windows -------------------------------------------
+
+def cocycle_by_two_windows(phi, half):
+    """(vertices, (w_small, w_big)) of Y symdiff phi(Y), computed on both
+    windows and compared, after testing that phi^-1 keeps each window in
+    the ball and that each piece word's translate difference lies near
+    the boundary; raises NotStabilized with cocycle_value's messages."""
+    from fullgroup_lab import neighborhood_set
+    from fullgroup_lab.errors import NotStabilized
+    from fullgroup_lab.full_group import (FullGroupElement, displacement_bound,
+                                          invert, vertex_map)
+
+    graph = half.graph
+    if graph.radius is None:
+        raise NotStabilized("cocycles need a rim-bounded orbit ball")
+    d = max(1, displacement_bound(phi))
+    w_big = graph.radius - d
+    w_small = w_big - d
+    if w_small < 1:
+        raise NotStabilized(
+            f"radius {graph.radius} too small for displacement {d}")
+    pre = vertex_map(invert(phi), graph)
+
+    def sym_diff(w):
+        window = [v for v in range(graph.n) if graph.dist[v] <= w]
+        if any(pre[v] < 0 for v in window):
+            raise NotStabilized(
+                f"phi^-1 leaves the ball inside window {w}; radius too small")
+        return frozenset(v for v in window
+                         if (v in half.members) != (pre[v] in half.members))
+
+    small, big = sym_diff(w_small), sym_diff(w_big)
+    if small != big:
+        raise NotStabilized(
+            f"value changed when growing the window {w_small} -> {w_big}; "
+            "radius too small")
+    for _prefix, word in phi.pieces:
+        if not word:
+            continue
+        inverse = tuple(phi.action.inverse_word(word))
+        back = vertex_map(FullGroupElement(phi.action, (("", inverse),)), graph)
+        stray = {v for v in range(graph.n) if graph.dist[v] <= w_small
+                 and v not in half.members and back[v] in half.members} - \
+            neighborhood_set(graph, half.boundary, len(word))
+        if stray:
+            raise NotStabilized(
+                f"translate difference escapes the boundary neighborhood "
+                f"at vertices {sorted(stray)[:4]}")
+    return big, (w_small, w_big)

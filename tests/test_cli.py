@@ -16,7 +16,8 @@ from fullgroup_lab.cantor_actions import Transducer
 from fullgroup_lab.cli import main
 from fullgroup_lab.errors import (FamilyFailure, FullGroupLabError, NoRepetition,
                                   TransportFailure)
-from fullgroup_lab.full_group import displacement_bound, vertex_map
+from fullgroup_lab.full_group import FullGroupElement, displacement_bound, vertex_map
+from fullgroup_lab.line_geometry import LineChart
 from oracles import all_pairs, random_elements
 
 SWAP = {"pieces": [{"prefix": "0", "word": ["t"]},
@@ -256,10 +257,15 @@ def test_verify_degrades_to_skips_on_small_windows(capsys):
       "--radius", "64"], "z must be a vertex of the ball"),
     (["stabilizer", "odometer", "--F", "{family}", "--n", "10",
       "--order-cap", "-1"], "order cap must be >= 1"),
+    (["recurrence", "odometer", "--radii", "2,x"],
+     "radii must be comma-separated integers"),
+    (["recurrence", "odometer", "--simulate", "-3", "--radii", "2"],
+     "simulate must be >= 0"),
 ], ids=["verify-radius", "qi-level", "verify-radius0", "qi-radius0",
         "cocycle-radius0", "transport-radius0", "stabilizer-radius0",
         "verify-n", "transport-n", "stabilizer-n", "transport-z-large",
-        "transport-z-negative", "stabilizer-order-cap"])
+        "transport-z-negative", "stabilizer-order-cap", "recurrence-radii",
+        "recurrence-simulate"])
 def test_out_of_range_radius_is_usage_error(capsys, swap_file, family_file,
                                             args, message):
     args = [a.format(swap=swap_file, family=family_file) for a in args]
@@ -428,50 +434,74 @@ def test_verify_report_bytes_are_pinned(name, radius, n):
 
 
 
-# SHA-256 of `qi` and `cocycle` reports (as `--out` writes them).  They pin
-# the strings of the chart constants (alpha, beta, gamma, m, the fiber
-# bound) and of N_phi; the thick line has beta = 1 and m = 3.
+# SHA-256 of `qi`, `cocycle`, `transport` and `stabilizer` reports (as
+# `--out` writes them), with each run's exit code.  They pin the strings of
+# the chart constants (alpha, beta, gamma, m, the fiber bound) and of
+# N_phi, and the check keys of a transport and of a nested family; the
+# thick line has beta = 1 and m = 3.  z = 1 is an odd integer, whose
+# pattern differs from the basepoint's, and the shift moves Y.
 REPORT_GOLDEN = {
     "qi-odometer-r40": (
-        ["qi", "odometer", "--radius", "40"],
+        ["qi", "odometer", "--radius", "40"], 0,
         "aeaefd16eeb8536bbf8b91303ea6117314f15f308d9c806b6a25b80e914d625b"),
     "qi-grigorchuk-level10": (
-        ["qi", "grigorchuk", "--level", "10"],
+        ["qi", "grigorchuk", "--level", "10"], 0,
         "2c9053ef6d5cc0debf85619918c1167f793d3cd119b1f031057062df33ac95d0"),
     "qi-dihedral-r16": (
-        ["qi", "dihedral", "--radius", "16"],
+        ["qi", "dihedral", "--radius", "16"], 0,
         "a2bdead8c316dd23c2f4638a0ce5b33498abe9ee06df1f9e6268ac716f7a4902"),
     "qi-thickline-r40": (
-        ["qi", "{thickline}", "--radius", "40"],
+        ["qi", "{thickline}", "--radius", "40"], 0,
         "d94e83086c1d34f9b63064def56406025378f0c657728c9529c66b545405290d"),
     "cocycle-odometer-swap-r64": (
-        ["cocycle", "odometer", "--element", "{swap}", "--radius", "64"],
+        ["cocycle", "odometer", "--element", "{swap}", "--radius", "64"], 0,
         "3324b56fe2d0875271aacfdb7abcbe327258a601e716cb6eed8889bd7859f6d2"),
     "cocycle-thickline-swap-r64": (
-        ["cocycle", "{thickline}", "--element", "{swap}", "--radius", "64"],
+        ["cocycle", "{thickline}", "--element", "{swap}", "--radius", "64"], 0,
         "c0e8b8f4ad3a74afc0bc9eb78adbf30582d37cdb62134a92eeb8bc9e4fcd80eb"),
+    "transport-odometer-swap-z3-r128": (
+        ["transport", "odometer", "--F", "{family}", "--n", "10", "--z", "3",
+         "--radius", "128"], 0,
+        "23fd6a11c75d11ac6050a7ca0dfe03104ee384a652458ad58be0ea8e87ca02ae"),
+    "transport-odometer-swap-z1-r64": (
+        ["transport", "odometer", "--F", "{family}", "--n", "10", "--z", "1",
+         "--radius", "64"], 1,
+        "7f1789cf7b964ebb10f8d31165b18c15914706bfb7519ed439236950bf8e6487"),
+    "stabilizer-odometer-swap-r128": (
+        ["stabilizer", "odometer", "--F", "{family}", "--n", "10",
+         "--radius", "128"], 0,
+        "6e2f2f2a451404f9a8460a08b47738c8d9679ed5302300b4c2952cbc3e866e1c"),
+    "stabilizer-odometer-shift-r128": (
+        ["stabilizer", "odometer", "--F", "{shift}", "--n", "10",
+         "--radius", "128"], 1,
+        "50de4f72733ddea7f4151cce3a2063bea9f3bf85dca7c5d3c4acad6e99d9d654"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REPORT_GOLDEN))
-def test_qi_and_cocycle_report_bytes_are_pinned(tmp_path, thickline, swap_file,
-                                                case):
-    args, digest = REPORT_GOLDEN[case]
+def test_report_bytes_are_pinned(tmp_path, thickline, swap_file, family_file,
+                                 case):
+    args, code, digest = REPORT_GOLDEN[case]
     thick = tmp_path / "thickline.json"
     thick.write_text(json.dumps(action_to_json(thickline)))
+    shift = tmp_path / "shift.json"
+    shift.write_text(json.dumps({"elements": [SHIFT]}))
     out = tmp_path / "report.json"
-    args = [a.format(thickline=thick, swap=swap_file) for a in args]
-    assert main(args + ["--out", str(out)]) == 0
+    args = [a.format(thickline=thick, swap=swap_file, family=family_file,
+                     shift=shift) for a in args]
+    assert main(args + ["--out", str(out)]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 def test_verify_looks_images_up_instead_of_rerunning_transducers(monkeypatch):
     # transducer runs stay O(n) per verify (about 316 n when every vertex
-    # image re-ran them), and F's stabilizer tests are shared by every
-    # transport and the nested family
+    # image re-ran them), F's stabilizer tests are shared by every
+    # transport and the nested family, and no certificate hashes the chart
     action = builtin_action("odometer")
     n = build_ball(action, 200).n
     samples = cli.sample_elements(action)
-    calls = {"apply": 0, "stabilizer_test": 0, "pattern_match_points": 0}
+    calls = {"apply": 0, "stabilizer_test": 0, "pattern_match_points": 0,
+             "chart_hash": 0, "d": 0, "word_at": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -480,6 +510,8 @@ def test_verify_looks_images_up_instead_of_rerunning_transducers(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(Transducer, "apply", counted("apply", Transducer.apply))
+    monkeypatch.setattr(LineChart, "chart_hash",
+                        counted("chart_hash", LineChart.chart_hash))
     for fn in (cocycle.stabilizer_test, pattern_transport.pattern_match_points):
         for name, module in list(sys.modules.items()):
             if name.startswith("fullgroup_lab") and \
@@ -492,3 +524,18 @@ def test_verify_looks_images_up_instead_of_rerunning_transducers(monkeypatch):
         len(samples["samples"]) + len(samples["kernel_family"])
     # one scan, in upp: the nested family reuses its matches and r
     assert calls["pattern_match_points"] == 1
+    # one chart hash, for the report
+    assert calls["chart_hash"] == 1
+
+    # every odometer sample reaches d_phi by |f(v) - f(phi v)|, so d_phi
+    # neither looks up a piece word nor searches once the maps are built
+    half = cli._window(action, 200, 1 << 16)
+    for elem in samples["samples"]:
+        vertex_map(elem, half.graph)
+    monkeypatch.setattr(schreier.Graph, "d", counted("d", schreier.Graph.d))
+    monkeypatch.setattr(FullGroupElement, "word_at",
+                        counted("word_at", FullGroupElement.word_at))
+    w = SimpleNamespace(ball=half.graph, chart=half.chart,
+                        samples=samples["samples"])
+    assert cli._d_phi(w)[0] == "pass"
+    assert calls["d"] == calls["word_at"] == 0

@@ -21,7 +21,9 @@ from fullgroup_lab import (
 )
 from fullgroup_lab.cocycle import push_set
 from fullgroup_lab.errors import NotStabilized
-from oracles import int_to_point, point_to_int
+from fullgroup_lab.full_group import vertex_map
+from oracles import (cocycle_by_two_windows, int_to_point, point_to_int,
+                     random_elements)
 
 
 def test_half_space_odometer_r3(odometer):
@@ -133,8 +135,6 @@ def test_n_phi_formula():
 
 
 def test_cocycle_identity_random_pairs(odometer, odo_ball_200, odo_half_200):
-    from oracles import random_elements
-
     rng = random.Random(16)
     elems = random_elements(odometer, rng, 12)
     for a, b in zip(elems[::2], elems[1::2]):
@@ -174,20 +174,48 @@ def test_boundary_stays_finite_as_radius_grows(odometer, grigorchuk):
     assert co_sizes[0] < co_sizes[1] < co_sizes[2]
 
 
-def test_translate_difference_in_boundary_neighborhood(odometer, odo_ball_200,
-                                                       odo_half_200):
-    # the containment check runs inside cocycle_value; exercise it directly
-    from fullgroup_lab import apply_word
+def test_translate_difference_in_boundary_neighborhood(odometer, grigorchuk,
+                                                       thickline):
+    # gY \ Y within radius - len(g) - 1 lies within len(g) of the boundary,
+    # for every piece word g: the certificates rely on it without a test
+    for action in (odometer, grigorchuk, thickline):
+        ball = build_ball(action, 40)
+        half = half_space(fit_line_chart(ball))
+        words = {word for elem in random_elements(action, random.Random(40), 12)
+                 for _prefix, word in elem.pieces if word}
+        assert words
+        for word in sorted(words):
+            inverse = make_element(action, [("", action.inverse_word(word))])
+            pre = vertex_map(inverse, ball)
+            translate_minus_y = {v for v in ball.certified(len(word) + 1)
+                                 if v not in half and pre[v] in half}
+            assert translate_minus_y <= neighborhood_set(ball, half.boundary,
+                                                         len(word))
 
-    ball, half = odo_ball_200, odo_half_200
-    word = ["t_inv"]
-    inside = set()
-    for v in range(ball.n):
-        if ball.dist[v] > 190 or v in half.members:
-            continue
-        pre = ball.vertex_of(apply_word(odometer, ["t"], ball.point(v)))
-        if pre is not None and pre in half.members:
-            inside.add(v)
-    assert inside <= neighborhood_set(ball, half.boundary, 1)
 
-
+@pytest.mark.parametrize("name, count", [
+    ("odometer", 12), ("grigorchuk", 12), ("thickline", 8)])
+def test_cocycle_value_matches_the_two_window_oracle(request, name, count):
+    # one window pass and its stabilization test against the comparison of
+    # two windows, NotStabilized messages included; count elements give
+    # each action a value that changes between the windows
+    action = request.getfixturevalue(name)
+    ball = build_ball(action, 64)
+    elems = random_elements(action, random.Random(64), count, max_depth=3,
+                            max_word=4)
+    outcomes = set()
+    for radius in range(2, 65):
+        half = half_space(fit_line_chart(ball.cut(radius)))
+        for elem in elems:
+            try:
+                expect = cocycle_by_two_windows(elem, half)
+            except NotStabilized as exc:
+                with pytest.raises(NotStabilized) as got:
+                    cocycle_value(elem, half)
+                assert str(got.value) == str(exc)
+                outcomes.add(str(exc).split()[0])
+                continue
+            value = cocycle_value(elem, half)
+            assert (value.vertices, value.window) == expect
+            outcomes.add("stable")
+    assert outcomes >= {"stable", "radius", "value"}

@@ -61,6 +61,12 @@ def test_pair_swap_family(odometer, lab, pair_swap):
     window = ball.certified(1)
     for i in family.anchor_indices[:-1]:
         assert (sets[i + 1] & window) <= (sets[i] & window)
+    # disjoint_n_balls holds by construction: the matches' n-balls are
+    # disjoint, read off full rows
+    for i in family.anchor_indices:
+        row = ball.distances_from([family.matches[i]])
+        assert all(row[family.matches[j]] > 2 * 10
+                   for j in family.anchor_indices if j != i)
 
 
 def test_window_too_small(odometer, pair_swap):
