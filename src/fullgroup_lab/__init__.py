@@ -26,7 +26,6 @@ from .cantor_actions import (
 from .cocycle import (
     CocycleValue,
     HalfSpace,
-    boundary_level_bound_ok,
     cocycle_value,
     half_space,
     n_phi,

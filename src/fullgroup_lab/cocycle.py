@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from .errors import NotStabilized
 from .full_group import FullGroupElement, displacement_bound, invert, vertex_map
 from .full_group import apply_element  # unused; perfbench/tests reads it here
-from .line_geometry import LineChart, project_to_geodesic
-from .schreier import Graph
+from .line_geometry import LineChart, end_strips, project_to_geodesic
+from .schreier import Graph, boundary_set
 
 
 @dataclass(frozen=True)
@@ -31,13 +31,14 @@ class HalfSpace:
 
     members collects every graph vertex with f >= 0; boundary and
     co_boundary are the rim-safe boundary vertices of Y and of its
-    complement.
+    complement, and strips the chart geodesic's end_strips at m.
     """
 
     chart: LineChart
     members: frozenset
     boundary: frozenset
     co_boundary: frozenset
+    strips: tuple
 
     @property
     def graph(self) -> Graph:
@@ -48,23 +49,16 @@ class HalfSpace:
 
 
 def half_space(chart: LineChart) -> HalfSpace:
+    """Y = f^-1(N).  Its boundary vertices have f = 0, in the bound
+    [0, beta] (alpha + beta - 1 at alpha = 1): f, a BFS row minus a
+    constant, changes by at most 1 along an edge, so a vertex of Y
+    (f >= 0) next to one outside Y (f <= -1) has f <= 0."""
     graph = chart.graph
     members = frozenset(v for v in range(graph.n) if chart.f[v] >= 0)
-    interior = graph.certified(1)
-    boundary = frozenset(
-        v for v in members & interior
-        if any(u not in members for u in graph.neighbors(v)))
-    co_boundary = frozenset(
-        v for v in interior - members
-        if any(u in members for u in graph.neighbors(v)))
-    return HalfSpace(chart, members, boundary, co_boundary)
-
-
-def boundary_level_bound_ok(half: HalfSpace) -> bool:
-    """Check that every certified boundary vertex has f in [0, beta], the
-    bound [0, alpha + beta - 1] at alpha = 1."""
-    f, beta = half.chart.f, half.chart.beta
-    return all(0 <= f[v] <= beta for v in half.boundary)
+    return HalfSpace(
+        chart, members, boundary_set(graph, members).certified,
+        boundary_set(graph, frozenset(range(graph.n)) - members).certified,
+        end_strips(chart.geodesic, chart.m))
 
 
 @dataclass(frozen=True)

@@ -43,10 +43,6 @@ class NotConnected(FullGroupLabError):
     pass
 
 
-class NotGeodesic(FullGroupLabError):
-    pass
-
-
 class NotAPartition(FullGroupLabError):
     pass
 

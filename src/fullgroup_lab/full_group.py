@@ -22,6 +22,7 @@ from .cantor_actions import (
     BoundaryPoint,
     _check_prefix_partition,
     apply_word,
+    cells,
     level_apply_word,
 )
 from .errors import DepthCap, NotInvertible, UnknownGenerator
@@ -85,11 +86,7 @@ class FullGroupElement:
 
     def refined(self, depth: int) -> tuple:
         """The piece table refined to a uniform depth (for comparisons)."""
-        out = []
-        for cell_id in range(2 ** depth):
-            cell = format(cell_id, f"0{depth}b") if depth else ""
-            out.append((cell, self.word_at_cell(cell)))
-        return tuple(out)
+        return tuple((cell, self.word_at_cell(cell)) for cell in cells(depth))
 
     def same_map_table(self, other: "FullGroupElement") -> bool:
         depth = max(self.depth, other.depth)
@@ -129,10 +126,8 @@ def make_element(action: ActionSystem, pieces,
     if level > depth_cap:
         raise DepthCap(f"bijectivity level {level} exceeds cap {depth_cap}")
     elem = FullGroupElement(action, _merge_pieces(norm))
-    images = set()
-    for cell_id in range(2 ** level):
-        cell = format(cell_id, f"0{level}b") if level else ""
-        images.add(level_apply_word(action, elem.word_at_cell(cell), cell))
+    images = {level_apply_word(action, elem.word_at_cell(cell), cell)
+              for cell in cells(level)}
     if len(images) != 2 ** level:
         raise NotInvertible(
             f"level-{level} action is not a permutation "
@@ -190,8 +185,7 @@ def compose(phi: FullGroupElement, psi: FullGroupElement,
         raise DepthCap(f"refinement depth {depth} exceeds cap {depth_cap}")
     action = phi.action
     out = []
-    for cell_id in range(2 ** depth):
-        cell = format(cell_id, f"0{depth}b") if depth else ""
+    for cell in cells(depth):
         w_psi = psi.word_at_cell(cell)
         image = level_apply_word(action, w_psi, cell)
         w_phi = phi.word_at_cell(image)
@@ -204,8 +198,7 @@ def invert(elem: FullGroupElement) -> FullGroupElement:
     action = elem.action
     depth = max(elem.depth, _generator_depth_floor(action, elem.pieces))
     out = []
-    for cell_id in range(2 ** depth):
-        cell = format(cell_id, f"0{depth}b") if depth else ""
+    for cell in cells(depth):
         word = elem.word_at_cell(cell)
         image = level_apply_word(action, word, cell)
         out.append((image, tuple(action.inverse_word(word))))

@@ -23,14 +23,8 @@ from .errors import (
     TransportFailure,
 )
 from .full_group import displacement_bound, invert, vertex_map
-from .line_geometry import GeodesicSegment, project_to_geodesic
+from .line_geometry import project_to_geodesic
 from .schreier import Graph
-
-
-def _ball_interior_ok(graph: Graph, v: int, n: int) -> bool:
-    if graph.radius is None:
-        return True
-    return graph.dist[v] + n <= graph.radius - 1
 
 
 def labeled_match(graph: Graph, v1: int, v2: int, n: int):
@@ -63,26 +57,30 @@ def labeled_match(graph: Graph, v1: int, v2: int, n: int):
     return match
 
 
-def same_pattern(F, graph: Graph, v1: int, v2: int, n: int) -> bool:
-    """Neighborhoods isomorphic and piece words equal under the match."""
-    h = labeled_match(graph, v1, v2, n)
-    if h is None:
-        return False
+def _piece_mismatch(F, graph: Graph, h: dict):
+    """The first u of the match h where F's piece words at u and h[u]
+    differ, or None."""
     for u, image in h.items():
         for phi in F:
             if phi.word_at(graph.labels[u]) != phi.word_at(graph.labels[image]):
-                return False
-    return True
+                return u
+    return None
+
+
+def same_pattern(F, graph: Graph, v1: int, v2: int, n: int) -> bool:
+    """Neighborhoods isomorphic and piece words equal under the match."""
+    h = labeled_match(graph, v1, v2, n)
+    return h is not None and _piece_mismatch(F, graph, h) is None
 
 
 def pattern_match_points(F, graph: Graph, n: int, anchor: int | None = None) -> list:
-    """All certified vertices whose pattern equals the anchor's pattern."""
+    """All vertices of certified(n + 1) with the anchor's pattern."""
     if anchor is None:
         anchor = graph.base
-    if not _ball_interior_ok(graph, anchor, n):
+    candidates = graph.certified(n + 1)
+    if anchor not in candidates:
         raise RimContact("anchor neighborhood touches the rim")
-    candidates = [v for v in range(graph.n) if _ball_interior_ok(graph, v, n)]
-    return [z for z in candidates if same_pattern(F, graph, anchor, z, n)]
+    return [z for z in sorted(candidates) if same_pattern(F, graph, anchor, z, n)]
 
 
 def repetition_radius(matches, n: int, graph: Graph) -> int:
@@ -91,9 +89,8 @@ def repetition_radius(matches, n: int, graph: Graph) -> int:
     if not matches:
         raise NoRepetition("anchor pattern repeats nowhere in the window")
     dist = graph.distances_from(matches)
-    scan = [v for v in range(graph.n) if _ball_interior_ok(graph, v, n)]
     r = 0
-    for v in scan:
+    for v in sorted(graph.certified(n + 1)):
         if dist[v] < 0:
             raise NoRepetition(f"vertex {v} cannot reach any match")
         r = max(r, dist[v])
@@ -110,22 +107,6 @@ def _reach_avoiding(graph: Graph, seeds, forbidden) -> frozenset:
                 seen.add(w)
                 q.append(w)
     return frozenset(seen)
-
-
-def end_strips(seg: GeodesicSegment, m: int) -> tuple:
-    """(minus strip, plus strip): the outermost m certified vertices of seg
-    on each side of its graph's window (at least one); a set "contains an
-    end" when it contains the whole strip on that side."""
-    graph = seg.graph
-    width = max(1, m)
-    if graph.radius is None:
-        certified = list(range(len(seg.vertices)))
-    else:
-        certified = [i for i, v in enumerate(seg.vertices)
-                     if graph.dist[v] <= graph.radius - 1]
-    minus = frozenset(seg.vertices[i] for i in certified[:width])
-    plus = frozenset(seg.vertices[i] for i in certified[-width:])
-    return minus, plus
 
 
 @dataclass(frozen=True)
@@ -167,11 +148,10 @@ def transport_anchor(F, n: int, half: HalfSpace) -> tuple:
     return project_to_geodesic(half.chart.geodesic, half.graph.base), R
 
 
-def transport_halfspace(F, z: int, n: int, half: HalfSpace, anchor: tuple,
-                        strips: tuple | None = None) -> TransportedHalfSpace:
+def transport_halfspace(F, z: int, n: int, half: HalfSpace,
+                        anchor: tuple) -> TransportedHalfSpace:
     """Build and verify the half space transported to the match point z;
-    anchor is transport_anchor(F, n, half), and strips the chart geodesic's
-    end_strips at m (computed when None).
+    anchor is transport_anchor(F, n, half).
 
     cover is True: the chart's graph is connected, and a shortest path from
     any vertex to the match window M = b_plus | b_minus meets M first at a
@@ -182,19 +162,16 @@ def transport_halfspace(F, z: int, n: int, half: HalfSpace, anchor: tuple,
     test searches from z only to depth R (a full row has no -1 to miss).
     """
     graph = half.graph
-    chart = half.chart
     p, R = anchor
-    if not _ball_interior_ok(graph, z, n):
+    if z not in graph.certified(n + 1):
         raise RimContact(f"B_{n}({z}) touches the rim")
 
     h = labeled_match(graph, p, z, n)
     if h is None:
         raise PatternMismatch(f"neighborhoods of {p} and {z} are not isomorphic")
-    for u, image in h.items():
-        for phi in F:
-            if phi.word_at(graph.labels[u]) != phi.word_at(graph.labels[image]):
-                raise PatternMismatch(
-                    f"piece words differ at {graph.label_str(u)}")
+    u = _piece_mismatch(F, graph, h)
+    if u is not None:
+        raise PatternMismatch(f"piece words differ at {graph.label_str(u)}")
 
     b_plus = frozenset(h[u] for u in h if u in half.members)
     b_minus = frozenset(h[u] for u in h if u not in half.members)
@@ -212,9 +189,7 @@ def transport_halfspace(F, z: int, n: int, half: HalfSpace, anchor: tuple,
     checks["boundary_minus"] = boundary_minus == frozenset(
         h[u] for u in half.co_boundary)
 
-    if strips is None:
-        strips = end_strips(chart.geodesic, chart.m)
-    strip_minus, strip_plus = strips
+    strip_minus, strip_plus = half.strips
     plus_in_aplus = strip_plus <= a_plus
     plus_in_aminus = strip_plus <= a_minus
     minus_in_aplus = strip_minus <= a_plus

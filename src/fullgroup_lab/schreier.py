@@ -12,7 +12,7 @@ import bisect
 from collections import deque
 from dataclasses import dataclass
 
-from .cantor_actions import ActionSystem, BoundaryPoint
+from .cantor_actions import ActionSystem, BoundaryPoint, cells
 from .errors import BallTooLarge, InvalidRadius
 
 DEFAULT_VERTEX_CAP = 1 << 16
@@ -25,7 +25,8 @@ ROW_CACHE_SIZE = 8
 # again for each sample element, its inverse and the family F.
 MAP_CACHE_SIZE = 16
 # Certified sets a graph caches, one per margin: verify asks about a
-# hundred times, for two margins.
+# hundred times, for up to five margins (1, 2, m, the pattern radius n + 1
+# and displacement bounds), and builds each once (a test counts the builds).
 CERTIFIED_CACHE_SIZE = 4
 
 
@@ -278,7 +279,7 @@ def build_level_graph(action: ActionSystem, n: int,
         raise InvalidRadius("level must be >= 1")
     if 2 ** n > cap:
         raise BallTooLarge(cap, needed=2 ** n)
-    words = [format(i, f"0{n}b") for i in range(2 ** n)]
+    words = cells(n)
     index = {w: i for i, w in enumerate(words)}
     edges = []
     for g in action.gen_names:

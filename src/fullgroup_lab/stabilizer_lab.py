@@ -17,9 +17,7 @@ from .cocycle import HalfSpace
 from .errors import FamilyFailure, OrderCap, WindowTooSmall
 from .full_group import FullGroupElement, displacement_bound, invert, vertex_map
 from .pattern_transport import (
-    _ball_interior_ok,
     _is_invariant,
-    end_strips,
     pattern_match_points,
     repetition_radius,
     transport_halfspace,
@@ -93,6 +91,7 @@ def nested_family(F, n: int, half: HalfSpace, anchor: tuple,
     spacing = 2 * r + 2 * n + 2 * m + 2
 
     pos_p = seg.pos(p)
+    interior = graph.certified(n + 1)
     anchors = {}
     match_of = {}
 
@@ -101,7 +100,7 @@ def nested_family(F, n: int, half: HalfSpace, anchor: tuple,
         if q < 0 or q >= len(seg.vertices):
             return False
         y = seg.vertices[q]
-        if not _ball_interior_ok(graph, y, n):
+        if y not in interior:
             return False
         near = graph.distances_within((y,), r)
         best = min(((d, z) for z, d in near.items() if z in match_set),
@@ -127,12 +126,10 @@ def nested_family(F, n: int, half: HalfSpace, anchor: tuple,
 
     checks = {"disjoint_n_balls": True}
 
-    strips = end_strips(seg, m)
-
     def transported(i: int) -> frozenset:
         if i == 0:
             return half.members
-        return transport_halfspace(F, match_of[i], n, half, anchor, strips).y_z
+        return transport_halfspace(F, match_of[i], n, half, anchor).y_z
 
     d_max = max(1, max(displacement_bound(phi) for phi in F))
     window = graph.certified(d_max)

@@ -270,6 +270,39 @@ def permutation_closure_order(perms, cap: int = 10 ** 6) -> int:
     return len(els)
 
 
+# --- the rim, the half space's boundaries and end strips, as first written ---
+
+def ball_interior_ok(graph, v: int, n: int) -> bool:
+    """Whether B_n(v) stays off the rim: dist(v) + n <= radius - 1, and
+    always on a rimless graph."""
+    if graph.radius is None:
+        return True
+    return graph.dist[v] + n <= graph.radius - 1
+
+
+def half_space_boundaries(graph, members) -> tuple:
+    """(boundary, co_boundary): the vertices off the rim, inside and
+    outside members, with a neighbor on the other side."""
+    interior = {v for v in range(graph.n) if ball_interior_ok(graph, v, 0)}
+    boundary = frozenset(
+        v for v in members & interior
+        if any(u not in members for u in graph.neighbors(v)))
+    co_boundary = frozenset(
+        v for v in interior - members
+        if any(u in members for u in graph.neighbors(v)))
+    return boundary, co_boundary
+
+
+def end_strips_by_index(seg, m: int) -> tuple:
+    """(minus strip, plus strip): the first and last max(1, m) vertices of
+    seg whose 0-ball stays off the rim."""
+    width = max(1, m)
+    inside = [i for i, v in enumerate(seg.vertices)
+              if ball_interior_ok(seg.graph, v, 0)]
+    return (frozenset(seg.vertices[i] for i in inside[:width]),
+            frozenset(seg.vertices[i] for i in inside[-width:]))
+
+
 # --- whole-window forms of the transport checks -----------------------------
 
 def side_boundary_by_scan(graph, side) -> frozenset:
@@ -300,8 +333,8 @@ def transport_by_scan(F, z: int, n: int, half, anchor):
     match point z, with every check over the whole window: boundaries by
     scan, the R-ball from a full BFS row, invariance at every certified
     vertex.  None when the half space's boundary escapes the match."""
-    from fullgroup_lab.pattern_transport import (_reach_avoiding, end_strips,
-                                                 labeled_match)
+    from fullgroup_lab.line_geometry import end_strips
+    from fullgroup_lab.pattern_transport import _reach_avoiding, labeled_match
 
     graph, chart = half.graph, half.chart
     p, R = anchor

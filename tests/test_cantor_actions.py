@@ -13,6 +13,7 @@ from fullgroup_lab import (
     random_points,
 )
 from fullgroup_lab.errors import (
+    InvalidAction,
     InvalidBase,
     InvalidPoint,
     NotAFragmentation,
@@ -230,3 +231,59 @@ def test_odometer_integers_roundtrip(odometer):
         assert point_to_int(image) == n + 1
         image = apply_word(odometer, ["t_inv"], pt)
         assert point_to_int(image) == n - 1
+
+
+# Thue-Morse prefix: no point of random_points' sample lies under it
+CYLINDER = "01101001100101101001"
+
+
+def _one_cylinder_action() -> dict:
+    """Generators i (the identity, listed first) and g: states q0..q19 copy
+    letters along CYLINDER and fall to e on any other letter, q20 flips the
+    next letter.  g is an involution that moves only the points under the
+    cylinder."""
+    transducers = {}
+    for k, letter in enumerate(CYLINDER):
+        other = "1" if letter == "0" else "0"
+        transducers[f"q{k}"] = {"transitions": {letter: f"q{k + 1}", other: "e"},
+                                "outputs": {"0": "0", "1": "1"}}
+    transducers["q20"] = {"transitions": {"0": "e", "1": "e"},
+                          "outputs": {"0": "1", "1": "0"}}
+    return {"name": "one_cylinder", "transducers": transducers,
+            "generators": {"i": "e", "g": "q0"},
+            "basepoint": {"preperiod": "", "period": "0"}}
+
+
+def test_inverses_are_decided_exactly(odometer, thickline):
+    action = action_from_json(_one_cylinder_action())
+    assert action.inverse_name("g") == "g"
+    assert action.inverse_name("i") == "i"
+    assert apply_word(action, ["g"], canonical_point(CYLINDER + "0", "1")) == \
+        canonical_point(CYLINDER + "1", "1")
+    for x in random_points(random.Random(0), 64):
+        assert apply_word(action, ["g"], x) == x
+    # a piecewise generator that is its own inverse
+    data = action_to_json(odometer)
+    data["generators"]["h"] = [{"prefix": "0", "state": "t"},
+                               {"prefix": "1", "state": "t_inv"}]
+    swap = action_from_json(data)
+    assert [swap.inverse_name(g) for g in ("h", "t", "t_inv")] == ["h", "t_inv", "t"]
+    assert [thickline.inverse_name(g) for g in ("t", "t_inv", "t2", "t2_inv")] == \
+        ["t_inv", "t", "t2_inv", "t2"]
+    # not injective: 2k and 2k + 1 both go to 2k + 1
+    data["generators"]["h"] = [{"prefix": "0", "state": "t"},
+                               {"prefix": "1", "state": "e"}]
+    with pytest.raises(InvalidAction, match="no inverse found for generator 'h'"):
+        action_from_json(data)
+
+
+def test_cancels_walks_the_product_machine(odometer):
+    machine = odometer.transducer
+    assert machine.cancels("t", "t_inv") and machine.cancels("t_inv", "t")
+    assert not machine.cancels("t", "t") and not machine.cancels("t", "e")
+    assert machine.cancels("e", "e")
+    assert machine.run("t", "110") == ("001", "e")
+    assert machine.run("t", "11") == ("00", "t")
+    cylinder = action_from_json(_one_cylinder_action()).transducer
+    assert cylinder.is_involution("q0") and cylinder.cancels("q0", "q0")
+    assert not cylinder.cancels("e", "q0") and not cylinder.cancels("q0", "e")

@@ -11,7 +11,8 @@ import pytest
 
 import fullgroup_lab
 from fullgroup_lab import (action_to_json, build_ball, builtin_action, cli,
-                           cocycle, make_element, pattern_transport, schreier)
+                           cocycle, line_geometry, make_element,
+                           pattern_transport, schreier)
 from fullgroup_lab.cantor_actions import Transducer
 from fullgroup_lab.cli import main
 from fullgroup_lab.errors import (FamilyFailure, FullGroupLabError, NoRepetition,
@@ -329,12 +330,15 @@ def _raises(exc):
 
 def test_verify_check_error_stays_in_its_own_entry(monkeypatch, tmp_path):
     intact = cli.run_verify(builtin_action("odometer"), 40, 10, 1 << 16)["checks"]
-    monkeypatch.setattr(cli, "end_strips",
-                        _raises(FullGroupLabError("strips unavailable")))
+    oneend = cli.CHECK_IDS.index("oneend")
+    entries = list(cli.CHECKS)
+    check_id, _check, deps, params = entries[oneend]
+    entries[oneend] = (check_id, _raises(FullGroupLabError("strips unavailable")),
+                       deps, params)
+    monkeypatch.setattr(cli, "CHECKS", tuple(entries))
     out = tmp_path / "verify.json"
     assert main(["verify", "odometer", "--radius", "40", "--out", str(out)]) == 1
     checks = json.loads(out.read_text())["checks"]
-    oneend = cli.CHECK_IDS.index("oneend")
     assert checks[oneend] == {"id": "oneend", "status": "fail",
                               "witnesses": {"error": "strips unavailable"},
                               "parameters": {}}
@@ -496,12 +500,22 @@ def test_report_bytes_are_pinned(tmp_path, thickline, swap_file, family_file,
 def test_verify_looks_images_up_instead_of_rerunning_transducers(monkeypatch):
     # transducer runs stay O(n) per verify (about 316 n when every vertex
     # image re-ran them), F's stabilizer tests are shared by every
-    # transport and the nested family, and no certificate hashes the chart
+    # transport and the nested family, no certificate hashes the chart,
+    # the half space computes the end strips once, and a graph builds
+    # each certified set once
     action = builtin_action("odometer")
     n = build_ball(action, 200).n
     samples = cli.sample_elements(action)
     calls = {"apply": 0, "stabilizer_test": 0, "pattern_match_points": 0,
-             "chart_hash": 0, "d": 0, "word_at": 0}
+             "chart_hash": 0, "end_strips": 0, "d": 0, "word_at": 0}
+    builds = {}
+    certified = schreier.Graph.certified
+
+    def counted_certified(graph, margin):
+        cutoff = None if graph.radius is None else graph.radius - margin
+        if cutoff not in graph._certified:
+            builds[graph, cutoff] = builds.get((graph, cutoff), 0) + 1
+        return certified(graph, margin)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -512,7 +526,9 @@ def test_verify_looks_images_up_instead_of_rerunning_transducers(monkeypatch):
     monkeypatch.setattr(Transducer, "apply", counted("apply", Transducer.apply))
     monkeypatch.setattr(LineChart, "chart_hash",
                         counted("chart_hash", LineChart.chart_hash))
-    for fn in (cocycle.stabilizer_test, pattern_transport.pattern_match_points):
+    monkeypatch.setattr(schreier.Graph, "certified", counted_certified)
+    for fn in (cocycle.stabilizer_test, pattern_transport.pattern_match_points,
+               line_geometry.end_strips):
         for name, module in list(sys.modules.items()):
             if name.startswith("fullgroup_lab") and \
                     getattr(module, fn.__name__, None) is fn:
@@ -526,6 +542,8 @@ def test_verify_looks_images_up_instead_of_rerunning_transducers(monkeypatch):
     assert calls["pattern_match_points"] == 1
     # one chart hash, for the report
     assert calls["chart_hash"] == 1
+    assert calls["end_strips"] == 1
+    assert builds and max(builds.values()) == 1
 
     # every odometer sample reaches d_phi by |f(v) - f(phi v)|, so d_phi
     # neither looks up a piece word nor searches once the maps are built

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from fullgroup_lab import (
-    boundary_level_bound_ok,
     build_ball,
     build_level_graph,
     cocycle_value,
@@ -22,8 +21,9 @@ from fullgroup_lab import (
 from fullgroup_lab.cocycle import push_set
 from fullgroup_lab.errors import NotStabilized
 from fullgroup_lab.full_group import vertex_map
-from oracles import (cocycle_by_two_windows, int_to_point, point_to_int,
-                     random_elements)
+from oracles import (ball_interior_ok, cocycle_by_two_windows,
+                     end_strips_by_index, half_space_boundaries, int_to_point,
+                     point_to_int, random_elements)
 
 
 def test_half_space_odometer_r3(odometer):
@@ -43,22 +43,54 @@ def test_half_space_all_nonnegative():
     assert all(v in half.members for v in range(g.n) if chart.f[v] >= 0)
 
 
-def test_boundary_level_bound_all_builtins():
+def _assert_boundary_level_and_geodesic(graph):
+    # boundY and the chart geodesic hold by proof (half_space, _geodesic):
+    # every boundary vertex of Y has f = 0, and the geodesic's j-th vertex
+    # lies at distance j from its minus end and next to the one before it
+    chart = fit_line_chart(graph)
+    half = half_space(chart)
+    assert all(chart.f[v] == 0 for v in half.boundary)
+    path = chart.geodesic.vertices
+    row = graph.distances_from([path[0]])
+    assert [row[v] for v in path] == list(range(len(path)))
+    assert all(b in graph.neighbors(a) for a, b in zip(path, path[1:]))
+    return half
+
+
+def test_boundary_level_bound_all_builtins(thickline):
     from fullgroup_lab import builtin_action
 
-    for name in ("odometer", "grigorchuk", "dihedral"):
-        ball = build_ball(builtin_action(name), 24)
-        half = half_space(fit_line_chart(ball))
-        assert boundary_level_bound_ok(half)
+    for action in [builtin_action(name)
+                   for name in ("odometer", "grigorchuk", "dihedral")] + [thickline]:
+        assert _assert_boundary_level_and_geodesic(build_ball(action, 24)).boundary
 
 
-def test_boundary_level_bound_grigorchuk_level8(grigorchuk):
-    lg = build_level_graph(grigorchuk, 8)
-    chart = fit_line_chart(lg)
-    half = half_space(chart)
-    # oracle: definition scan
-    for v in half.boundary:
-        assert 0 <= chart.f[v] <= chart.beta
+def test_boundary_level_bound_grigorchuk_level8(grigorchuk, odometer):
+    # the base word is an end of the level graph: Y is every vertex
+    half = _assert_boundary_level_and_geodesic(build_level_graph(grigorchuk, 8))
+    assert not half.boundary and len(half.members) == 256
+    # the odometer's level graph is a cycle, cut in two by the chart
+    half = _assert_boundary_level_and_geodesic(build_level_graph(odometer, 8))
+    assert len(half.boundary) == 1 and len(half.co_boundary) == 2
+
+
+def test_rim_and_half_space_match_their_first_forms(thickline):
+    from fullgroup_lab import builtin_action
+
+    actions = [builtin_action(name)
+               for name in ("odometer", "grigorchuk", "dihedral")] + [thickline]
+    graphs = [build_ball(action, 24) for action in actions] + \
+        [build_ball(thickline, 5)] + \
+        [build_level_graph(action, 6) for action in actions]
+    for graph in graphs:
+        for n in (0, 1, 2, 3, 10, 22, 23, 24, 40):
+            assert graph.certified(n + 1) == \
+                {v for v in range(graph.n) if ball_interior_ok(graph, v, n)}
+        chart = fit_line_chart(graph)
+        half = half_space(chart)
+        assert (half.boundary, half.co_boundary) == \
+            half_space_boundaries(graph, half.members)
+        assert half.strips == end_strips_by_index(chart.geodesic, chart.m)
 
 
 def test_cocycle_identity_element(odo_half_200, odometer):

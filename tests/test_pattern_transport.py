@@ -20,8 +20,7 @@ from fullgroup_lab.errors import (PatternMismatch, PreconditionNphi, RimContact,
                                   TransportFailure)
 from fullgroup_lab.line_geometry import project_to_geodesic
 from fullgroup_lab.pattern_transport import (_is_invariant, _reach_avoiding,
-                                             _side_boundary, end_strips,
-                                             labeled_match)
+                                             _side_boundary, labeled_match)
 from oracles import (int_to_point, is_invariant_by_scan, point_to_int,
                      random_elements, side_boundary_by_scan, transport_by_scan)
 
@@ -82,11 +81,22 @@ def test_depth3_element_pattern_period(odometer, lab):
     assert r == 4
 
 
-def test_pattern_rim_contact(lab):
+def test_pattern_rim_contact(odometer, lab):
     ball = lab["ball"]
     far = vertex(ball, 195)
     with pytest.raises(RimContact):
         pattern_match_points([lab["swap"]], ball, 10, anchor=far)
+    # B_n(v) stays off the rim of the radius-200 ball iff dist(v) <= 200 - n - 1
+    identity = [identity_element(odometer)]
+    matches = pattern_match_points(identity, ball, 10, anchor=vertex(ball, -189))
+    assert max(ball.dist[z] for z in matches) == 189
+    with pytest.raises(RimContact):
+        pattern_match_points(identity, ball, 10, anchor=vertex(ball, 190))
+    F, half = [lab["swap"]], lab["half"]
+    anchor = transport_anchor(F, 10, half)
+    for k, error in ((190, RimContact), (189, PatternMismatch)):
+        with pytest.raises(error):
+            transport_halfspace(F, vertex(ball, k), 10, half, anchor)
 
 
 def test_grigorchuk_pattern_repeats_for_depth2_element(grigorchuk):
@@ -180,7 +190,7 @@ def test_transport_ends_and_invariance(odometer, lab):
     ball, half = lab["ball"], lab["half"]
     F = [lab["swap"]]
     result = transport(F, vertex(ball, 52), 10, half)
-    strip_minus, strip_plus = end_strips(lab["chart"].geodesic, lab["chart"].m)
+    strip_minus, strip_plus = half.strips
     assert strip_plus <= result.y_z
     assert not strip_minus & result.y_z
     assert strip_minus <= result.a_plus | result.a_minus
