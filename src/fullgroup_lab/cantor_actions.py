@@ -137,6 +137,10 @@ class Transducer:
     outputs: dict
     identity: str = IDENTITY_STATE
 
+    # apply calls of every machine of the process; verify --timing reports
+    # how many each check made
+    applications = 0
+
     def __post_init__(self):
         if self.identity not in self.transitions:
             raise InvalidAction("missing identity state")
@@ -167,6 +171,7 @@ class Transducer:
         The run is simulated until the (state, period offset) pair repeats,
         which pins down the eventually periodic output exactly.
         """
+        Transducer.applications += 1
         out_pre, s = self.run(state, point.preperiod)
         per = point.period
         seen: dict[tuple[str, int], int] = {}
@@ -507,6 +512,11 @@ def action_from_json(data: dict) -> ActionSystem:
             else:
                 gens[name] = GeneratorSpec(pieces=tuple(sorted(
                     (piece["prefix"], piece["state"]) for piece in spec)))
+        for name, spec in gens.items():
+            for state in [piece[1] for piece in spec.pieces] or [spec.state]:
+                if state not in transitions:
+                    raise InvalidAction(f"generator {name!r} names state "
+                                        f"{state!r}, which is not in transducers")
         base = canonical_point(data["basepoint"]["preperiod"],
                                data["basepoint"]["period"])
     except (KeyError, TypeError) as exc:

@@ -7,8 +7,9 @@ malformed input files, a radius, level, escape radius, --n, --z,
 integers).
 Reports are byte-identical across repeated runs with the same inputs;
 `--timing` adds wall-clock seconds (the whole run, the window and each
-check of `verify`) and the full BFS rows of the window and of each check,
-and is the only flag that breaks byte-equality.
+check of `verify`) and the work of the window and of each check (full BFS
+rows, transducer applications, element vertex maps walked), and is the
+only flag that breaks byte-equality.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from types import SimpleNamespace
 from . import __version__
 from .cantor_actions import (
     BUILTIN_NAMES,
+    Transducer,
     action_from_json,
     action_to_json,
     builtin_action,
@@ -64,6 +66,7 @@ from .full_group import (
     invert,
     make_element,
     vertex_map,
+    word_column,
 )
 from .line_geometry import (
     diametral_geodesic,
@@ -73,8 +76,9 @@ from .line_geometry import (
     max_geodesic_midpoint,
     project_to_geodesic,
 )
-from .pattern_transport import (pattern_match_points, repetition_radius,
-                                transport_anchor, transport_halfspace)
+from .pattern_transport import (_changes_side, pattern_match_points,
+                                repetition_radius, transport_anchor,
+                                transport_halfspace)
 from .recurrence import escape_series, simulate_escape
 from .schreier import (
     DEFAULT_VERTEX_CAP,
@@ -434,14 +438,16 @@ def _cocycle_identity(w, fin):
 
 
 def _kernel_stab(w):
-    members = w.half.members
+    """Per sample, the cocycle test against phi's images: fixes_Y when no v
+    of certified(max(1, d_phi)) changes side.  Y's two boundaries meet
+    every edge between Y and its complement, so only the v near them are
+    tested (pattern_transport._changes_side)."""
+    seam = w.half.boundary | w.half.co_boundary
 
     def test(elem):
         empty = stabilizer_test(elem, w.half)
-        image = vertex_map(elem, w.ball)
-        fixes = not any(
-            (v in members) != (image[v] in members)
-            for v in w.ball.certified(max(1, displacement_bound(elem))))
+        fixes = not _changes_side([vertex_map(elem, w.ball)], w.ball,
+                                  w.half.members, seam, displacement_bound(elem))
         return {"kernel": empty, "fixes_Y": fixes}
 
     results, witness, failed, limited = _per_sample(w.samples, test)
@@ -470,7 +476,7 @@ def _d_phi(w):
     """The largest d(v, phi v) over certified(d_phi), per sample.  It is at
     least |f(v) - f(phi v)|, f being 1-Lipschitz, and at most the length of
     v's piece word, which walks inside the ball (see the cocycle module):
-    d_phi when the largest |f(v) - f(phi v)| reaches it, else found by a
+    d_phi as soon as one |f(v) - f(phi v)| reaches it, else found by a
     search at each v where the two bounds differ."""
     witness = {}
     f = w.chart.f
@@ -478,11 +484,16 @@ def _d_phi(w):
         bound = displacement_bound(elem)
         image = vertex_map(elem, w.ball)
         window = w.ball.certified(max(1, bound))
-        worst = max((abs(f[v] - f[image[v]]) for v in window), default=0)
+        worst = 0
+        for v in window:
+            worst = max(worst, abs(f[v] - f[image[v]]))
+            if worst >= bound:
+                break
         if worst < bound:
+            words = word_column(elem, w.ball)
             for v in window:
                 d = abs(f[v] - f[image[v]])
-                if d < len(elem.word_at(w.ball.labels[v])):
+                if d < len(words[v]):
                     worst = max(worst, w.ball.d(v, image[v]))
         witness[_elem_desc(elem)] = {"d_phi": bound, "max_displacement": worst}
     ok = all(x["max_displacement"] <= x["d_phi"] for x in witness.values())
@@ -593,17 +604,38 @@ CHECKS = (
 CHECK_IDS = tuple(check_id for check_id, *_ in CHECKS)
 
 
+def _work() -> tuple:
+    """The clock and the process's work counters so far: full BFS rows,
+    transducer applications and element vertex maps walked."""
+    return (time.perf_counter(), Graph.full_rows, Transducer.applications,
+            Graph.map_walks)
+
+
+def _timing(spent: dict) -> dict:
+    """The report's timing from spent, phase -> _work differences: the
+    seconds of the window and of each check, and each counter's the same
+    way under its name."""
+    window = spent.pop("window")
+    timing = {"window": round(window[0], 3),
+              "checks": {c: round(d[0], 3) for c, d in spent.items()}}
+    for k, key in enumerate(("rows", "applications", "walks"), start=1):
+        timing[key] = {"window": window[k],
+                       "checks": {c: d[k] for c, d in spent.items()}}
+    return timing
+
+
 def run_verify(action, radius: int, n: int, cap: int,
                timing: bool = False) -> dict:
     """Run CHECKS in order.  A check whose dependency gave a skip reason is
     skipped with it; a check that raises FullGroupLabError fails with the
     error, and so does every check that depends on it.  With timing, the
     report's `timing` holds the seconds of the window and of each check,
-    and under `rows` the full BFS rows each of them computed."""
-    start, rows = time.perf_counter(), Graph.full_rows
+    and the work each of them did (_timing)."""
+    spent = {}
+    before = _work() if timing else None
     half = _window(action, radius, cap)
-    seconds = {"window": round(time.perf_counter() - start, 3), "checks": {}}
-    full_rows = {"window": Graph.full_rows - rows, "checks": {}}
+    if timing:
+        spent["window"] = [b - a for a, b in zip(before, _work())]
     w = SimpleNamespace(action=action, radius=radius, n=n, cap=cap,
                         ball=half.graph, chart=half.chart, half=half,
                         **sample_elements(action))
@@ -612,7 +644,7 @@ def run_verify(action, radius: int, n: int, cap: int,
         if not callable(check) or any(d not in values for d in deps):
             raise RuntimeError(f"check {check_id!r} has no function or depends "
                                f"on a check not run before it: {deps}")
-        start, rows = time.perf_counter(), Graph.full_rows
+        before = _work() if timing else None
         upstream = [values[d] for d in deps]
         blocked = next((v for v in upstream
                         if isinstance(v, (str, FullGroupLabError))), None)
@@ -626,8 +658,8 @@ def run_verify(action, radius: int, n: int, cap: int,
             except FullGroupLabError as exc:
                 status, witnesses, value = "fail", {"error": str(exc)}, exc
         values[check_id] = value
-        seconds["checks"][check_id] = round(time.perf_counter() - start, 3)
-        full_rows["checks"][check_id] = Graph.full_rows - rows
+        if timing:
+            spent[check_id] = [b - a for a, b in zip(before, _work())]
         entries.append({"id": check_id, "status": status, "witnesses": witnesses,
                         "parameters": {k: getattr(w, k) for k in params}})
     return {
@@ -639,7 +671,7 @@ def run_verify(action, radius: int, n: int, cap: int,
                        "order_cap": 10 ** 6, "depth_cap": 20,
                        "seed": os.environ.get("FULLGROUP_LAB_SEED", "0")},
         "checks": entries,
-        "timing": {**seconds, "rows": full_rows} if timing else None,
+        "timing": _timing(spent) if timing else None,
     }
 
 

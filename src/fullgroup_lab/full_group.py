@@ -10,7 +10,8 @@ as group elements is the word problem and is out of scope.
 
 On a finite ball of the orbit an element is a partial permutation of the
 vertices, each moving at most d_phi steps along the labeled edges of its
-piece word; vertex_map lists it, so images are looked up, not recomputed.
+piece word; vertex_map lists it, so images are looked up, not recomputed,
+and word_column lists the piece word at every vertex.
 """
 
 from __future__ import annotations
@@ -26,9 +27,21 @@ from .cantor_actions import (
     level_apply_word,
 )
 from .errors import DepthCap, NotInvertible, UnknownGenerator
-from .schreier import MAP_CACHE_SIZE, SchreierBall, _lru
+from .schreier import (
+    COLUMN_CACHE_SIZE,
+    MAP_CACHE_SIZE,
+    PREFIX_CACHE_SIZE,
+    Graph,
+    SchreierBall,
+    _lru,
+)
 
 DEFAULT_DEPTH_CAP = 20
+
+# Inverses computed lately, least recently used out first: verify asks for
+# the inverse of each sample, of each product and of F in several checks.
+INVERSE_CACHE_SIZE = 32
+_inverses: dict = {}
 
 
 def _generator_depth_floor(action: ActionSystem, pieces) -> int:
@@ -143,6 +156,20 @@ def apply_element(elem: FullGroupElement, point: BoundaryPoint) -> BoundaryPoint
     return apply_word(elem.action, elem.word_at(point), point)
 
 
+def word_column(elem: FullGroupElement, graph: Graph) -> list:
+    """elem's piece word at every vertex of the graph, whose labels are
+    boundary points: one lookup of each distinct depth-d prefix in the
+    table, d = elem.depth, the prefixes themselves cached per depth."""
+    def column():
+        depth = elem.depth
+        prefixes = _lru(graph._prefixes, depth, PREFIX_CACHE_SIZE,
+                        lambda: [label.prefix(depth) for label in graph.labels])
+        words = {cell: elem.word_at_cell(cell) for cell in set(prefixes)}
+        return [words[cell] for cell in prefixes]
+
+    return _lru(graph._columns, elem, COLUMN_CACHE_SIZE, column)
+
+
 def vertex_map(elem: FullGroupElement, ball: SchreierBall) -> list:
     """The image vertex of every ball vertex under elem, -1 off the ball:
     its piece word walked along the ball's labeled edges, or by the
@@ -151,17 +178,18 @@ def vertex_map(elem: FullGroupElement, ball: SchreierBall) -> list:
         raise ValueError("element and ball live on different actions")
 
     def walk():
+        Graph.map_walks += 1
         succ = ball.successors()
         off = [-1] * ball.n
         rows = {word: [succ.get(g, off) for g in reversed(word)]
                 for _prefix, word in elem.pieces}
         out = []
-        for v, label in enumerate(ball.labels):
+        for v, word in enumerate(word_column(elem, ball)):
             w = v
-            for row in rows[elem.word_at(label)]:
+            for row in rows[word]:
                 w = row[w]
                 if w < 0:
-                    image = ball.vertex_of(apply_element(elem, label))
+                    image = ball.vertex_of(apply_element(elem, ball.labels[v]))
                     w = -1 if image is None else image
                     break
             out.append(w)
@@ -194,15 +222,19 @@ def compose(phi: FullGroupElement, psi: FullGroupElement,
 
 
 def invert(elem: FullGroupElement) -> FullGroupElement:
-    """Piece table of the inverse map, from the image partition."""
-    action = elem.action
-    depth = max(elem.depth, _generator_depth_floor(action, elem.pieces))
-    out = []
-    for cell in cells(depth):
-        word = elem.word_at_cell(cell)
-        image = level_apply_word(action, word, cell)
-        out.append((image, tuple(action.inverse_word(word))))
-    return FullGroupElement(action, _merge_pieces(out))
+    """Piece table of the inverse map, from the image partition; cached
+    among the latest elements inverted."""
+    def inverse():
+        action = elem.action
+        depth = max(elem.depth, _generator_depth_floor(action, elem.pieces))
+        out = []
+        for cell in cells(depth):
+            word = elem.word_at_cell(cell)
+            image = level_apply_word(action, word, cell)
+            out.append((image, tuple(action.inverse_word(word))))
+        return FullGroupElement(action, _merge_pieces(out))
+
+    return _lru(_inverses, elem, INVERSE_CACHE_SIZE, inverse)
 
 
 def displacement_bound(elem: FullGroupElement) -> int:

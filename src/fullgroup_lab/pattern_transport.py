@@ -22,7 +22,7 @@ from .errors import (
     RimContact,
     TransportFailure,
 )
-from .full_group import displacement_bound, invert, vertex_map
+from .full_group import displacement_bound, invert, vertex_map, word_column
 from .line_geometry import project_to_geodesic
 from .schreier import Graph
 
@@ -57,30 +57,42 @@ def labeled_match(graph: Graph, v1: int, v2: int, n: int):
     return match
 
 
-def _piece_mismatch(F, graph: Graph, h: dict):
-    """The first u of the match h where F's piece words at u and h[u]
-    differ, or None."""
+def _piece_mismatch(columns, h: dict):
+    """The first u of the match h where a column of piece words differs at
+    u and h[u], or None; columns holds word_column(phi, graph) per phi of F."""
     for u, image in h.items():
-        for phi in F:
-            if phi.word_at(graph.labels[u]) != phi.word_at(graph.labels[image]):
+        for words in columns:
+            if words[u] != words[image]:
                 return u
     return None
 
 
+def _same_pattern(columns, graph: Graph, v1: int, v2: int, n: int) -> bool:
+    """same_pattern, columns being F's (_piece_mismatch).  The match sends
+    v1 to v2, so the words there are compared first."""
+    if any(words[v1] != words[v2] for words in columns):
+        return False
+    h = labeled_match(graph, v1, v2, n)
+    return h is not None and _piece_mismatch(columns, h) is None
+
+
 def same_pattern(F, graph: Graph, v1: int, v2: int, n: int) -> bool:
     """Neighborhoods isomorphic and piece words equal under the match."""
-    h = labeled_match(graph, v1, v2, n)
-    return h is not None and _piece_mismatch(F, graph, h) is None
+    return _same_pattern([word_column(phi, graph) for phi in F], graph,
+                         v1, v2, n)
 
 
 def pattern_match_points(F, graph: Graph, n: int, anchor: int | None = None) -> list:
-    """All vertices of certified(n + 1) with the anchor's pattern."""
+    """All vertices of certified(n + 1) with the anchor's pattern.  F's
+    columns are read once for the scan, however many elements it has."""
     if anchor is None:
         anchor = graph.base
     candidates = graph.certified(n + 1)
     if anchor not in candidates:
         raise RimContact("anchor neighborhood touches the rim")
-    return [z for z in sorted(candidates) if same_pattern(F, graph, anchor, z, n)]
+    columns = [word_column(phi, graph) for phi in F]
+    return [z for z in sorted(candidates)
+            if _same_pattern(columns, graph, anchor, z, n)]
 
 
 def repetition_radius(matches, n: int, graph: Graph) -> int:
@@ -169,7 +181,7 @@ def transport_halfspace(F, z: int, n: int, half: HalfSpace,
     h = labeled_match(graph, p, z, n)
     if h is None:
         raise PatternMismatch(f"neighborhoods of {p} and {z} are not isomorphic")
-    u = _piece_mismatch(F, graph, h)
+    u = _piece_mismatch([word_column(phi, graph) for phi in F], h)
     if u is not None:
         raise PatternMismatch(f"piece words differ at {graph.label_str(u)}")
 
@@ -223,23 +235,30 @@ def _side_boundary(graph: Graph, side: frozenset, other_marks) -> frozenset:
                      if v in side and v in w1)
 
 
+def _changes_side(images, graph: Graph, subset, seam, d: int) -> bool:
+    """Whether one of the vertex maps images sends some x of the window
+    certified(max(1, d)) across the subset's border, each map moving x by a
+    walk of at most d in-ball edges (vertex_map).
+
+    seam must meet every edge between the subset and its complement.  A walk
+    that keeps off the seam never changes side, and every walk from an x
+    farther than d from the seam keeps off it, so only the x within d of the
+    seam are tested.
+    """
+    window = graph.certified(max(1, d))
+    near = [x for x in graph.distances_within(seam, d) if x in window]
+    return any((x in subset) != (image[x] in subset)
+               for image in images for x in near)
+
+
 def _is_invariant(F, graph: Graph, subset: frozenset, seam) -> bool:
     """Membership in the subset is preserved by every phi of F, both ways,
-    at every x of the window certified(max(1, d)), d = displacement_bound(phi).
-
-    seam must meet every edge between the subset and its complement.  phi(x)
-    is the end of a walk of at most d in-ball edges (vertex_map), and so is
-    invert(phi)(x), whose words have phi's lengths.  A walk that keeps off
-    the seam never changes side, and every walk from an x farther than d
-    from the seam keeps off it, so only the x within d of the seam are
-    tested.
+    at every x of the window certified(max(1, d)), d = displacement_bound(phi):
+    no side change (_changes_side) under phi or invert(phi), whose words
+    have phi's lengths.  seam must meet every edge between the subset and
+    its complement.
     """
-    for phi in F:
-        d = displacement_bound(phi)
-        window = graph.certified(max(1, d))
-        near = [x for x in graph.distances_within(seam, d) if x in window]
-        for direction in (phi, invert(phi)):
-            image = vertex_map(direction, graph)
-            if any((x in subset) != (image[x] in subset) for x in near):
-                return False
-    return True
+    return not any(
+        _changes_side((vertex_map(e, graph) for e in (phi, invert(phi))),
+                      graph, subset, seam, displacement_bound(phi))
+        for phi in F)

@@ -108,13 +108,17 @@ def _solve_dirichlet(weights, variables, boundary_value) -> dict:
 
 def escape_probability(graph: Graph, r: int) -> Fraction:
     """P(walk from the base hits distance r before returning to the base)."""
+    return _escape(graph, r, _walk_weights(graph))
+
+
+def _escape(graph: Graph, r: int, weights: dict) -> Fraction:
+    """escape_probability, weights being _walk_weights(graph)."""
     if r < 1:
         raise InvalidRadius("need r >= 1")
     if graph.radius is not None and r > graph.radius:
         raise InvalidRadius(f"r={r} exceeds the ball radius {graph.radius}")
     if max(graph.dist) < r:
         raise InvalidRadius(f"no vertex at distance {r}")
-    weights = _walk_weights(graph)
     base = graph.base
     variables = {v for v in range(graph.n) if 0 < graph.dist[v] < r}
 
@@ -149,7 +153,8 @@ class EscapeReport:
 
 def escape_series(graph: Graph, radii) -> EscapeReport:
     radii = tuple(radii)
-    return EscapeReport(radii, tuple(escape_probability(graph, r) for r in radii))
+    weights = _walk_weights(graph)
+    return EscapeReport(radii, tuple(_escape(graph, r, weights) for r in radii))
 
 
 def simulate_escape(graph: Graph, r: int, trials: int,

@@ -24,6 +24,15 @@ ROW_CACHE_SIZE = 8
 # Element vertex maps a graph caches (full_group.vertex_map): verify asks
 # again for each sample element, its inverse and the family F.
 MAP_CACHE_SIZE = 16
+# Piece-word columns a graph caches (full_group.word_column), one per
+# element: the pattern scan and each transport read F's once (so a larger
+# F costs a column per element and call), d_phi reads a sample's, and a
+# vertex map reads its element's once (the map itself is cached).
+COLUMN_CACHE_SIZE = 4
+# Label prefix lists a graph caches, one per piece-table depth, which the
+# columns are read from: verify's elements on the built-in actions have
+# depths 0 to 2.
+PREFIX_CACHE_SIZE = 4
 # Certified sets a graph caches, one per margin: verify asks about a
 # hundred times, for up to five margins (1, 2, m, the pattern radius n + 1
 # and displacement bounds), and builds each once (a test counts the builds).
@@ -52,20 +61,24 @@ class Graph:
     every vertex is certified at any margin.
     """
 
-    # Full BFS rows (distances_from calls) computed by every graph of the
-    # process; verify --timing reports how many each check took.
+    # Work counters of every graph of the process, which verify --timing
+    # reports per check: full BFS rows (distances_from calls) and element
+    # vertex maps walked (full_group.vertex_map).
     full_rows = 0
+    map_walks = 0
 
     def __init__(self, labels, edges, base=0, radius=None, dist=None):
         self.labels = list(labels)
         self.edges = list(edges)
         self.base = base
         self.radius = radius
-        self.index = {self._key(lab): i for i, lab in enumerate(self.labels)}
+        self._index = None
         self._adj = None
         self._succ = None
         self._rows = {}
         self._maps = {}
+        self._columns = {}
+        self._prefixes = {}
         self._certified = {}
         if dist is not None:
             self.dist = list(dist)
@@ -81,7 +94,11 @@ class Graph:
         return len(self.labels)
 
     def vertex_of(self, label):
-        return self.index.get(self._key(label))
+        """The vertex with this label, or None; the first call indexes the
+        labels (the certificates look few labels up, cut balls none)."""
+        if self._index is None:
+            self._index = {self._key(lab): i for i, lab in enumerate(self.labels)}
+        return self._index.get(self._key(label))
 
     def label_str(self, v: int) -> str:
         lab = self.labels[v]
@@ -220,7 +237,10 @@ class SchreierBall(Graph):
             raise InvalidRadius(f"cannot cut radius {radius} from a ball of "
                                 f"radius {self.radius}")
         k = bisect.bisect_right(self.dist, radius)
-        edges = [(u, g, v) for u, g, v in self.edges if u < k and v < k]
+        # the edges run in order of (source, generator, target), so those
+        # leaving the first k vertices come first
+        edges = [e for e in self.edges[:bisect.bisect_left(self.edges, (k,))]
+                 if e[2] < k]
         return SchreierBall(self.action, self.labels[:k], edges, radius,
                             self.dist[:k])
 
@@ -236,21 +256,26 @@ class LevelGraph(Graph):
 
 def build_ball(action: ActionSystem, radius: int,
                cap: int = DEFAULT_VERTEX_CAP) -> SchreierBall:
-    """Exact radius-r ball around the basepoint, deterministic indexing."""
+    """Exact radius-r ball around the basepoint, deterministic indexing.
+
+    Each (vertex, generator) image is computed once: the search keeps the
+    images of the vertices it expands, and only the last layer's are
+    computed afterwards, for the edge list."""
     if radius < 0:
         raise InvalidRadius("radius must be >= 0")
     base = action.basepoint
+    gens = action.gen_names
     labels = [base]
     seen = {base: 0}
     dist = [0]
+    images = []  # images[v][k]: generator k's image of vertex v
     layer = [0]
     for depth in range(1, radius + 1):
         found = set()
         for v in layer:
-            for g in action.gen_names:
-                img = action.apply_gen(g, labels[v])
-                if img not in seen:
-                    found.add(img)
+            row = [action.apply_gen(g, labels[v]) for g in gens]
+            images.append(row)
+            found.update(img for img in row if img not in seen)
         new_layer = []
         for pt in sorted(found, key=lambda p: p.sort_key()):
             if len(labels) >= cap:
@@ -262,10 +287,10 @@ def build_ball(action: ActionSystem, radius: int,
         layer = new_layer
         if not new_layer:
             break
+    images.extend([action.apply_gen(g, labels[v]) for g in gens] for v in layer)
     edges = []
-    for v, pt in enumerate(labels):
-        for g in action.gen_names:
-            img = action.apply_gen(g, pt)
+    for v, row in enumerate(images):
+        for g, img in zip(gens, row):
             w = seen.get(img)
             if w is not None:
                 edges.append((v, g, w))

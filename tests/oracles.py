@@ -419,3 +419,37 @@ def cocycle_by_two_windows(phi, half):
                 f"translate difference escapes the boundary neighborhood "
                 f"at vertices {sorted(stray)[:4]}")
     return big, (w_small, w_big)
+
+
+# --- per-vertex lookups computed afresh ------------------------------------
+
+def ball_by_two_passes(action, radius: int) -> tuple:
+    """(labels, edges, dist) of the radius ball: a BFS, then every
+    (vertex, generator) image computed again for the edge list."""
+    labels, dist = [action.basepoint], [0]
+    index = {action.basepoint: 0}
+    layer = [0]
+    for depth in range(1, radius + 1):
+        found = {action.apply_gen(g, labels[v])
+                 for v in layer for g in action.gen_names} - set(index)
+        layer = []
+        for pt in sorted(found, key=lambda p: p.sort_key()):
+            index[pt] = len(labels)
+            layer.append(len(labels))
+            labels.append(pt)
+            dist.append(depth)
+    edges = [(v, g, index[img]) for v, pt in enumerate(labels)
+             for g in action.gen_names
+             for img in [action.apply_gen(g, pt)] if img in index]
+    return labels, edges, dist
+
+
+def same_pattern_by_word_at(F, graph, v1: int, v2: int, n: int) -> bool:
+    """same_pattern with each piece word looked up by word_at at both ends
+    of every pair of the match."""
+    from fullgroup_lab.pattern_transport import labeled_match
+
+    h = labeled_match(graph, v1, v2, n)
+    return h is not None and all(
+        phi.word_at(graph.labels[u]) == phi.word_at(graph.labels[image])
+        for u, image in h.items() for phi in F)

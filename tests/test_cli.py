@@ -77,6 +77,22 @@ def test_unknown_action_exits_2(capsys):
     assert "unknown action" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, state", [
+    ("nosuch", "nosuch"),
+    ([{"prefix": "0", "state": "t"}, {"prefix": "1", "state": "gone"}], "gone")])
+def test_action_naming_a_missing_state_is_usage_error(tmp_path, capsys, spec,
+                                                      state):
+    # checked before the inverses are searched, which would look it up
+    data = action_to_json(builtin_action("odometer"))
+    data["generators"]["h"] = spec
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps(data))
+    assert main(["action", "dump", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"generator 'h' names state {state!r}" in err
+    assert "Traceback" not in err
+
+
 def test_qi_fields(capsys):
     code, data = run_json(["qi", "grigorchuk", "--level", "8"], capsys)
     assert code == 0
@@ -167,10 +183,12 @@ def test_verify_timing_adds_window_and_check_seconds(capsys):
     timing = timed.pop("timing")
     # timing aside, the report is the one written without --timing
     assert code == 0 and plain.pop("timing") is None and timed == plain
-    assert set(timing) == {"seconds", "window", "checks", "rows"}
+    assert set(timing) == {"seconds", "window", "checks", "rows",
+                           "applications", "walks"}
     assert set(timing["checks"]) == set(cli.CHECK_IDS)
-    assert set(timing["rows"]) == {"window", "checks"}
-    assert set(timing["rows"]["checks"]) == set(cli.CHECK_IDS)
+    for counter in ("rows", "applications", "walks"):
+        assert set(timing[counter]) == {"window", "checks"}
+        assert set(timing[counter]["checks"]) == set(cli.CHECK_IDS)
     parts = timing["window"] + sum(timing["checks"].values())
     assert all(t >= 0 for t in timing["checks"].values())
     assert parts <= timing["seconds"] + 0.001 * (len(cli.CHECK_IDS) + 1)
@@ -194,15 +212,53 @@ def test_verify_timing_counts_every_full_row(monkeypatch):
     assert rows["checks"]["biinf"] > 0 and rows["checks"]["nesting"] == 0
 
 
+def test_verify_timing_counts_applications_and_walks(monkeypatch):
+    # the window applies each generator once per vertex; the applications
+    # add up to the Transducer.apply calls of the run, and the walks to the
+    # vertex maps it built: every element it maps, once, as no map is
+    # evicted
+    applies, mapped = [], set()
+    apply, vertex_map = Transducer.apply, fullgroup_lab.full_group.vertex_map
+
+    def counted_apply(self, state, point):
+        applies.append(point)
+        return apply(self, state, point)
+
+    def counted_map(elem, ball):
+        mapped.add((ball, elem))
+        return vertex_map(elem, ball)
+
+    action = builtin_action("odometer")
+    n = build_ball(action, 120).n
+    monkeypatch.setattr(Transducer, "apply", counted_apply)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fullgroup_lab") and \
+                getattr(module, "vertex_map", None) is vertex_map:
+            monkeypatch.setattr(module, "vertex_map", counted_map)
+    report = cli.run_verify(action, 120, 10, 1 << 16, timing=True)
+    timing = report["timing"]
+    total = {key: timing[key]["window"] + sum(timing[key]["checks"].values())
+             for key in ("applications", "walks")}
+    assert timing["applications"]["window"] == 2 * n
+    assert total["applications"] == len(applies)
+    assert len(mapped) <= schreier.MAP_CACHE_SIZE
+    assert total["walks"] == len(mapped) > 0
+    assert timing["walks"]["checks"]["cocycle_fin"] == 3
+
+
 def test_d_phi_matches_all_pairs_distances(odometer, thickline):
     # the swap 2j-1 <-> 2j keeps every vertex in its fiber of the thick
     # line's chart, so |f(v) - f(phi v)| = 0 < d(v, phi v) = 1 and only the
-    # search finds its displacement; the other swap crosses fibers
+    # search finds its displacement; the other swap crosses fibers; the
+    # swap 4k+1 <-> 4k+2 stays in fibers too, and its word at the base is
+    # empty
     for action in (odometer, thickline):
         half = cli._window(action, 40, 1 << 16)
         ball = half.graph
         samples = [make_element(action, [("0", ("t_inv",)), ("1", ("t",))]),
-                   make_element(action, [("0", ("t",)), ("1", ("t_inv",))])]
+                   make_element(action, [("0", ("t",)), ("1", ("t_inv",))]),
+                   make_element(action, [("10", ("t",)), ("01", ("t_inv",)),
+                                         ("00", ()), ("11", ())])]
         samples += random_elements(action, random.Random(9), 6, max_depth=2,
                                    max_word=3)
         w = SimpleNamespace(ball=ball, chart=half.chart, samples=samples)
@@ -216,6 +272,31 @@ def test_d_phi_matches_all_pairs_distances(odometer, thickline):
                                                      "max_displacement": worst}
         assert status == "pass"
         assert witness[cli._elem_desc(samples[0])]["max_displacement"] == 1
+
+
+def test_kernel_stab_matches_the_window_scan(odometer, thickline):
+    # fixes_Y tests only the vertices near Y's boundaries, the scan every
+    # vertex of the window
+    for action in (odometer, thickline):
+        half = cli._window(action, 40, 1 << 16)
+        ball = half.graph
+        samples = [make_element(action, [("0", ("t",)), ("1", ("t_inv",))])]
+        samples += random_elements(action, random.Random(21), 12, max_depth=2,
+                                   max_word=3)
+        w = SimpleNamespace(ball=ball, half=half, samples=samples)
+        _status, witness, _ = cli._kernel_stab(w)
+        seen = set()
+        for elem in samples:
+            entry = witness[cli._elem_desc(elem)]
+            if isinstance(entry, str):  # window limited
+                continue
+            image = vertex_map(elem, ball)
+            window = ball.certified(max(1, displacement_bound(elem)))
+            fixes = not any((v in half.members) != (image[v] in half.members)
+                            for v in window)
+            assert entry["fixes_Y"] == fixes
+            seen.add(fixes)
+        assert seen == {True, False}
 
 
 def test_verify_degrades_to_skips_on_small_windows(capsys):
@@ -507,7 +588,8 @@ def test_verify_looks_images_up_instead_of_rerunning_transducers(monkeypatch):
     n = build_ball(action, 200).n
     samples = cli.sample_elements(action)
     calls = {"apply": 0, "stabilizer_test": 0, "pattern_match_points": 0,
-             "chart_hash": 0, "end_strips": 0, "d": 0, "word_at": 0}
+             "chart_hash": 0, "end_strips": 0, "d": 0, "word_at": 0,
+             "apply_element": 0}
     builds = {}
     certified = schreier.Graph.certified
 
@@ -527,15 +609,21 @@ def test_verify_looks_images_up_instead_of_rerunning_transducers(monkeypatch):
     monkeypatch.setattr(LineChart, "chart_hash",
                         counted("chart_hash", LineChart.chart_hash))
     monkeypatch.setattr(schreier.Graph, "certified", counted_certified)
+    monkeypatch.setattr(FullGroupElement, "word_at",
+                        counted("word_at", FullGroupElement.word_at))
     for fn in (cocycle.stabilizer_test, pattern_transport.pattern_match_points,
-               line_geometry.end_strips):
+               line_geometry.end_strips, fullgroup_lab.full_group.apply_element):
         for name, module in list(sys.modules.items()):
             if name.startswith("fullgroup_lab") and \
                     getattr(module, fn.__name__, None) is fn:
                 monkeypatch.setattr(module, fn.__name__, counted(fn.__name__, fn))
     report = cli.run_verify(action, 200, 10, 1 << 16)
     assert all(e["status"] == "pass" for e in report["checks"])
-    assert 0 < calls["apply"] <= 10 * n
+    # 2 n in build_ball, one per (vertex, generator); 32 where 16 walks of
+    # two letters step off the ball, the only piece words looked up by
+    # word_at: every other lookup reads a word column
+    assert calls["apply"] == 2 * n + 32
+    assert calls["word_at"] == calls["apply_element"] == 16
     assert 0 < calls["stabilizer_test"] <= \
         len(samples["samples"]) + len(samples["kernel_family"])
     # one scan, in upp: the nested family reuses its matches and r
@@ -551,8 +639,7 @@ def test_verify_looks_images_up_instead_of_rerunning_transducers(monkeypatch):
     for elem in samples["samples"]:
         vertex_map(elem, half.graph)
     monkeypatch.setattr(schreier.Graph, "d", counted("d", schreier.Graph.d))
-    monkeypatch.setattr(FullGroupElement, "word_at",
-                        counted("word_at", FullGroupElement.word_at))
+    calls["word_at"] = 0
     w = SimpleNamespace(ball=half.graph, chart=half.chart,
                         samples=samples["samples"])
     assert cli._d_phi(w)[0] == "pass"

@@ -19,9 +19,13 @@ from fullgroup_lab import (
     make_element,
     random_points,
 )
+from fullgroup_lab import full_group
+from fullgroup_lab.cantor_actions import cells
 from fullgroup_lab.errors import NotAPartition, NotInvertible
-from fullgroup_lab.full_group import FullGroupElement, vertex_map
-from fullgroup_lab.schreier import MAP_CACHE_SIZE
+from fullgroup_lab.full_group import (INVERSE_CACHE_SIZE, FullGroupElement,
+                                      vertex_map, word_column)
+from fullgroup_lab.schreier import (COLUMN_CACHE_SIZE, MAP_CACHE_SIZE,
+                                    PREFIX_CACHE_SIZE)
 from oracles import int_to_point, point_to_int, random_elements
 
 
@@ -130,6 +134,18 @@ def test_invert_examples(odometer, pair_swap):
     assert invert(pair_swap).pieces == pair_swap.pieces  # involution
     shift = make_element(odometer, [("", ("t",))])
     assert invert(shift).pieces == (("", ("t_inv",)),)
+
+
+def test_invert_is_cached_within_its_size(odometer, pair_swap):
+    assert invert(pair_swap) is invert(pair_swap)
+    # an equal table built afresh finds the same inverse
+    again = make_element(odometer, [("0", ("t",)), ("1", ("t_inv",))])
+    assert again is not pair_swap and invert(again) is invert(pair_swap)
+    for elem in random_elements(odometer, random.Random(5),
+                                2 * INVERSE_CACHE_SIZE):
+        inverse = invert(elem)
+        assert invert(elem) is inverse
+        assert len(full_group._inverses) <= INVERSE_CACHE_SIZE
 
 
 @pytest.mark.parametrize("name", ["odometer", "grigorchuk", "thickline"])
@@ -247,6 +263,31 @@ def test_vertex_map_matches_the_transducers(request, name, radius):
             assert image == transducer_map(direction, ball)
             assert all(image[v] >= 0 for v in inner)
     assert len(ball._maps) <= MAP_CACHE_SIZE
+
+
+@pytest.mark.parametrize("name", ["odometer", "grigorchuk", "dihedral",
+                                  "thickline"])
+def test_word_column_matches_word_at(request, name):
+    # the column is read from one prefix list per depth, cached like the
+    # vertex maps and within its size; the identity tables, words g^-1 g
+    # and () alternating over the cells, have more depths than the prefix
+    # lists cached
+    action = request.getfixturevalue(name)
+    ball = build_ball(action, 40)
+    g = action.gen_names[0]
+    identities = [make_element(action, [(cell, (action.inverses[g], g) if k % 2
+                                         else ())
+                                        for k, cell in enumerate(cells(depth))])
+                  for depth in range(PREFIX_CACHE_SIZE + 2)]
+    assert [elem.depth for elem in identities] == list(range(PREFIX_CACHE_SIZE + 2))
+    elements = random_elements(action, random.Random(11), 2 * COLUMN_CACHE_SIZE,
+                               max_depth=4)
+    for elem in elements + identities:
+        words = word_column(elem, ball)
+        assert words == [elem.word_at(label) for label in ball.labels]
+        assert word_column(elem, ball) is words
+        assert len(ball._columns) <= COLUMN_CACHE_SIZE
+        assert len(ball._prefixes) <= PREFIX_CACHE_SIZE
 
 
 @settings(max_examples=40, deadline=None)

@@ -15,14 +15,17 @@ from fullgroup_lab import (
     transport_anchor,
     transport_halfspace,
 )
+from fullgroup_lab import full_group
 from fullgroup_lab.cocycle import r_constant
 from fullgroup_lab.errors import (PatternMismatch, PreconditionNphi, RimContact,
                                   TransportFailure)
 from fullgroup_lab.line_geometry import project_to_geodesic
 from fullgroup_lab.pattern_transport import (_is_invariant, _reach_avoiding,
                                              _side_boundary, labeled_match)
+from fullgroup_lab.schreier import COLUMN_CACHE_SIZE
 from oracles import (int_to_point, is_invariant_by_scan, point_to_int,
-                     random_elements, side_boundary_by_scan, transport_by_scan)
+                     random_elements, same_pattern_by_word_at,
+                     side_boundary_by_scan, transport_by_scan)
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +63,51 @@ def test_pair_swap_pattern_parity(lab):
     assert same_pattern(F, ball, vertex(ball, 0), vertex(ball, -4), 2)
     assert not same_pattern(F, ball, vertex(ball, 0), vertex(ball, 1), 2)
     assert repetition_radius(pattern_match_points(F, ball, 2), 2, ball) == 1
+
+
+def test_same_pattern_compares_words_not_pieces(odometer, pair_swap):
+    # the 3-cycle 4k -> 4k+1 -> 4k+2 -> 4k: its pieces 00 and 10 are not
+    # siblings and both carry t, so at n = 0 the integers 4k and 4k+1
+    # carry the same pattern though their pieces differ
+    cycle = make_element(odometer, [("00", ("t",)), ("10", ("t",)),
+                                    ("01", ("t_inv", "t_inv")), ("11", ())])
+    assert dict(cycle.pieces)["00"] == dict(cycle.pieces)["10"]
+    ball = build_ball(odometer, 40)
+    zero, one = vertex(ball, 0), vertex(ball, 1)
+    assert same_pattern([cycle], ball, zero, one, 0)
+    assert not same_pattern([cycle], ball, zero, one, 1)
+    for F in ([cycle], [cycle, pair_swap], [pair_swap, cycle]):
+        for n in (0, 1, 3):
+            for anchor in (zero, one, vertex(ball, -3)):
+                for z in range(ball.n):
+                    assert same_pattern(F, ball, anchor, z, n) == \
+                        same_pattern_by_word_at(F, ball, anchor, z, n)
+
+
+def test_pattern_scan_builds_each_column_once(odometer, monkeypatch):
+    # a family larger than the column cache: the scan reads F's columns
+    # once, so each is built once and not once per candidate z
+    ball = build_ball(odometer, 60)
+    F = list(dict.fromkeys(random_elements(odometer, random.Random(5),
+                                           COLUMN_CACHE_SIZE + 2, max_depth=2)))
+    assert len(F) > COLUMN_CACHE_SIZE
+    builds = []
+    lru = full_group._lru
+
+    def counted(cache, key, size, compute):
+        if cache is ball._columns and key not in cache:
+            builds.append(key)
+        return lru(cache, key, size, compute)
+
+    monkeypatch.setattr(full_group, "_lru", counted)
+    for n in (1, 2):
+        for anchor in (ball.base, vertex(ball, 5)):
+            builds.clear()
+            matches = pattern_match_points(F, ball, n, anchor=anchor)
+            assert len(builds) == len(F)
+            assert matches == [z for z in sorted(ball.certified(n + 1))
+                               if same_pattern_by_word_at(F, ball, anchor, z, n)]
+            assert len(matches) > 1
 
 
 def test_depth3_element_pattern_period(odometer, lab):

@@ -13,7 +13,9 @@ from fullgroup_lab import (
     regular_tree_ball,
 )
 from fullgroup_lab.errors import BallTooLarge, InvalidRadius
-from oracles import int_to_point, is_simple_path, point_to_int, wreath_apply_word_letters, WREATH
+from fullgroup_lab.cantor_actions import Transducer
+from oracles import (WREATH, ball_by_two_passes, int_to_point, is_simple_path,
+                     point_to_int, wreath_apply_word_letters)
 
 
 def test_odometer_ball_radius3_is_integer_path(odometer):
@@ -172,6 +174,28 @@ def test_cut_ball_equals_build_ball(thickline):
         for r in (-1, 41):
             with pytest.raises(InvalidRadius):
                 big.cut(r)
+
+
+@pytest.mark.parametrize("name", ["odometer", "grigorchuk", "thickline"])
+def test_build_ball_applies_each_generator_once_per_vertex(request, monkeypatch,
+                                                           name):
+    # the search keeps its images for the edge list, which keeps its order
+    action = request.getfixturevalue(name)
+    calls = []
+    apply = Transducer.apply
+
+    def counted(self, state, point):
+        calls.append(point)
+        return apply(self, state, point)
+
+    for radius in (0, 1, 7, 30):
+        expected = ball_by_two_passes(action, radius)
+        monkeypatch.setattr(Transducer, "apply", counted)
+        calls.clear()
+        ball = build_ball(action, radius)
+        monkeypatch.undo()
+        assert (ball.labels, ball.edges, ball.dist) == expected
+        assert len(calls) == ball.n * len(action.gen_names)
 
 
 def test_certified_is_cached_and_equals_the_plain_filter(thickline):
