@@ -17,6 +17,8 @@ from fullgroup_lab import (
     identity_element,
     make_element,
     nested_family,
+    pattern_match_points,
+    repetition_radius,
     transport_anchor,
 )
 
@@ -32,7 +34,10 @@ quad = make_element(odo, [("00", ("t", "t")), ("01", ("t_inv", "t_inv")),
 for name, F, n in (("identity", [identity_element(odo)], 8),
                    ("pair swap", [swap], 10),
                    ("pair swap + quad swap", [swap, quad], 12)):
-    family = nested_family(F, n, half, transport_anchor(F, n, half))
+    anchor = transport_anchor(F, n, half)
+    matches = pattern_match_points(F, ball, n, anchor=anchor[0])
+    family = nested_family(F, n, half, anchor,
+                           (matches, repetition_radius(matches, n, ball)))
     orders = finite_embedding_order(F, family)
     sizes = [len(family.blocks[i]) for i in family.block_indices]
     print(f"== F = {name} (n = {n}) ==")

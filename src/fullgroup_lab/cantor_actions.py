@@ -64,13 +64,6 @@ class BoundaryPoint:
             out += self.period
         return out[:k]
 
-    def drop(self, k: int) -> "BoundaryPoint":
-        """The point with the first k letters removed (canonicalized)."""
-        if k <= len(self.preperiod):
-            return canonical_point(self.preperiod[k:], self.period)
-        r = (k - len(self.preperiod)) % len(self.period)
-        return canonical_point("", self.period[r:] + self.period[:r])
-
     def label(self) -> str:
         return f"{self.preperiod}({self.period})"
 

@@ -40,7 +40,6 @@ from .cocycle import (
     stabilizer_test,
 )
 from .errors import (
-    FamilyFailure,
     FullGroupLabError,
     InvalidAction,
     InvalidPoint,
@@ -74,7 +73,6 @@ from .line_geometry import (
     fit_line_chart,
     m_covering_check,
     max_geodesic_midpoint,
-    project_to_geodesic,
 )
 from .pattern_transport import (_changes_side, pattern_match_points,
                                 repetition_radius, transport_anchor,
@@ -257,8 +255,11 @@ def cmd_cocycle(args) -> int:
     elem = element_from_json(action, _load_json(args.element))
     half = _window(action, args.radius, args.cap)
     ball, chart = half.graph, half.chart
-    value = cocycle_value(elem, half)
-    R = r_constant(half)
+    try:
+        value = cocycle_value(elem, half)
+        R = r_constant(half)
+    except FullGroupLabError as exc:
+        return _report_failure(exc, args.out)
     dphi = displacement_bound(elem)
     report = {
         "action": action.name,
@@ -286,7 +287,7 @@ def cmd_transport(args) -> int:
     try:
         result = transport_halfspace(F, args.z, n, half,
                                      transport_anchor(F, n, half))
-    except (TransportFailure, PatternMismatch, PreconditionNphi, RimContact) as exc:
+    except FullGroupLabError as exc:
         return _report_failure(exc, args.out)
     report = result.to_json(half.graph)
     report["passed"] = True
@@ -303,13 +304,12 @@ def cmd_stabilizer(args) -> int:
     F = elements_from_json(action, _load_json(args.F))
     try:
         anchor = transport_anchor(F, n, half)
-    except TransportFailure as exc:
+        matches = pattern_match_points(F, half.graph, n, anchor=anchor[0])
+        family = nested_family(F, n, half, anchor, (
+            matches, repetition_radius(matches, n, half.graph)))
+        orders = finite_embedding_order(F, family, cap=args.order_cap)
+    except FullGroupLabError as exc:
         return _report_failure(exc, args.out)
-    try:
-        family = nested_family(F, n, half, anchor)
-    except FamilyFailure as exc:
-        return _report_failure(exc, args.out)
-    orders = finite_embedding_order(F, family, cap=args.order_cap)
     report = family.to_json()
     report.update({
         "nesting": family.checks["nesting"],
@@ -457,7 +457,7 @@ def _kernel_stab(w):
 
 
 def _upp(w):
-    p = project_to_geodesic(w.chart.geodesic, w.ball.base)
+    p = w.chart.p
     try:
         matches = pattern_match_points(w.kernel_family, w.ball, w.n, anchor=p)
         r = repetition_radius(matches, w.n, w.ball)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .errors import NotStabilized
 from .full_group import FullGroupElement, displacement_bound, invert, vertex_map
 from .full_group import apply_element  # unused; perfbench/tests reads it here
-from .line_geometry import LineChart, end_strips, project_to_geodesic
+from .line_geometry import LineChart, end_strips
 from .schreier import Graph, boundary_set
 
 
@@ -113,19 +113,18 @@ def push_set(phi: FullGroupElement, graph: Graph, vertices) -> frozenset:
 
 def r_constant(half: HalfSpace) -> int:
     """Minimal R with both boundaries inside the R-ball around p, the
-    projection of the basepoint onto the chart's geodesic."""
+    projection of the basepoint onto the chart's geodesic (LineChart.p),
+    by a search from p that stops once it has reached them."""
     graph = half.graph
-    p = project_to_geodesic(half.chart.geodesic, graph.base)
     rim_margin = graph.certified(2)
-    for v in half.boundary | half.co_boundary:
+    targets = half.boundary | half.co_boundary
+    for v in targets:
         if v not in rim_margin:
             raise NotStabilized(
                 "half-space boundary touches the rim; radius too small")
-    row = graph.distance_row(p)
-    targets = half.boundary | half.co_boundary
     if not targets:
         raise NotStabilized("no boundary found inside the certified window")
-    return max(row[v] for v in targets)
+    return max(graph.distances_to(half.chart.p, targets))
 
 
 def n_phi(m: int, R: int, dphi: int) -> int:

@@ -38,8 +38,9 @@ from .schreier import Graph
 
 
 def diametral_pair(graph: Graph) -> tuple[int, int]:
-    """Double BFS from the base; ties broken by smallest vertex index."""
-    d0 = graph.distances_from([graph.base])
+    """Double BFS from the base, whose row is graph.dist; ties broken by
+    smallest vertex index."""
+    d0 = graph.dist
     if min(d0) < 0:
         raise NotConnected("graph is not connected")
     ecc = max(d0)
@@ -73,6 +74,12 @@ class LineChart:
         """The covering constant alpha^2 + 2*alpha*beta at alpha = 1."""
         return 1 + 2 * self.beta
 
+    @property
+    def p(self) -> int:
+        """The basepoint's projection onto the geodesic, read off the
+        base's row graph.dist (project_to_geodesic at the base)."""
+        return _nearest(self.geodesic, self.graph.dist)
+
     def fibers(self) -> dict:
         return _level_sets(self.f)
 
@@ -91,18 +98,19 @@ class LineChart:
 
 def fit_line_chart(graph: Graph) -> LineChart:
     """Fit f and the minimal beta over the certified pairs, and keep the
-    geodesic between the two ends f was fitted from."""
+    geodesic between the two ends f was fitted from: one BFS tree from the
+    minus end gives both."""
     if graph.n < 2:
         raise NotConnected("need at least 2 vertices")
     minus_end, plus_end = _oriented_ends(graph)
-    drow = graph.distance_row(minus_end)
+    parent, drow = graph.bfs_parents(minus_end)
     if min(drow) < 0:
         raise NotConnected("graph is not connected")
     off = drow[graph.base]
     f = tuple(drow[v] - off for v in range(graph.n))
 
     return LineChart(graph, f, _fit_beta(graph, f),
-                     _geodesic(graph, minus_end, plus_end))
+                     _geodesic(graph, parent, minus_end, plus_end))
 
 
 def _level_sets(f) -> dict:
@@ -208,16 +216,17 @@ def end_strips(seg: GeodesicSegment, m: int) -> tuple:
 
 def diametral_geodesic(graph: Graph) -> GeodesicSegment:
     """Shortest path between the oriented diametral ends."""
-    return _geodesic(graph, *_oriented_ends(graph))
+    minus_end, plus_end = _oriented_ends(graph)
+    return _geodesic(graph, graph.bfs_parents(minus_end)[0], minus_end, plus_end)
 
 
-def _geodesic(graph: Graph, minus_end: int, plus_end: int) -> GeodesicSegment:
-    """The BFS-tree path from minus_end to plus_end, a geodesic by
-    construction: a BFS parent is a neighbor one step closer to the root,
-    so the path's j-th vertex lies at distance j from minus_end, and its
-    j-th and k-th lie |k - j| apart (at most along it, at least by the
-    triangle inequality through minus_end)."""
-    parent = graph.bfs_parents(minus_end)[0]
+def _geodesic(graph: Graph, parent, minus_end: int,
+              plus_end: int) -> GeodesicSegment:
+    """The path from plus_end up the BFS tree parent rooted at minus_end, a
+    geodesic by construction: a BFS parent is a neighbor one step closer
+    to the root, so the path's j-th vertex lies at distance j from
+    minus_end, and its j-th and k-th lie |k - j| apart (at most along it,
+    at least by the triangle inequality through minus_end)."""
     path = [plus_end]
     while path[-1] != minus_end:
         path.append(parent[path[-1]])
@@ -247,9 +256,9 @@ def max_geodesic_midpoint(graph: Graph, v: int) -> int:
     m = dv.index(max(dv))
     f = graph.distances_from([m])
     cut = f[v]
-    separator = [z for z in range(graph.n) if f[z] == cut]
-    # rows used once per call: kept out of the graph's row cache
-    rows = [graph.distances_from([z]) for z in separator]
+    # v lies on its own level set, and its row is dv
+    rows = [dv if z == v else graph.distances_from([z])
+            for z in range(graph.n) if f[z] == cut]
     spheres = _level_sets(dv)
     n = 0
     while n + 1 in spheres and _has_pair_at(graph, spheres[n + 1], 2 * (n + 1),
@@ -277,13 +286,12 @@ def _has_pair_at(graph: Graph, sphere, span: int, f, cut: int, rows) -> bool:
 
 def project_to_geodesic(seg: GeodesicSegment, x: int) -> int:
     """Closest geodesic vertex to x; ties resolved toward the minus end."""
-    row = seg.graph.distance_row(x)
-    best = None
-    best_d = None
-    for v in seg.vertices:
-        if best_d is None or row[v] < best_d:
-            best, best_d = v, row[v]
-    return best
+    return _nearest(seg, seg.graph.distance_row(x))
+
+
+def _nearest(seg: GeodesicSegment, row) -> int:
+    """The first vertex of seg, from the minus end, of least row value."""
+    return min(seg.vertices, key=row.__getitem__)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from .errors import (
     TransportFailure,
 )
 from .full_group import displacement_bound, invert, vertex_map, word_column
-from .line_geometry import project_to_geodesic
 from .schreier import Graph
 
 
@@ -157,7 +156,7 @@ def transport_anchor(F, n: int, half: HalfSpace) -> tuple:
     worst = max(n_phi(half.chart.m, R, displacement_bound(phi)) for phi in F)
     if n <= worst:
         raise PreconditionNphi(f"need n > {worst}, got {n}")
-    return project_to_geodesic(half.chart.geodesic, half.graph.base), R
+    return half.chart.p, R
 
 
 def transport_halfspace(F, z: int, n: int, half: HalfSpace,

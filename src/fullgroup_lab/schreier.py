@@ -17,26 +17,19 @@ from .errors import BallTooLarge, InvalidRadius
 
 DEFAULT_VERTEX_CAP = 1 << 16
 
-# Full BFS rows a graph caches, least recently used out first: enough for
-# the anchors asked for again and again (the geodesic projection, the R
-# constant at p) while memory stays linear in n.
-ROW_CACHE_SIZE = 8
-# Element vertex maps a graph caches (full_group.vertex_map): verify asks
-# again for each sample element, its inverse and the family F.
+# Element vertex maps a graph caches (full_group.vertex_map), least
+# recently used out first.  The keys, elements, are unbounded: a verify
+# run asks 180 times for 13 elements' maps at r=400 (the samples, their
+# products and inverses, F), and 16 hold them all; 2,000 cocycle_queries
+# queries on one window ask 4 maps each for about 1,460 distinct elements
+# and walk 3.26 of them.
 MAP_CACHE_SIZE = 16
 # Piece-word columns a graph caches (full_group.word_column), one per
-# element: the pattern scan and each transport read F's once (so a larger
-# F costs a column per element and call), d_phi reads a sample's, and a
-# vertex map reads its element's once (the map itself is cached).
+# element: the pattern scan and each transport read F's once, d_phi reads
+# a sample's, and a vertex map reads its element's once (the map itself is
+# cached).  A verify run at r=400 asks 47 times for 13 elements' columns
+# and builds 14; a cocycle query reads a column only for a map it walks.
 COLUMN_CACHE_SIZE = 4
-# Label prefix lists a graph caches, one per piece-table depth, which the
-# columns are read from: verify's elements on the built-in actions have
-# depths 0 to 2.
-PREFIX_CACHE_SIZE = 4
-# Certified sets a graph caches, one per margin: verify asks about a
-# hundred times, for up to five margins (1, 2, m, the pattern radius n + 1
-# and displacement bounds), and builds each once (a test counts the builds).
-CERTIFIED_CACHE_SIZE = 4
 
 
 def _lru(cache: dict, key, size: int, compute):
@@ -55,10 +48,13 @@ class Graph:
 
     labels[i] is the payload of vertex i (a BoundaryPoint for orbit balls,
     a string for level graphs and synthetic fixtures).  edges is a list of
-    (u, name, v) triples.  For graphs cut out of an infinite orbit, radius
-    is the BFS radius and dist[i] the distance from the base; graphs
-    without a rim (level graphs, synthetic fixtures) leave radius None and
-    every vertex is certified at any margin.
+    (u, name, v) triples.  dist is the base's BFS row, dist[i] the distance
+    from the base to vertex i: build_ball's search depth for a ball, the
+    same search run here when none is given; the line chart reads it
+    instead of searching from the base again.  For graphs cut out of an
+    infinite orbit, radius is the BFS radius; graphs without a rim (level
+    graphs, synthetic fixtures) leave radius None and every vertex is
+    certified at any margin.
     """
 
     # Work counters of every graph of the process, which verify --timing
@@ -75,7 +71,6 @@ class Graph:
         self._index = None
         self._adj = None
         self._succ = None
-        self._rows = {}
         self._maps = {}
         self._columns = {}
         self._prefixes = {}
@@ -151,9 +146,8 @@ class Graph:
         return dist
 
     def distance_row(self, v: int) -> list:
-        """BFS row of v, cached among the latest rows; do not modify it."""
-        return _lru(self._rows, v, ROW_CACHE_SIZE,
-                    lambda: self.distances_from([v]))
+        """BFS row of v (one full search, not cached)."""
+        return self.distances_from([v])
 
     def distances_within(self, sources, k: int) -> dict:
         """Vertex -> distance from the nearest source, for every vertex
@@ -197,11 +191,12 @@ class Graph:
     def certified(self, margin: int) -> frozenset:
         """Vertices whose in-graph neighborhood of the given margin is not
         truncated by the rim; rimless graphs certify everything.  Cached
-        among the latest margins asked for."""
+        per margin: the margins asked for are few (verify asks for five)."""
         cutoff = None if self.radius is None else self.radius - margin
-        return _lru(self._certified, cutoff, CERTIFIED_CACHE_SIZE,
-                    lambda: frozenset(v for v in range(self.n)
-                                      if cutoff is None or self.dist[v] <= cutoff))
+        if cutoff not in self._certified:
+            self._certified[cutoff] = frozenset(
+                v for v in range(self.n) if cutoff is None or self.dist[v] <= cutoff)
+        return self._certified[cutoff]
 
     def bfs_parents(self, root: int):
         """Deterministic BFS tree (smallest-index parent wins)."""

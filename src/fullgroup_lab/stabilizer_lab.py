@@ -16,12 +16,7 @@ from dataclasses import dataclass
 from .cocycle import HalfSpace
 from .errors import FamilyFailure, OrderCap, WindowTooSmall
 from .full_group import FullGroupElement, displacement_bound, invert, vertex_map
-from .pattern_transport import (
-    _is_invariant,
-    pattern_match_points,
-    repetition_radius,
-    transport_halfspace,
-)
+from .pattern_transport import _is_invariant, transport_halfspace
 from .schreier import Graph, neighborhood_set
 
 DEFAULT_ORDER_CAP = 10 ** 6
@@ -57,11 +52,11 @@ class NestedFamily:
 
 
 def nested_family(F, n: int, half: HalfSpace, anchor: tuple,
-                  repetition: tuple | None = None) -> NestedFamily:
+                  repetition: tuple) -> NestedFamily:
     """Build and certify as many consecutive anchors as the window allows
     along the chart's geodesic; anchor is transport_anchor(F, n, half), and
     repetition the (matches, r) of pattern_match_points and
-    repetition_radius at its p (computed when None).
+    repetition_radius at its p.
 
     The work per anchor stays near it, except for the whole-window set
     tests of the transports, the nesting and the blocks:
@@ -82,10 +77,6 @@ def nested_family(F, n: int, half: HalfSpace, anchor: tuple,
     m = half.chart.m
     seg = half.chart.geodesic
     p = anchor[0]
-
-    if repetition is None:
-        matches = pattern_match_points(F, graph, n, anchor=p)
-        repetition = matches, repetition_radius(matches, n, graph)
     matches, r = repetition
     match_set = frozenset(matches)
     spacing = 2 * r + 2 * n + 2 * m + 2
@@ -150,7 +141,7 @@ def nested_family(F, n: int, half: HalfSpace, anchor: tuple,
         block = (y_i - y_next) & window
         blocks[i] = block
         block_bounds[i] = len(bound_set)
-        if not block <= bound_set or len(block) > len(bound_set):
+        if not block <= bound_set:
             bound_ok = False
         if not _is_invariant(F, graph, block, block):
             invariant_ok = False

@@ -35,6 +35,7 @@ from fullgroup_lab import (
     r_constant,
     random_points,
     regular_tree_ball,
+    repetition_radius,
     stabilizer_test,
     transport_anchor,
     transport_halfspace,
@@ -180,7 +181,9 @@ def test_criterion_6_transport_and_nesting():
         strip_checks += 1
     assert strip_checks == 5
 
-    family = nested_family(F, 10, half, anchor)
+    found = pattern_match_points(F, ball, 10)
+    family = nested_family(F, 10, half, anchor,
+                           (found, repetition_radius(found, 10, ball)))
     assert len(family.anchor_indices) >= 3
     # the family keeps no Y_i; rebuild them at the anchors' matches
     window = ball.certified(1)
@@ -208,8 +211,10 @@ def test_criterion_7_finite_order():
         (swap, quad): (12, 8),
     }
     for F, (n, order) in expected.items():
-        family = nested_family(list(F), n, half,
-                               transport_anchor(list(F), n, half))
+        anchor = transport_anchor(list(F), n, half)
+        found = pattern_match_points(list(F), ball, n, anchor=anchor[0])
+        family = nested_family(list(F), n, half, anchor,
+                               (found, repetition_radius(found, n, ball)))
         report = finite_embedding_order(list(F), family)
         assert report.agree
         assert report.order_blocks == report.order_brute == order

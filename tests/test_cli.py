@@ -212,6 +212,19 @@ def test_verify_timing_counts_every_full_row(monkeypatch):
     assert rows["checks"]["biinf"] > 0 and rows["checks"]["nesting"] == 0
 
 
+def test_verify_timing_counts_one_row_for_the_window(capsys):
+    # the window's one full row is the diametral pair's second search; the
+    # checks take 8 in biinf and one each in m_geod, upp (the repetition
+    # radius) and stab_transport (the row of p that orders the matches)
+    code, data = run_json(["verify", "odometer", "--radius", "400", "--n", "10",
+                           "--timing"], capsys)
+    rows = data["timing"]["rows"]
+    assert code == 0 and rows["window"] == 1
+    assert sum(rows["checks"].values()) == 11
+    assert {c: k for c, k in rows["checks"].items() if k} == \
+        {"biinf": 8, "m_geod": 1, "upp": 1, "stab_transport": 1}
+
+
 def test_verify_timing_counts_applications_and_walks(monkeypatch):
     # the window applies each generator once per vertex; the applications
     # add up to the Transducer.apply calls of the run, and the walks to the
@@ -496,6 +509,28 @@ def test_stabilizer_reports_a_family_that_moves_y(tmp_path, capsys):
                  "--out", str(out)]) == 1
     assert out.read_text() == \
         '{\n  "error": "%s",\n  "passed": false,\n  "report": {}\n}\n' % MOVED
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["stabilizer", "odometer", "--F", "{family}", "--n", "2",
+      "--radius", "128"], "need n > 9, got 2"),
+    (["stabilizer", "odometer", "--F", "{family}", "--n", "10",
+      "--radius", "40"], "family has no certified blocks to embed into"),
+    (["stabilizer", "odometer", "--F", "{family}", "--n", "10",
+      "--radius", "2"], "radius 2 too small for displacement 1"),
+    (["transport", "odometer", "--F", "{family}", "--n", "10", "--z", "0",
+      "--radius", "2"], "radius 2 too small for displacement 1"),
+    (["cocycle", "odometer", "--element", "{swap}", "--radius", "2"],
+     "radius 2 too small for displacement 1"),
+])
+def test_failed_certificate_still_writes_its_report(tmp_path, capsys, swap_file,
+                                                    family_file, argv, error):
+    out = tmp_path / "report.json"
+    argv = [a.format(swap=swap_file, family=family_file) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "")
+    assert json.loads(out.read_text()) == \
+        {"error": error, "passed": False, "report": {}}
 
 
 # SHA-256 of run_verify reports (as `verify --out` writes them) for

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fullgroup_lab import (
+    Graph,
     build_ball,
     build_level_graph,
     cocycle_value,
@@ -145,6 +146,18 @@ def test_r_constant_two_vertex_graph():
     g = path_graph(2)
     chart = fit_line_chart(g)
     half = half_space(chart)
+    assert r_constant(half) == 1
+
+
+def test_r_constant_is_measured_from_p():
+    # a path 0..10 with the base, vertex 11, hanging off vertex 5: p = 5 is
+    # the base's projection onto the geodesic, and both boundaries (4 and
+    # the base in Y, 5 outside it) lie within 1 of p but 2 of the base
+    g = path_graph(11)
+    g = Graph(g.labels + ["q"], g.edges + [(5, "s", 11)], base=11)
+    half = half_space(fit_line_chart(g))
+    assert half.chart.p == 5
+    assert (half.boundary, half.co_boundary) == ({4, 11}, {5})
     assert r_constant(half) == 1
 
 

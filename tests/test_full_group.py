@@ -24,8 +24,7 @@ from fullgroup_lab.cantor_actions import cells
 from fullgroup_lab.errors import NotAPartition, NotInvertible
 from fullgroup_lab.full_group import (INVERSE_CACHE_SIZE, FullGroupElement,
                                       vertex_map, word_column)
-from fullgroup_lab.schreier import (COLUMN_CACHE_SIZE, MAP_CACHE_SIZE,
-                                    PREFIX_CACHE_SIZE)
+from fullgroup_lab.schreier import COLUMN_CACHE_SIZE, MAP_CACHE_SIZE
 from oracles import int_to_point, point_to_int, random_elements
 
 
@@ -268,26 +267,29 @@ def test_vertex_map_matches_the_transducers(request, name, radius):
 @pytest.mark.parametrize("name", ["odometer", "grigorchuk", "dihedral",
                                   "thickline"])
 def test_word_column_matches_word_at(request, name):
-    # the column is read from one prefix list per depth, cached like the
-    # vertex maps and within its size; the identity tables, words g^-1 g
-    # and () alternating over the cells, have more depths than the prefix
-    # lists cached
+    # the column is read from one prefix list per depth, each built once,
+    # and cached like the vertex maps, within its size; the identity tables,
+    # words g^-1 g and () alternating over the cells, have six depths
     action = request.getfixturevalue(name)
     ball = build_ball(action, 40)
     g = action.gen_names[0]
     identities = [make_element(action, [(cell, (action.inverses[g], g) if k % 2
                                          else ())
                                         for k, cell in enumerate(cells(depth))])
-                  for depth in range(PREFIX_CACHE_SIZE + 2)]
-    assert [elem.depth for elem in identities] == list(range(PREFIX_CACHE_SIZE + 2))
+                  for depth in range(6)]
+    assert [elem.depth for elem in identities] == list(range(6))
     elements = random_elements(action, random.Random(11), 2 * COLUMN_CACHE_SIZE,
                                max_depth=4)
-    for elem in elements + identities:
+    built = {}
+    for elem in elements + identities + elements:
         words = word_column(elem, ball)
         assert words == [elem.word_at(label) for label in ball.labels]
         assert word_column(elem, ball) is words
         assert len(ball._columns) <= COLUMN_CACHE_SIZE
-        assert len(ball._prefixes) <= PREFIX_CACHE_SIZE
+        built.setdefault(elem.depth, ball._prefixes[elem.depth])
+        assert set(ball._prefixes) == set(built)
+        assert all(ball._prefixes[d] is built[d] for d in built)
+    assert set(built) == set(range(6))
 
 
 @settings(max_examples=40, deadline=None)

@@ -203,6 +203,27 @@ def test_projection_tie_breaks_toward_minus_end():
     assert project_to_geodesic(seg, 7) == 3
 
 
+@pytest.mark.parametrize("name", ["odometer", "grigorchuk", "dihedral",
+                                  "thickline"])
+def test_chart_p_is_the_base_projection(request, name):
+    # p reads the base's row off graph.dist instead of searching again
+    action = request.getfixturevalue(name)
+    for radius in (1, 2, 3, 7, 16, 33):
+        chart = fit_line_chart(build_ball(action, radius))
+        assert chart.p == project_to_geodesic(chart.geodesic, chart.graph.base)
+    lg = build_level_graph(action, 6)
+    chart = fit_line_chart(lg)
+    assert chart.p == project_to_geodesic(chart.geodesic, lg.base)
+
+
+def test_chart_p_tie_breaks_toward_minus_end():
+    # the base (vertex 7) is adjacent to geodesic vertices 3 and 5 only
+    edges = [(i, "s", i + 1) for i in range(6)] + [(7, "s", 3), (7, "s", 5)]
+    g = Graph([f"v{i}" for i in range(8)], edges, base=7)
+    chart = LineChart(g, tuple(range(8)), 0, GeodesicSegment(g, tuple(range(7))))
+    assert chart.p == 3
+
+
 def test_m_covering_pass(odometer, grigorchuk):
     ball = build_ball(odometer, 8)
     seg = diametral_geodesic(ball)

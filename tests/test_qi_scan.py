@@ -15,13 +15,12 @@ from fullgroup_lab import (
     Graph,
     build_ball,
     build_level_graph,
-    diametral_geodesic,
     fiber_diameter_check,
     fit_line_chart,
     max_geodesic_midpoint,
 )
 from fullgroup_lab import cli
-from fullgroup_lab.schreier import DEFAULT_VERTEX_CAP, ROW_CACHE_SIZE
+from fullgroup_lab.schreier import DEFAULT_VERTEX_CAP, regular_tree_ball
 from oracles import all_pairs, midpoint_by_extension, qi_constants, qi_holds, qi_tight
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -159,23 +158,12 @@ def test_distances_to_stops_once_every_target_is_reached(monkeypatch):
     assert sorted(expanded) == [498, 499, 500, 501, 502]
 
 
-def test_row_cache_keeps_the_latest_rows():
-    graph = _graph(40, [(i, i + 1) for i in range(39)])
-    first = graph.distance_row(0)
-    for v in range(1, ROW_CACHE_SIZE):
-        graph.distance_row(v)
-    assert graph.distance_row(0) is first  # still cached, now most recent
-    for v in range(ROW_CACHE_SIZE, 2 * ROW_CACHE_SIZE):
-        graph.distance_row(v)
-        assert len(graph._rows) <= ROW_CACHE_SIZE
-    assert graph.distance_row(0) is not first
-    assert graph.distance_row(0) == first
-
-
 def test_chart_and_fiber_check_take_at_most_three_rows(monkeypatch, odometer,
                                                      grigorchuk, thickline):
-    # the double BFS for the diametral pair and the row of the minus end;
-    # the fiber sweep and the fiber check use searches that stop early
+    # the diametral pair's second search, from the base's farthest vertex
+    # (the base's row is graph.dist); the chart's row of the minus end comes
+    # with its BFS tree, and the fiber sweep and the fiber check use
+    # searches that stop early
     graphs = [build_ball(odometer, 200), build_level_graph(grigorchuk, 10),
               build_ball(thickline, 40)]
     rows = []
@@ -189,13 +177,14 @@ def test_chart_and_fiber_check_take_at_most_three_rows(monkeypatch, odometer,
     for graph in graphs:
         rows.clear()
         fiber_diameter_check(fit_line_chart(graph))
-        assert 0 < len(rows) <= 3
+        assert len(rows) == 1
 
 
 def test_window_takes_at_most_four_full_searches(monkeypatch, capsys, odometer):
-    # the double BFS for the diametral pair, the row of the minus end and
-    # the BFS tree that gives the geodesic, each run once; `qi` adds the
-    # covering row
+    # the diametral pair's search from the base's farthest vertex and the
+    # BFS tree of the minus end, which gives both f and the geodesic; the
+    # base's row is the ball's dist.  A level graph searches from its base
+    # when it is built, and `qi` adds the covering row
     calls = []
     for name in ("distances_from", "bfs_parents"):
         def counted(self, *args, _full=getattr(Graph, name)):
@@ -204,17 +193,18 @@ def test_window_takes_at_most_four_full_searches(monkeypatch, capsys, odometer):
 
         monkeypatch.setattr(Graph, name, counted)
     cli._window(odometer, 200, DEFAULT_VERTEX_CAP)
-    assert 0 < len(calls) <= 4
+    assert len(calls) == 2
     calls.clear()
     assert cli.main(["qi", "grigorchuk", "--level", "10"]) == 0
     capsys.readouterr()
-    assert 0 < len(calls) <= 6
+    assert len(calls) == 4
 
 
 def test_biinf_takes_a_few_full_rows_per_radius(monkeypatch, odometer):
     # per radius: the midpoint's row, the row of the vertex farthest from it
-    # and one row per separator vertex; the two cut balls add their
-    # diametral pairs
+    # and one row per separator vertex other than the midpoint (on the
+    # odometer the separator is the midpoint alone); the two cut balls add
+    # the second search of their diametral pairs
     half = cli._window(odometer, 400, DEFAULT_VERTEX_CAP)
     w = SimpleNamespace(action=odometer, radius=400, cap=DEFAULT_VERTEX_CAP,
                         ball=half.graph, chart=half.chart)
@@ -228,13 +218,20 @@ def test_biinf_takes_a_few_full_rows_per_radius(monkeypatch, odometer):
     monkeypatch.setattr(Graph, "distances_from", counted)
     status, witness, _ = cli._biinf(w)
     assert status == "pass" and witness["midpoint_growth"] == [100, 200, 400]
-    assert 0 < len(rows) <= 16
+    assert len(rows) == 8
 
 
-def test_certificate_stages_hold_at_most_the_row_bound(odometer):
-    ball = build_ball(odometer, 200)
-    chart = fit_line_chart(ball)
-    fiber_diameter_check(chart)
-    seg = diametral_geodesic(ball)
-    max_geodesic_midpoint(ball, seg.vertices[len(seg.vertices) // 2])
-    assert 0 < len(ball._rows) <= ROW_CACHE_SIZE
+@SETTINGS
+@given(line_like_graphs())
+def test_dist_is_the_base_row_on_hypothesis_graphs(graph):
+    # the rimmed ones are built with a dist of their own
+    assert graph.dist == graph.distances_from([graph.base])
+
+
+def test_dist_is_the_base_row(odometer, grigorchuk, thickline):
+    ball = build_ball(thickline, 30)
+    graphs = [ball, ball.cut(12), ball.cut(0), build_ball(odometer, 50),
+              build_ball(odometer, 50).cut(7), build_level_graph(grigorchuk, 6),
+              regular_tree_ball(3, 4)]
+    for graph in graphs:
+        assert graph.dist == graph.distances_from([graph.base])

@@ -1,13 +1,18 @@
 import pytest
 
 from fullgroup_lab import (
+    action_from_json,
+    action_to_json,
     build_ball,
     compose,
     finite_embedding_order,
     fit_line_chart,
     half_space,
     identity_element,
+    make_element,
     nested_family,
+    pattern_match_points,
+    repetition_radius,
     transport_anchor,
     transport_halfspace,
 )
@@ -23,8 +28,15 @@ def lab(odo_ball_200, odo_chart_200, odo_half_200):
     return {"ball": odo_ball_200, "chart": odo_chart_200, "half": odo_half_200}
 
 
+def repetition(F, n: int, half, anchor) -> tuple:
+    """The (matches, r) that nested_family takes, at the anchor's p."""
+    matches = pattern_match_points(F, half.graph, n, anchor=anchor[0])
+    return matches, repetition_radius(matches, n, half.graph)
+
+
 def family_of(F, n: int, half):
-    return nested_family(F, n, half, transport_anchor(F, n, half))
+    anchor = transport_anchor(F, n, half)
+    return nested_family(F, n, half, anchor, repetition(F, n, half, anchor))
 
 
 def test_identity_family_slabs(odometer, lab):
@@ -84,8 +96,6 @@ def test_nphi_guard(odometer, lab, pair_swap):
 
 def test_family_requires_kernel(odometer, lab):
     # the anchor a family is built from exists only for a family fixing Y
-    from fullgroup_lab import make_element
-
     shift = make_element(odometer, [("", ("t",))])
     with pytest.raises(TransportFailure, match="must stabilize Y"):
         transport_anchor([shift], 10, lab["half"])
@@ -159,10 +169,12 @@ def test_blocks_product_embedding_injective_on_window(odometer, lab, pair_swap,
 
 def test_nested_family_takes_at_most_one_full_row(monkeypatch, odometer,
                                                   pair_swap):
-    # the repetition radius's row; every anchor's work is a bounded search
+    # the repetition radius's row is the caller's; every anchor's work is a
+    # bounded search
     half = half_space(fit_line_chart(build_ball(odometer, 400)))
     F = [pair_swap]
     anchor = transport_anchor(F, 10, half)
+    found = repetition(F, 10, half, anchor)
     rows = []
     full_row = Graph.distances_from
 
@@ -171,6 +183,31 @@ def test_nested_family_takes_at_most_one_full_row(monkeypatch, odometer,
         return full_row(self, sources)
 
     monkeypatch.setattr(Graph, "distances_from", counted)
-    family = nested_family(F, 10, half, anchor)
+    family = nested_family(F, 10, half, anchor, found)
     assert all(family.checks.values()) and len(family.anchor_indices) > 10
-    assert len(rows) <= 1
+    assert rows == []
+
+
+def test_anchor_rim_test_keeps_the_match_window_inside_the_ball(odometer):
+    # the thick line seen from a basepoint whose pattern repeats farther
+    # out than from (0): an anchor y counts only when B_{n+1}(y) lies in
+    # the ball (certified(n + 1)); a rim test at n would admit anchors at
+    # the rim, giving 5 anchors and blocks -1 and 0 at n = 30, and 3
+    # anchors at n = 24
+    data = action_to_json(odometer)
+    copy = {"0": "0", "1": "1"}
+    data["transducers"]["t2"] = {"transitions": {"0": "t", "1": "t"},
+                                 "outputs": dict(copy)}
+    data["transducers"]["t2_inv"] = {"transitions": {"0": "t_inv", "1": "t_inv"},
+                                     "outputs": dict(copy)}
+    data["generators"].update({"t2": "t2", "t2_inv": "t2_inv"})
+    data["basepoint"] = {"preperiod": "0110100000110111", "period": "0"}
+    data["name"] = "thickline"
+    action = action_from_json(data)
+    F = [make_element(action, [("0", ("t",)), ("1", ("t_inv",))])]
+    half = half_space(fit_line_chart(build_ball(action, 170)))
+    family = family_of(F, 30, half)
+    assert family.anchor_indices == (-1, 0, 1) and family.block_indices == ()
+    half = half_space(fit_line_chart(build_ball(action, 82)))
+    with pytest.raises(WindowTooSmall, match="admits only 1 anchors"):
+        family_of(F, 24, half)
