@@ -2,7 +2,7 @@
 
 Exit codes: 0 when every executed check passes, 1 when a check fails or a
 computation cannot be certified, 2 for usage errors (unknown action,
-malformed input files, a radius, level, escape radius, --n, --z,
+malformed input files, a radius, level, escape radius, --n, --z, --cap,
 --order-cap or --simulate out of range, a --radii that is not a list of
 integers).
 Reports are byte-identical across repeated runs with the same inputs;
@@ -777,6 +777,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "cap", 1) < 1:
+            raise UsageError(f"cap must be >= 1, got {args.cap}")
         return args.func(args)
     except (UsageError, UnknownAction, UnknownGenerator, InvalidAction,
             InvalidPoint, InvalidRadius) as exc:

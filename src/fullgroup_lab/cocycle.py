@@ -4,14 +4,21 @@
 stabilization certificates: with d = max(1, d_phi), a cocycle value is
 computed once, on the vertices within radius - d of the basepoint, and
 accepted only when none of it lies farther out than radius - 2d, so that
-the smaller window gives the same set.  Two facts hold on every ball that
+the smaller window gives the same set.  Three facts hold on every ball that
 build_ball or cut returns, and are used without a test:
 - a word of length <= d started at dist <= radius - d never leaves the
   ball (a letter changes dist by at most 1): vertex_map gives no -1 there;
 - for a word g, each v of gY \\ Y with dist <= radius - len(g) - 1 lies
   within len(g) of the boundary of Y: the walk of g^-1 from v enters Y at
   most len(g) steps from v, at a vertex of dist <= radius - 1, which is a
-  certified boundary vertex.
+  certified boundary vertex;
+- phi's forward vertex map gives the cocycle on the window: each v of
+  certified(d) has its preimage u = phi^-1 v within d of v, so at dist
+  <= radius - d + d = radius, a ball vertex, and vertex_map gives
+  image[u] = v (a walk that steps off the ball is finished by the
+  transducers).  So Y symdiff phi(Y) on the window is the set of image[u]
+  in certified(d) with (u in Y) != (image[u] in Y), and phi^-1 is never
+  built.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotStabilized
-from .full_group import FullGroupElement, displacement_bound, invert, vertex_map
+from .full_group import FullGroupElement, displacement_bound, vertex_map
 from .full_group import apply_element  # unused; perfbench/tests reads it here
 from .line_geometry import LineChart, end_strips
 from .schreier import Graph, boundary_set
@@ -75,8 +82,8 @@ class CocycleValue:
 
 def cocycle_value(phi: FullGroupElement, half: HalfSpace) -> CocycleValue:
     """Y symdiff phi(Y): the v of the window certified(d) with
-    (v in Y) != (phi^-1 v in Y), certified when none lies farther out
-    than the smaller window (see the module docstring)."""
+    (v in Y) != (phi^-1 v in Y), read off phi's map, certified when none
+    lies farther out than the smaller window (see the module docstring)."""
     graph = half.graph
     if graph.radius is None:
         raise NotStabilized("cocycles need a rim-bounded orbit ball")
@@ -86,10 +93,10 @@ def cocycle_value(phi: FullGroupElement, half: HalfSpace) -> CocycleValue:
     if w_small < 1:
         raise NotStabilized(
             f"radius {graph.radius} too small for displacement {d}")
-    pre = vertex_map(invert(phi), graph)
+    window = graph.certified(d)
     members = half.members
-    value = frozenset(v for v in graph.certified(d)
-                      if (v in members) != (pre[v] in members))
+    value = frozenset(v for u, v in enumerate(vertex_map(phi, graph))
+                      if v in window and (u in members) != (v in members))
     if any(graph.dist[v] > w_small for v in value):
         raise NotStabilized(
             f"value changed when growing the window {w_small} -> {w_big}; "

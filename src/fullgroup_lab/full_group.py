@@ -16,6 +16,7 @@ and word_column lists the piece word at every vertex.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .cantor_actions import (
@@ -27,16 +28,22 @@ from .cantor_actions import (
     level_apply_word,
 )
 from .errors import DepthCap, NotInvertible, UnknownGenerator
-from .schreier import COLUMN_CACHE_SIZE, MAP_CACHE_SIZE, Graph, SchreierBall, _lru
+from .schreier import Graph, SchreierBall
 
 DEFAULT_DEPTH_CAP = 20
 
-# Inverses computed lately, least recently used out first: verify asks for
-# the inverse of each sample, of each product and of F in several checks,
-# 76 calls for 12 elements at r=400.  Elements are unbounded keys: over
-# 2,000 cocycle_queries queries, 78% of the calls miss.
-INVERSE_CACHE_SIZE = 32
-_inverses: dict = {}
+# Element -> its inverse (invert).  The element caches are weak-keyed, so an
+# entry lives as long as its element; no cached value may refer to its key,
+# or the entry would never go (so an inverse is not stored as a key back).
+_inverses = weakref.WeakKeyDictionary()
+
+
+def _cached(cache, key, compute):
+    """cache[key], computed and stored on a miss."""
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = compute()
+    return value
 
 
 def _generator_depth_floor(action: ActionSystem, pieces) -> int:
@@ -165,7 +172,7 @@ def word_column(elem: FullGroupElement, graph: Graph) -> list:
         words = {cell: elem.word_at_cell(cell) for cell in set(prefixes)}
         return [words[cell] for cell in prefixes]
 
-    return _lru(graph._columns, elem, COLUMN_CACHE_SIZE, column)
+    return _cached(graph._columns, elem, column)
 
 
 def vertex_map(elem: FullGroupElement, ball: SchreierBall) -> list:
@@ -193,7 +200,7 @@ def vertex_map(elem: FullGroupElement, ball: SchreierBall) -> list:
             out.append(w)
         return out
 
-    return _lru(ball._maps, elem, MAP_CACHE_SIZE, walk)
+    return _cached(ball._maps, elem, walk)
 
 
 def compose(phi: FullGroupElement, psi: FullGroupElement,
@@ -221,7 +228,7 @@ def compose(phi: FullGroupElement, psi: FullGroupElement,
 
 def invert(elem: FullGroupElement) -> FullGroupElement:
     """Piece table of the inverse map, from the image partition; cached
-    among the latest elements inverted."""
+    while elem lives."""
     def inverse():
         action = elem.action
         depth = max(elem.depth, _generator_depth_floor(action, elem.pieces))
@@ -232,7 +239,7 @@ def invert(elem: FullGroupElement) -> FullGroupElement:
             out.append((image, tuple(action.inverse_word(word))))
         return FullGroupElement(action, _merge_pieces(out))
 
-    return _lru(_inverses, elem, INVERSE_CACHE_SIZE, inverse)
+    return _cached(_inverses, elem, inverse)
 
 
 def displacement_bound(elem: FullGroupElement) -> int:

@@ -9,6 +9,7 @@ ignored by all distance computations.
 from __future__ import annotations
 
 import bisect
+import weakref
 from collections import deque
 from dataclasses import dataclass
 
@@ -16,31 +17,6 @@ from .cantor_actions import ActionSystem, BoundaryPoint, cells
 from .errors import BallTooLarge, InvalidRadius
 
 DEFAULT_VERTEX_CAP = 1 << 16
-
-# Element vertex maps a graph caches (full_group.vertex_map), least
-# recently used out first.  The keys, elements, are unbounded: a verify
-# run asks 180 times for 13 elements' maps at r=400 (the samples, their
-# products and inverses, F), and 16 hold them all; 2,000 cocycle_queries
-# queries on one window ask 4 maps each for about 1,460 distinct elements
-# and walk 3.26 of them.
-MAP_CACHE_SIZE = 16
-# Piece-word columns a graph caches (full_group.word_column), one per
-# element: the pattern scan and each transport read F's once, d_phi reads
-# a sample's, and a vertex map reads its element's once (the map itself is
-# cached).  A verify run at r=400 asks 47 times for 13 elements' columns
-# and builds 14; a cocycle query reads a column only for a map it walks.
-COLUMN_CACHE_SIZE = 4
-
-
-def _lru(cache: dict, key, size: int, compute):
-    """cache[key], computed on a miss; least recently used out first."""
-    value = cache.pop(key, None)
-    if value is None:
-        value = compute()
-        if len(cache) >= size:
-            del cache[next(iter(cache))]
-    cache[key] = value
-    return value
 
 
 class Graph:
@@ -71,8 +47,10 @@ class Graph:
         self._index = None
         self._adj = None
         self._succ = None
-        self._maps = {}
-        self._columns = {}
+        # element -> its vertex map and its piece-word column
+        # (full_group.vertex_map, word_column); an entry goes with its element
+        self._maps = weakref.WeakKeyDictionary()
+        self._columns = weakref.WeakKeyDictionary()
         self._prefixes = {}
         self._certified = {}
         if dist is not None:
@@ -258,6 +236,8 @@ def build_ball(action: ActionSystem, radius: int,
     computed afterwards, for the edge list."""
     if radius < 0:
         raise InvalidRadius("radius must be >= 0")
+    if cap < 1:
+        raise BallTooLarge(cap, needed=1)  # the base alone
     base = action.basepoint
     gens = action.gen_names
     labels = [base]

@@ -228,8 +228,7 @@ def test_verify_timing_counts_one_row_for_the_window(capsys):
 def test_verify_timing_counts_applications_and_walks(monkeypatch):
     # the window applies each generator once per vertex; the applications
     # add up to the Transducer.apply calls of the run, and the walks to the
-    # vertex maps it built: every element it maps, once, as no map is
-    # evicted
+    # vertex maps it built: every element it maps, once, while it lives
     applies, mapped = [], set()
     apply, vertex_map = Transducer.apply, fullgroup_lab.full_group.vertex_map
 
@@ -254,9 +253,9 @@ def test_verify_timing_counts_applications_and_walks(monkeypatch):
              for key in ("applications", "walks")}
     assert timing["applications"]["window"] == 2 * n
     assert total["applications"] == len(applies)
-    assert len(mapped) <= schreier.MAP_CACHE_SIZE
-    assert total["walks"] == len(mapped) > 0
+    assert total["walks"] == len(mapped) == 12
     assert timing["walks"]["checks"]["cocycle_fin"] == 3
+    assert timing["walks"]["checks"]["cocycle_identity"] == 9
 
 
 def test_d_phi_matches_all_pairs_distances(odometer, thickline):
@@ -356,11 +355,27 @@ def test_verify_degrades_to_skips_on_small_windows(capsys):
      "radii must be comma-separated integers"),
     (["recurrence", "odometer", "--simulate", "-3", "--radii", "2"],
      "simulate must be >= 0"),
+    # even the base alone exceeds a vertex cap below 1
+    (["graph", "odometer", "--radius", "0", "--cap", "0"], "cap must be >= 1"),
+    (["qi", "grigorchuk", "--level", "3", "--cap", "0"], "cap must be >= 1"),
+    (["cocycle", "odometer", "--element", "{swap}", "--cap", "0"],
+     "cap must be >= 1"),
+    (["transport", "odometer", "--F", "{family}", "--n", "10", "--z", "3",
+      "--cap", "0"], "cap must be >= 1"),
+    (["stabilizer", "odometer", "--F", "{family}", "--n", "10", "--cap", "0"],
+     "cap must be >= 1"),
+    (["recurrence", "odometer", "--radii", "2", "--cap", "0"],
+     "cap must be >= 1"),
+    (["verify", "odometer", "--radius", "10", "--cap", "0"], "cap must be >= 1"),
+    (["verify", "odometer", "--radius", "10", "--cap", "-1"],
+     "cap must be >= 1"),
 ], ids=["verify-radius", "qi-level", "verify-radius0", "qi-radius0",
         "cocycle-radius0", "transport-radius0", "stabilizer-radius0",
         "verify-n", "transport-n", "stabilizer-n", "transport-z-large",
         "transport-z-negative", "stabilizer-order-cap", "recurrence-radii",
-        "recurrence-simulate"])
+        "recurrence-simulate", "graph-cap0", "qi-cap0", "cocycle-cap0",
+        "transport-cap0", "stabilizer-cap0", "recurrence-cap0", "verify-cap0",
+        "verify-cap-negative"])
 def test_out_of_range_radius_is_usage_error(capsys, swap_file, family_file,
                                             args, message):
     args = [a.format(swap=swap_file, family=family_file) for a in args]
@@ -654,11 +669,12 @@ def test_verify_looks_images_up_instead_of_rerunning_transducers(monkeypatch):
                 monkeypatch.setattr(module, fn.__name__, counted(fn.__name__, fn))
     report = cli.run_verify(action, 200, 10, 1 << 16)
     assert all(e["status"] == "pass" for e in report["checks"])
-    # 2 n in build_ball, one per (vertex, generator); 32 where 16 walks of
-    # two letters step off the ball, the only piece words looked up by
-    # word_at: every other lookup reads a word column
-    assert calls["apply"] == 2 * n + 32
-    assert calls["word_at"] == calls["apply_element"] == 16
+    # 2 n in build_ball, one per (vertex, generator); 31 letters of the 15
+    # vertex walks that step off the ball and finish by the transducers,
+    # the only piece words looked up by word_at: every other lookup reads a
+    # word column
+    assert calls["apply"] == 2 * n + 31
+    assert calls["word_at"] == calls["apply_element"] == 15
     assert 0 < calls["stabilizer_test"] <= \
         len(samples["samples"]) + len(samples["kernel_family"])
     # one scan, in upp: the nested family reuses its matches and r

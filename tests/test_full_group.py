@@ -1,6 +1,8 @@
+import gc
 import itertools
 import json
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,9 +24,7 @@ from fullgroup_lab import (
 from fullgroup_lab import full_group
 from fullgroup_lab.cantor_actions import cells
 from fullgroup_lab.errors import NotAPartition, NotInvertible
-from fullgroup_lab.full_group import (INVERSE_CACHE_SIZE, FullGroupElement,
-                                      vertex_map, word_column)
-from fullgroup_lab.schreier import COLUMN_CACHE_SIZE, MAP_CACHE_SIZE
+from fullgroup_lab.full_group import FullGroupElement, vertex_map, word_column
 from oracles import int_to_point, point_to_int, random_elements
 
 
@@ -135,16 +135,54 @@ def test_invert_examples(odometer, pair_swap):
     assert invert(shift).pieces == (("", ("t_inv",)),)
 
 
-def test_invert_is_cached_within_its_size(odometer, pair_swap):
+def test_invert_is_cached_while_the_element_lives(odometer, pair_swap):
     assert invert(pair_swap) is invert(pair_swap)
     # an equal table built afresh finds the same inverse
     again = make_element(odometer, [("0", ("t",)), ("1", ("t_inv",))])
     assert again is not pair_swap and invert(again) is invert(pair_swap)
-    for elem in random_elements(odometer, random.Random(5),
-                                2 * INVERSE_CACHE_SIZE):
-        inverse = invert(elem)
-        assert invert(elem) is inverse
-        assert len(full_group._inverses) <= INVERSE_CACHE_SIZE
+    elements = random_elements(odometer, random.Random(5), 64)
+    inverses = [invert(elem) for elem in elements]
+    assert all(invert(elem) is inverse
+               for elem, inverse in zip(elements, inverses))
+
+
+def _cache_one_element(odometer, ball) -> weakref.ref:
+    """Cache an element's map, column and inverse, and its inverse's map
+    and column, on the ball; a weak reference to the element."""
+    shift = make_element(odometer, [("", ("t",))])
+    elem = compose(shift, make_element(odometer, [
+        ("00", ("t", "t")), ("01", ("t_inv", "t_inv")), ("10", ()), ("11", ())]))
+    for direction in (elem, invert(elem)):
+        vertex_map(direction, ball)
+    assert elem in ball._maps and elem in ball._columns
+    assert elem in full_group._inverses
+    assert len(ball._maps) == len(ball._columns) == 2
+    return weakref.ref(elem)
+
+
+def test_element_caches_live_as_long_as_their_element(odometer):
+    # an entry goes with its element (and an inverse with the element that
+    # holds it), so a long-lived ball queried with fresh products keeps a
+    # bounded number of entries
+    gc.collect()
+    ball = build_ball(odometer, 16)
+    inverses = len(full_group._inverses)
+    probe = _cache_one_element(odometer, ball)
+    assert probe() is None
+    assert len(ball._maps) == len(ball._columns) == 0
+    assert len(full_group._inverses) == inverses
+    pool = random_elements(odometer, random.Random(3), 16, max_depth=2,
+                           max_word=2)
+    rng = random.Random(4)
+    for _ in range(2000):
+        product = compose(rng.choice(pool), rng.choice(pool))
+        for direction in (product, invert(product)):
+            vertex_map(direction, ball)
+        assert len(ball._maps) <= 2 and len(ball._columns) <= 2
+        assert len(full_group._inverses) <= inverses + 1
+    del product, direction
+    assert len(ball._maps) == len(ball._columns) == 0
+    assert len(full_group._inverses) == inverses
 
 
 @pytest.mark.parametrize("name", ["odometer", "grigorchuk", "thickline"])
@@ -261,15 +299,15 @@ def test_vertex_map_matches_the_transducers(request, name, radius):
             image = vertex_map(direction, ball)
             assert image == transducer_map(direction, ball)
             assert all(image[v] >= 0 for v in inner)
-    assert len(ball._maps) <= MAP_CACHE_SIZE
+            assert vertex_map(direction, ball) is image
 
 
 @pytest.mark.parametrize("name", ["odometer", "grigorchuk", "dihedral",
                                   "thickline"])
 def test_word_column_matches_word_at(request, name):
     # the column is read from one prefix list per depth, each built once,
-    # and cached like the vertex maps, within its size; the identity tables,
-    # words g^-1 g and () alternating over the cells, have six depths
+    # and cached like the vertex maps; the identity tables, words g^-1 g and
+    # () alternating over the cells, have six depths
     action = request.getfixturevalue(name)
     ball = build_ball(action, 40)
     g = action.gen_names[0]
@@ -278,14 +316,12 @@ def test_word_column_matches_word_at(request, name):
                                         for k, cell in enumerate(cells(depth))])
                   for depth in range(6)]
     assert [elem.depth for elem in identities] == list(range(6))
-    elements = random_elements(action, random.Random(11), 2 * COLUMN_CACHE_SIZE,
-                               max_depth=4)
+    elements = random_elements(action, random.Random(11), 8, max_depth=4)
     built = {}
     for elem in elements + identities + elements:
         words = word_column(elem, ball)
         assert words == [elem.word_at(label) for label in ball.labels]
         assert word_column(elem, ball) is words
-        assert len(ball._columns) <= COLUMN_CACHE_SIZE
         built.setdefault(elem.depth, ball._prefixes[elem.depth])
         assert set(ball._prefixes) == set(built)
         assert all(ball._prefixes[d] is built[d] for d in built)

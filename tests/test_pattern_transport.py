@@ -15,14 +15,15 @@ from fullgroup_lab import (
     transport_anchor,
     transport_halfspace,
 )
-from fullgroup_lab import full_group
+from fullgroup_lab import pattern_transport
 from fullgroup_lab.cocycle import r_constant
 from fullgroup_lab.errors import (PatternMismatch, PreconditionNphi, RimContact,
                                   TransportFailure)
 from fullgroup_lab.line_geometry import project_to_geodesic
-from fullgroup_lab.pattern_transport import (_is_invariant, _reach_avoiding,
-                                             _side_boundary, labeled_match)
-from fullgroup_lab.schreier import COLUMN_CACHE_SIZE
+from fullgroup_lab.full_group import vertex_map
+from fullgroup_lab.pattern_transport import (_changes_side, _is_invariant,
+                                             _reach_avoiding, _side_boundary,
+                                             labeled_match)
 from oracles import (int_to_point, is_invariant_by_scan, point_to_int,
                      random_elements, same_pattern_by_word_at,
                      side_boundary_by_scan, transport_by_scan)
@@ -85,29 +86,31 @@ def test_same_pattern_compares_words_not_pieces(odometer, pair_swap):
 
 
 def test_pattern_scan_builds_each_column_once(odometer, monkeypatch):
-    # a family larger than the column cache: the scan reads F's columns
-    # once, so each is built once and not once per candidate z
+    # the scan reads F's columns once, not once per candidate z, and each
+    # column is built once for as long as its element lives
     ball = build_ball(odometer, 60)
-    F = list(dict.fromkeys(random_elements(odometer, random.Random(5),
-                                           COLUMN_CACHE_SIZE + 2, max_depth=2)))
-    assert len(F) > COLUMN_CACHE_SIZE
-    builds = []
-    lru = full_group._lru
+    F = list(dict.fromkeys(random_elements(odometer, random.Random(5), 6,
+                                           max_depth=2)))
+    assert len(F) == 6
+    reads, builds = [], []
+    word_column = pattern_transport.word_column
 
-    def counted(cache, key, size, compute):
-        if cache is ball._columns and key not in cache:
-            builds.append(key)
-        return lru(cache, key, size, compute)
+    def counted(elem, graph):
+        reads.append(elem)
+        if elem not in graph._columns:
+            builds.append(elem)
+        return word_column(elem, graph)
 
-    monkeypatch.setattr(full_group, "_lru", counted)
+    monkeypatch.setattr(pattern_transport, "word_column", counted)
     for n in (1, 2):
         for anchor in (ball.base, vertex(ball, 5)):
-            builds.clear()
+            reads.clear()
             matches = pattern_match_points(F, ball, n, anchor=anchor)
-            assert len(builds) == len(F)
+            assert reads == F
             assert matches == [z for z in sorted(ball.certified(n + 1))
                                if same_pattern_by_word_at(F, ball, anchor, z, n)]
             assert len(matches) > 1
+    assert builds == F
 
 
 def test_depth3_element_pattern_period(odometer, lab):
@@ -350,3 +353,14 @@ def test_local_invariance_matches_the_scan_on_small_sets(odometer):
         assert local == is_invariant_by_scan(F, ball, S)
         agree[local] += 1
     assert agree[True] and agree[False]
+
+
+def test_invariance_tests_the_inverse_direction(odometer):
+    # at the rim the directions differ: on the window certified(1) of the
+    # r=10 ball (-9..9), t_inv keeps {10} on its side, but t moves 9 into it
+    ball = build_ball(odometer, 10)
+    t_inv = make_element(odometer, [("", ("t_inv",))])
+    subset = frozenset({vertex(ball, 10)})
+    seam = subset | {vertex(ball, 9)}
+    assert not _changes_side([vertex_map(t_inv, ball)], ball, subset, seam, 1)
+    assert not _is_invariant([t_inv], ball, subset, seam)

@@ -59,6 +59,14 @@ def test_ball_cap(odometer):
         build_ball(odometer, 10, cap=5)
     with pytest.raises(BallTooLarge):
         build_level_graph(odometer, 12, cap=100)
+    # the base counts toward the cap: no ball is returned over its cap
+    assert build_ball(odometer, 0, cap=1).n == 1
+    assert build_ball(odometer, 1, cap=3).n == 3
+    for radius in (0, 1):
+        with pytest.raises(BallTooLarge):
+            build_ball(odometer, radius, cap=0)
+    with pytest.raises(BallTooLarge):
+        build_ball(odometer, 1, cap=2)
 
 
 def test_grigorchuk_level2_exact_shape(grigorchuk):

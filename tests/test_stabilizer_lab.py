@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from fullgroup_lab import (
@@ -79,6 +81,33 @@ def test_pair_swap_family(odometer, lab, pair_swap):
         row = ball.distances_from([family.matches[i]])
         assert all(row[family.matches[j]] > 2 * 10
                    for j in family.anchor_indices if j != i)
+
+
+def three_cycles(action) -> list:
+    """Nine non-involutive 3-cycles a -> b -> c -> a on every aligned block
+    of 8 integers, by the words t^(b - a), t^(c - b) and t^(a - c); the
+    inverse of each is the reverse cycle, which is not in the list."""
+    def power(k):
+        return ("t",) * k if k > 0 else ("t_inv",) * -k
+
+    out = []
+    for a, b, c in list(itertools.combinations(range(8), 3))[:9]:
+        step = {a: b - a, b: c - b, c: a - c}
+        out.append(make_element(action, [(format(k, "03b")[::-1],
+                                          power(step.get(k, 0)))
+                                         for k in range(8)]))
+    return out
+
+
+def test_a_large_family_is_walked_once_per_element(odometer, lab):
+    # each element of F and each inverse the invariance tests ask for is
+    # walked on the ball once, however many transports and blocks read it
+    F = three_cycles(odometer)
+    walks = Graph.map_walks
+    family = family_of(F, 30, lab["half"])
+    assert Graph.map_walks - walks == 2 * len(F) == 18
+    assert len(family.anchor_indices) >= 3
+    assert all(family.checks.values())
 
 
 def test_window_too_small(odometer, pair_swap):
