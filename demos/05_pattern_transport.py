@@ -35,7 +35,7 @@ print("  base ~ base+2:", same_pattern(F, ball, base,
 print("  base ~ base+1:", same_pattern(F, ball, base,
                                        [v for v in range(ball.n) if chart.f[v] == 1][0], 2))
 
-matches = pattern_match_points(F, ball, 10)
+matches = pattern_match_points(F, ball, 10, anchor=base)
 r = repetition_radius(matches, 10, ball)
 print(f"  every window vertex sees a match within r = {r}"
       f"  ({len(matches)} matches for n = 10)")

@@ -2,9 +2,11 @@
 
 On a line the chance of walking to distance r before returning to the
 start is exactly 1/r, vanishing with r (recurrence evidence).  On the
-3-regular tree it stays above 1/2 (transience).  Both series come from
-exact rational solves of the discrete Dirichlet problem; a seeded
-Monte Carlo cross-check is available.
+3-regular tree it stays above 1/2 (transience).  Both series are exact
+rationals: each probability is the effective conductance between the
+start and everything at distance >= r, over the start's degree, reduced
+to one edge by star-mesh elimination.  A seeded Monte Carlo cross-check
+is available.
 """
 
 import random

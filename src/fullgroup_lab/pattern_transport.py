@@ -81,11 +81,9 @@ def same_pattern(F, graph: Graph, v1: int, v2: int, n: int) -> bool:
                          v1, v2, n)
 
 
-def pattern_match_points(F, graph: Graph, n: int, anchor: int | None = None) -> list:
+def pattern_match_points(F, graph: Graph, n: int, anchor: int) -> list:
     """All vertices of certified(n + 1) with the anchor's pattern.  F's
     columns are read once for the scan, however many elements it has."""
-    if anchor is None:
-        anchor = graph.base
     candidates = graph.certified(n + 1)
     if anchor not in candidates:
         raise RimContact("anchor neighborhood touches the rim")

@@ -177,7 +177,11 @@ class Graph:
         return self._certified[cutoff]
 
     def bfs_parents(self, root: int):
-        """Deterministic BFS tree (smallest-index parent wins)."""
+        """(parent, dist) of a BFS from root, parent[root] = -1.  A vertex's
+        parent is its neighbour one step closer to root that the search
+        dequeued first (each vertex scans its neighbours in index order),
+        which need not be the smallest-index such neighbour.  Every chart's
+        geodesic follows these parents."""
         parent = [-1] * self.n
         dist = [-1] * self.n
         dist[root] = 0

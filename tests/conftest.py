@@ -1,9 +1,11 @@
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
+TESTS = Path(__file__).parent
+sys.path.insert(0, str(TESTS))
 
 from fullgroup_lab import (
     action_from_json,
@@ -47,6 +49,20 @@ def thickline():
     data["generators"].update({"t2": "t2", "t2_inv": "t2_inv"})
     data["name"] = "thickline"
     return action_from_json(data)
+
+
+@pytest.fixture(scope="session")
+def grid():
+    """Two odometers, on the even and on the odd letters: the orbit of (0)
+    is Z^2 with the L1 metric (41, 145 and 545 vertices at r=4, 8, 16)."""
+    return action_from_json(json.loads((TESTS / "grid.json").read_text()))
+
+
+@pytest.fixture(scope="session")
+def bellaterra():
+    """The Bellaterra automaton: the orbit of (0) is tree-like, with
+    2^(r+1) - 1 vertices at radius r."""
+    return action_from_json(json.loads((TESTS / "bellaterra.json").read_text()))
 
 
 @pytest.fixture(scope="session")

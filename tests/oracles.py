@@ -270,6 +270,56 @@ def permutation_closure_order(perms, cap: int = 10 ** 6) -> int:
     return len(els)
 
 
+# --- escape probabilities from the whole harmonic system -----------------
+
+def escape_by_dense_solve(graph, r: int) -> Fraction:
+    """P(walk from the base reaches distance r before returning to it), from
+    a Gauss-Jordan solve of the whole harmonic system: h = 0 at the base,
+    h = 1 at distance >= r and h(v) = the mean of h over v's edges (loops
+    dropped, multiple edges counted) at every other vertex.  Rows are
+    stored sparse and the unknowns are taken farthest first, so a tree is
+    solved leaves first, without fill."""
+    dist = bfs_distances(graph.n, [(u, v) for u, _g, v in graph.edges],
+                         graph.base)
+    unknowns = sorted((v for v in range(graph.n) if 0 < dist[v] < r),
+                      key=lambda v: -dist[v])
+    column = {v: i for i, v in enumerate(unknowns)}
+    m = len(unknowns)
+    # row i: deg(v) h(v) - sum over edges vu of h(u) = 0, the boundary
+    # values moved to the right-hand side, stored in column m
+    rows = [{} for _ in range(m)]
+    for u, _g, v in graph.edges:
+        for a, b in ((u, v), (v, u)) if u != v else ():
+            if a in column:
+                row = rows[column[a]]
+                row[column[a]] = row.get(column[a], 0) + 1
+                if b in column:
+                    row[column[b]] = row.get(column[b], 0) - 1
+                elif dist[b] >= r:
+                    row[m] = row.get(m, 0) + 1
+    for i in range(m):
+        pivot = next(k for k in range(i, m) if rows[k].get(i, 0) != 0)
+        rows[i], rows[pivot] = rows[pivot], rows[i]
+        lead = Fraction(rows[i][i])
+        rows[i] = {j: x / lead for j, x in rows[i].items()}
+        for k in range(m):
+            factor = rows[k].get(i, 0)
+            if k == i or factor == 0:
+                continue
+            for j, y in rows[i].items():
+                x = rows[k].get(j, 0) - factor * y
+                if x == 0:
+                    rows[k].pop(j, None)
+                else:
+                    rows[k][j] = x
+    h = [Fraction(int(d >= r)) for d in dist]
+    for v, i in column.items():
+        h[v] = rows[i].get(m, Fraction(0))
+    ends = [b for u, _g, v in graph.edges if u != v
+            for a, b in ((u, v), (v, u)) if a == graph.base]
+    return sum(h[b] for b in ends) / len(ends)
+
+
 # --- the rim, the half space's boundaries and end strips, as first written ---
 
 def ball_interior_ok(graph, v: int, n: int) -> bool:

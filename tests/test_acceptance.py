@@ -167,7 +167,7 @@ def test_criterion_6_transport_and_nesting():
     assert (chart.m, R, n_phi(chart.m, R, 1)) == (1, 1, 9)
 
     p = ball.base
-    matches = [z for z in pattern_match_points(F, ball, 10) if z != p]
+    matches = [z for z in pattern_match_points(F, ball, 10, anchor=p) if z != p]
     row = ball.distance_row(p)
     chosen = sorted(matches, key=lambda z: (row[z], z))[:5]
     assert len(chosen) == 5
@@ -181,7 +181,7 @@ def test_criterion_6_transport_and_nesting():
         strip_checks += 1
     assert strip_checks == 5
 
-    found = pattern_match_points(F, ball, 10)
+    found = pattern_match_points(F, ball, 10, anchor=anchor[0])
     family = nested_family(F, 10, half, anchor,
                            (found, repetition_radius(found, 10, ball)))
     assert len(family.anchor_indices) >= 3

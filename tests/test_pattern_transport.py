@@ -54,7 +54,8 @@ def test_identity_pattern_matches_everywhere(odometer, lab):
     F = [identity_element(odometer)]
     for n in (-5, 3, 40):
         assert same_pattern(F, ball, ball.base, vertex(ball, n), 2)
-    assert repetition_radius(pattern_match_points(F, ball, 2), 2, ball) == 0
+    matches = pattern_match_points(F, ball, 2, anchor=ball.base)
+    assert repetition_radius(matches, 2, ball) == 0
 
 
 def test_pair_swap_pattern_parity(lab):
@@ -63,7 +64,8 @@ def test_pair_swap_pattern_parity(lab):
     assert same_pattern(F, ball, vertex(ball, 0), vertex(ball, 2), 2)
     assert same_pattern(F, ball, vertex(ball, 0), vertex(ball, -4), 2)
     assert not same_pattern(F, ball, vertex(ball, 0), vertex(ball, 1), 2)
-    assert repetition_radius(pattern_match_points(F, ball, 2), 2, ball) == 1
+    matches = pattern_match_points(F, ball, 2, anchor=ball.base)
+    assert repetition_radius(matches, 2, ball) == 1
 
 
 def test_same_pattern_compares_words_not_pieces(odometer, pair_swap):
@@ -126,7 +128,8 @@ def test_depth3_element_pattern_period(odometer, lab):
         assert point_to_int(apply_element(elem, int_to_point(k + 1))) == k + 2
         assert point_to_int(apply_element(elem, int_to_point(k + 2))) == k + 1
         assert point_to_int(apply_element(elem, int_to_point(k))) == k
-    r = repetition_radius(pattern_match_points([elem], ball, 3), 3, ball)
+    matches = pattern_match_points([elem], ball, 3, anchor=ball.base)
+    r = repetition_radius(matches, 3, ball)
     assert r <= 8
     # oracle: pieces key on the low three bits, so the pattern has period 8
     assert r == 4
@@ -364,3 +367,15 @@ def test_invariance_tests_the_inverse_direction(odometer):
     seam = subset | {vertex(ball, 9)}
     assert not _changes_side([vertex_map(t_inv, ball)], ball, subset, seam, 1)
     assert not _is_invariant([t_inv], ball, subset, seam)
+
+
+def test_side_change_from_depth_d_inside_the_window_is_seen(odometer):
+    # the seam {10} sits on the rim of the r=10 ball (-10..10), so the only
+    # side change of t on the window certified(1) = -9..9 is 9 -> 10, from
+    # depth exactly d = 1 off the seam and at the window's last layer: a
+    # search to depth d - 1 or a window certified(d + 1) misses it
+    ball = build_ball(odometer, 10)
+    t = make_element(odometer, [("", ("t",))])
+    subset = seam = frozenset({vertex(ball, 10)})
+    assert _changes_side([vertex_map(t, ball)], ball, subset, seam, 1)
+    assert not _is_invariant([t], ball, subset, seam)

@@ -12,7 +12,7 @@ from fullgroup_lab import (
     simulate_escape,
 )
 from fullgroup_lab.errors import InvalidRadius
-from oracles import path_escape, tree3_escape
+from oracles import escape_by_dense_solve, path_escape, tree3_escape
 
 
 def test_immediate_absorption(odometer):
@@ -55,6 +55,8 @@ def test_tree_series_stays_large():
     tree = regular_tree_ball(3, 8)
     series = escape_series(tree, range(1, 9))
     assert all(p >= Fraction(1, 4) for p in series.probabilities)
+    assert series.probabilities == tuple(
+        escape_by_dense_solve(tree, r) for r in range(1, 9))
 
 
 def test_simulation_agrees_with_exact(odometer):
@@ -69,3 +71,13 @@ def test_multiplicity_weighting():
     # solution of the path unchanged
     ball = build_ball(builtin_action("odometer"), 6)
     assert escape_probability(ball, 6) == Fraction(1, 6)
+
+
+@pytest.mark.parametrize("name, radius", [
+    ("odometer", 24), ("grigorchuk", 24), ("dihedral", 24), ("thickline", 24),
+    ("grid", 8), ("bellaterra", 7)])
+def test_series_equals_the_dense_harmonic_solve(name, radius, request):
+    ball = build_ball(request.getfixturevalue(name), radius)
+    radii = range(1, radius + 1)
+    assert escape_series(ball, radii).probabilities == tuple(
+        escape_by_dense_solve(ball, r) for r in radii)

@@ -231,3 +231,23 @@ def test_exports(odometer):
     tree = regular_tree_ball(3, 3)
     assert tree.n == 1 + 3 + 6 + 12
     assert tree.degree_sequence()[-1] == 3
+
+
+def test_bfs_parent_is_the_closer_neighbour_dequeued_first(grid):
+    ball = build_ball(grid, 12)
+    parent, dist = ball.bfs_parents(ball.base)
+    assert dist == ball.dist
+    # the search dequeues a level in the order of (its parent's place in
+    # the level above, its own place in that parent's neighbour list), so
+    # these keys compare as the dequeue order within a level
+    order = sorted(range(ball.n), key=dist.__getitem__)
+    key = {ball.base: ()}
+    for w in order[1:]:
+        key[w] = key[parent[w]] + (ball.neighbors(parent[w]).index(w),)
+    smaller_index = 0
+    for w in order[1:]:
+        closer = [u for u in ball.neighbors(w) if dist[u] == dist[w] - 1]
+        assert parent[w] == min(closer, key=key.__getitem__)
+        smaller_index += min(closer) < parent[w]
+    # so the rule is not "smallest-index parent wins"
+    assert smaller_index > 0

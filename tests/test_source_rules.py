@@ -1,6 +1,7 @@
 """Rules on the package source, checked by parsing it."""
 
 import ast
+import sys
 from pathlib import Path
 
 import fullgroup_lab
@@ -45,3 +46,20 @@ def test_only_the_recurrence_simulation_samples():
     calls = [call for path in sorted(SRC.glob("*.py"))
              for call in _sampling_calls(path)]
     assert {(name, owner) for name, owner, _line in calls} == MAY_SAMPLE
+
+
+def test_src_imports_only_the_standard_library():
+    # the package is pure stdlib: an import is relative or names a module
+    # of the standard library
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names]
+    assert found == []
