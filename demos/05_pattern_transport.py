@@ -46,7 +46,8 @@ anchor = transport_anchor(F, 10, half)  # the basepoint's projection, and R
 for target in (26, -52):
     z = [v for v in range(ball.n) if chart.f[v] == target][0]
     result = transport_halfspace(F, z, 10, half, anchor)
-    values = sorted(chart.f[v] for v in result.y_z)
-    print(f"  z at f = {target:+d}: Y_z = [f >= {values[0]:+d}],"
+    # Y_z is a slab of levels: read it by membership at every vertex
+    lowest = min(chart.f[v] for v in range(ball.n) if v in result.slab)
+    print(f"  z at f = {target:+d}: Y_z = [f >= {lowest:+d}],"
           f" boundary {[ball.label_str(v) for v in result.boundary]},"
           f" all checks {all(result.checks.values())}")

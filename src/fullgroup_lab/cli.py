@@ -42,6 +42,7 @@ from .cocycle import (
 from .errors import (
     FullGroupLabError,
     InvalidAction,
+    InvalidElement,
     InvalidPoint,
     InvalidRadius,
     NoRepetition,
@@ -96,9 +97,17 @@ class UsageError(Exception):
     pass
 
 
+# Built once per process, like the parser: an action object is shared
+# (ActionSystem compares by identity) and never changes, and main() runs
+# in-process repeatedly.
+@functools.cache
+def _builtin(name: str):
+    return builtin_action(name)
+
+
 def _load_action(name_or_path: str):
     if name_or_path in BUILTIN_NAMES:
-        return builtin_action(name_or_path)
+        return _builtin(name_or_path)
     if os.path.exists(name_or_path):
         try:
             with open(name_or_path) as fh:
@@ -781,7 +790,7 @@ def main(argv=None) -> int:
             raise UsageError(f"cap must be >= 1, got {args.cap}")
         return args.func(args)
     except (UsageError, UnknownAction, UnknownGenerator, InvalidAction,
-            InvalidPoint, InvalidRadius) as exc:
+            InvalidElement, InvalidPoint, InvalidRadius) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except FullGroupLabError as exc:

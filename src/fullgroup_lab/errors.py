@@ -21,6 +21,10 @@ class InvalidAction(FullGroupLabError):
     pass
 
 
+class InvalidElement(FullGroupLabError):
+    pass
+
+
 class NotAFragmentation(FullGroupLabError):
     pass
 

@@ -16,6 +16,7 @@ and word_column lists the piece word at every vertex.
 
 from __future__ import annotations
 
+import json
 import weakref
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ from .cantor_actions import (
     cells,
     level_apply_word,
 )
-from .errors import DepthCap, NotInvertible, UnknownGenerator
+from .errors import DepthCap, InvalidElement, NotInvertible, UnknownGenerator
 from .schreier import Graph, SchreierBall
 
 DEFAULT_DEPTH_CAP = 20
@@ -253,13 +254,34 @@ def element_to_json(elem: FullGroupElement) -> dict:
     return {"pieces": [{"prefix": p, "word": list(w)} for p, w in elem.pieces]}
 
 
+def _is_piece(piece) -> bool:
+    """{"prefix": a string, "word": a list of strings or a string}."""
+    if not isinstance(piece, dict) or not isinstance(piece.get("prefix"), str):
+        return False
+    word = piece.get("word")
+    return isinstance(word, str) or (
+        isinstance(word, list) and all(isinstance(g, str) for g in word))
+
+
 def element_from_json(action: ActionSystem, data: dict) -> FullGroupElement:
-    pieces = [(piece["prefix"], tuple(piece["word"])) for piece in data["pieces"]]
-    return make_element(action, pieces)
+    """The element of {"pieces": [{"prefix": ..., "word": [...]}, ...]};
+    InvalidElement for data of another shape."""
+    pieces = data.get("pieces") if isinstance(data, dict) else None
+    if not isinstance(pieces, list) or not all(map(_is_piece, pieces)):
+        raise InvalidElement('an element is {"pieces": [{"prefix": "01", '
+                             '"word": ["t", ...]}, ...]}, got '
+                             f"{json.dumps(data)[:60]}")
+    return make_element(action, [(piece["prefix"], tuple(piece["word"]))
+                                 for piece in pieces])
 
 
 def elements_from_json(action: ActionSystem, data) -> list:
+    """The elements of a list of them, or of {"elements": [...]};
+    InvalidElement for data of another shape."""
     if isinstance(data, dict) and "elements" in data:
         data = data["elements"]
+    if not isinstance(data, list):
+        raise InvalidElement('a family is a list of elements or {"elements": '
+                             f"[...]}}, got {json.dumps(data)[:60]}")
     return [element_from_json(action, entry) for entry in data]
 

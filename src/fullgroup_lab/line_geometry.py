@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NotConnected
 from .schreier import Graph
@@ -82,6 +83,22 @@ class LineChart:
 
     def fibers(self) -> dict:
         return _level_sets(self.f)
+
+    @cached_property
+    def levels(self) -> tuple:
+        """(low, order, start): order lists the vertices by level, in
+        vertex order within a level, and the fiber F_(low + k) is
+        order[start[k]:start[k + 1]], so start[k] counts the vertices of
+        level < low + k.  f takes every level from the lowest, low, to the
+        highest.  Built once per chart, by its first transport."""
+        f = self.f
+        low = min(f)
+        start = [0] * (max(f) - low + 2)
+        for t in f:
+            start[t - low + 1] += 1
+        for k in range(1, len(start)):
+            start[k] += start[k - 1]
+        return low, sorted(range(len(f)), key=f.__getitem__), start
 
     def chart_hash(self) -> str:
         # f is 1-Lipschitz and onto an interval: alpha = 1 and gamma = 0

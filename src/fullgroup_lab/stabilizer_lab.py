@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .cocycle import HalfSpace
 from .errors import FamilyFailure, OrderCap, WindowTooSmall
 from .full_group import FullGroupElement, displacement_bound, invert, vertex_map
-from .pattern_transport import _is_invariant, transport_halfspace
+from .pattern_transport import Slab, _is_invariant, transport_halfspace
 from .schreier import Graph, neighborhood_set
 
 DEFAULT_ORDER_CAP = 10 ** 6
@@ -58,8 +58,11 @@ def nested_family(F, n: int, half: HalfSpace, anchor: tuple,
     repetition the (matches, r) of pattern_match_points and
     repetition_radius at its p.
 
-    The work per anchor stays near it, except for the whole-window set
-    tests of the transports, the nesting and the blocks:
+    The work per anchor stays near it and its neighbours:
+    - each transported half space is a slab (pattern_transport), and the
+      nesting test and the block Y_i \\ Y_{i+1} read two slabs level by
+      level from the lower one's first level to the higher one's last
+      (_difference): about spacing + 2n levels;
     - y_i's nearest match, if one lies within r, is found by a search
       from y_i to depth r (a chart's graph is connected, so a full row
       holds no -1 that could come out smaller);
@@ -68,6 +71,21 @@ def nested_family(F, n: int, half: HalfSpace, anchor: tuple,
       spacing = 2r + 2n + 2m + 2 apart, and each match lies within r of
       its anchor, so d(z_i, z_j) >= spacing - 2r = 2n + 2m + 2 > 2n;
     - a block's bound set is a search to depth m from its anchor segment;
+      block_bound stays a run-time test, as only half of it is proved.
+      Every vertex v of the block Y_i \\ Y_{i+1} has a level between
+      f(y_{i-1}) and f(y_{i+2}).  Below, {f < t} is connected, where t is
+      the lowest level of z_i's match window, and the first certified
+      vertex of the geodesic lies there (at or before y_{i-1}, and
+      f(y_i) - t <= r + n < spacing); it lies outside Y_i (one_end_each),
+      so all of {f < t} does.  Above, the last certified geodesic vertex s
+      is at or after y_{i+2} and lies in Y_{i+1}; a shortest path from a
+      certified v above f(y_{i+2}) to s stays above
+      f(y_{i+2}) - beta / 2, hence above z_{i+1}'s match window, so v
+      lies on s's side.  (Y_0 = {f >= 0} and |f(p)| <= R < n.)  So the
+      geodesic vertex g at v's level lies on the segment, and
+      d(v, g) <= beta < m whenever g is certified(1), by beta's
+      definition; the test can fail only where the segment leaves the
+      window certified(1) between its anchors;
     - a block is F-invariant when membership holds at every x within d_phi
       of the block: a walk of at most d_phi edges from a farther x never
       reaches it (see _is_invariant).
@@ -117,10 +135,10 @@ def nested_family(F, n: int, half: HalfSpace, anchor: tuple,
 
     checks = {"disjoint_n_balls": True}
 
-    def transported(i: int) -> frozenset:
-        if i == 0:
-            return half.members
-        return transport_halfspace(F, match_of[i], n, half, anchor).y_z
+    def transported(i: int) -> Slab:
+        if i == 0:  # Y = {f >= 0}: no level is explicit
+            return Slab(half.chart.f, 0, -1, frozenset(), False, True)
+        return transport_halfspace(F, match_of[i], n, half, anchor).slab
 
     d_max = max(1, max(displacement_bound(phi) for phi in F))
     window = graph.certified(d_max)
@@ -132,13 +150,14 @@ def nested_family(F, n: int, half: HalfSpace, anchor: tuple,
     y_next = transported(indices[0])
     for i in indices[:-1]:
         y_i, y_next = y_next, transported(i + 1)
-        if not ((y_next & window) <= (y_i & window)):
+        block, nested = _difference(y_i, y_next, half.chart.levels, window)
+        if not nested:
             nesting_ok = False
         if i - 1 not in anchors or i + 2 not in anchors:
             continue
-        segment = seg.segment_between(anchors[i - 1], anchors[i + 2])
+        segment = seg.vertices[pos_p + (i - 1) * spacing:
+                               pos_p + (i + 2) * spacing + 1]
         bound_set = neighborhood_set(graph, segment, m)
-        block = (y_i - y_next) & window
         blocks[i] = block
         block_bounds[i] = len(bound_set)
         if not block <= bound_set:
@@ -157,6 +176,39 @@ def nested_family(F, n: int, half: HalfSpace, anchor: tuple,
         raise FamilyFailure(f"family checks failed: {failed}",
                             report=family.to_json())
     return family
+
+
+def _difference(a: Slab, b: Slab, levels: tuple, window) -> tuple:
+    """((a - b) & window, whether b & window <= a) for two slabs of one
+    chart, levels being its LineChart.levels.  A level off both slabs'
+    own levels holds one verdict of each, so it is read vertex by vertex
+    only when the two differ: below the lower slab and above the higher
+    one that reads nothing on nested slabs, and between them about
+    spacing + 2n levels are read."""
+    low, order, start = levels
+    top = low + len(start) - 2
+    lo = max(low, min(a.t1, b.t1))
+    hi = min(top, max(a.t2, b.t2))
+    spans = [range(lo, hi + 1)]
+    if a.below != b.below:
+        spans.append(range(low, lo))
+    if a.above != b.above:
+        spans.append(range(hi + 1, top + 1))
+    block, nested = set(), True
+    for span in spans:
+        for t in span:
+            in_a, in_b = a.verdict(t), b.verdict(t)
+            if in_a is not None and in_a == in_b:
+                continue
+            for v in order[start[t - low]:start[t + 1 - low]]:
+                if v in window:
+                    v_in_a = v in a.members if in_a is None else in_a
+                    v_in_b = v in b.members if in_b is None else in_b
+                    if v_in_a and not v_in_b:
+                        block.add(v)
+                    elif v_in_b and not v_in_a:
+                        nested = False
+    return frozenset(block), nested
 
 
 def mulclose(generators, cap: int | None = None):

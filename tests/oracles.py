@@ -378,23 +378,46 @@ def is_invariant_by_scan(F, graph, subset) -> bool:
     return True
 
 
+def reach_avoiding(graph, seeds, forbidden) -> frozenset:
+    """The seeds outside forbidden and every vertex a path from them
+    reaches without entering forbidden, by one search over the window."""
+    seen = set(seeds) - set(forbidden)
+    queue = deque(sorted(seen))
+    while queue:
+        u = queue.popleft()
+        for w in graph.neighbors(u):
+            if w not in seen and w not in forbidden:
+                seen.add(w)
+                queue.append(w)
+    return frozenset(seen)
+
+
+def transport_sides_by_scan(half, p: int, z: int, n: int) -> tuple:
+    """(a_plus, a_minus): the sides of the marks of the match p -> z, each
+    grown over the whole window by paths avoiding the other's marks."""
+    from fullgroup_lab.pattern_transport import labeled_match
+
+    h = labeled_match(half.graph, p, z, n)
+    b_plus = frozenset(h[u] for u in h if u in half.members)
+    b_minus = frozenset(h[u] for u in h if u not in half.members)
+    return (reach_avoiding(half.graph, b_plus, b_minus),
+            reach_avoiding(half.graph, b_minus, b_plus))
+
+
 def transport_by_scan(F, z: int, n: int, half, anchor):
-    """(report, failed check names) of the half space transported to the
-    match point z, with every check over the whole window: boundaries by
-    scan, the R-ball from a full BFS row, invariance at every certified
+    """(report, failed check names, Y_z) of the half space transported to
+    the match point z, with every check over the whole window: boundaries
+    by scan, the R-ball from a full BFS row, invariance at every certified
     vertex.  None when the half space's boundary escapes the match."""
     from fullgroup_lab.line_geometry import end_strips
-    from fullgroup_lab.pattern_transport import _reach_avoiding, labeled_match
+    from fullgroup_lab.pattern_transport import labeled_match
 
     graph, chart = half.graph, half.chart
     p, R = anchor
     h = labeled_match(graph, p, z, n)
     if not set(half.boundary) | set(half.co_boundary) <= set(h):
         return None
-    b_plus = frozenset(h[u] for u in h if u in half.members)
-    b_minus = frozenset(h[u] for u in h if u not in half.members)
-    a_plus = _reach_avoiding(graph, b_plus, b_minus)
-    a_minus = _reach_avoiding(graph, b_minus, b_plus)
+    a_plus, a_minus = transport_sides_by_scan(half, p, z, n)
     w1 = graph.certified(1)
     boundary_plus = side_boundary_by_scan(graph, a_plus)
     boundary_minus = side_boundary_by_scan(graph, a_minus)
@@ -417,7 +440,7 @@ def transport_by_scan(F, z: int, n: int, half, anchor):
     report = {"z": z, "n": n, "R": R, "y_z_size": len(y_z),
               "boundary": sorted(graph.label_str(v) for v in boundary),
               "checks": dict(sorted(checks.items()))}
-    return report, [k for k, v in checks.items() if not v]
+    return report, [k for k, v in checks.items() if not v], y_z
 
 
 # --- the cocycle on two windows -------------------------------------------

@@ -185,10 +185,12 @@ def test_criterion_6_transport_and_nesting():
     family = nested_family(F, 10, half, anchor,
                            (found, repetition_radius(found, 10, ball)))
     assert len(family.anchor_indices) >= 3
-    # the family keeps no Y_i; rebuild them at the anchors' matches
+    # the family keeps no Y_i; rebuild them at the anchors' matches, by
+    # membership at every vertex
     window = ball.certified(1)
-    sets = {i: half.members if i == 0 else
-            transport_halfspace(F, family.matches[i], 10, half, anchor).y_z
+    sets = {i: half.members if i == 0 else frozenset(
+            v for v in range(ball.n) if v in transport_halfspace(
+                F, family.matches[i], 10, half, anchor).slab)
             for i in family.anchor_indices}
     for i in family.anchor_indices[:-1]:
         assert (sets[i + 1] & window) <= (sets[i] & window)

@@ -129,6 +129,38 @@ def test_bad_element_file_is_usage_error(tmp_path, capsys):
     assert main(["element", "check", "odometer", "--element", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("argv, data, message", [
+    (["stabilizer", "odometer", "--F", "{bad}", "--n", "10"],
+     [[{"prefix": "", "word": ["t"]}]], "an element is"),
+    (["transport", "odometer", "--F", "{bad}", "--n", "10", "--z", "3"],
+     [[{"prefix": "", "word": ["t"]}]], "an element is"),
+    (["transport", "odometer", "--F", "{bad}", "--n", "10", "--z", "3"],
+     {"pieces": 5}, "a family is"),
+    (["stabilizer", "odometer", "--F", "{bad}", "--n", "10"],
+     {"elements": [{"pieces": [{"prefix": 0, "word": ["t"]}]}]},
+     "an element is"),
+    (["cocycle", "odometer", "--element", "{bad}"], {"pieces": 5},
+     "an element is"),
+    (["cocycle", "odometer", "--element", "{bad}"],
+     {"pieces": [{"prefix": "", "word": [["t"]]}]}, "an element is"),
+    (["element", "check", "odometer", "--element", "{bad}"],
+     [{"prefix": "", "word": ["t"]}], "an element is"),
+    (["element", "compose", "odometer", "--element", "{swap}", "--element2",
+      "{bad}"], {"pieces": [{"word": ["t"]}]}, "an element is"),
+], ids=["stabilizer-nested-list", "transport-nested-list", "transport-pieces",
+        "stabilizer-prefix", "cocycle-pieces", "cocycle-word",
+        "element-list", "element2-no-prefix"])
+def test_malformed_element_file_is_usage_error(tmp_path, capsys, swap_file,
+                                               argv, data, message):
+    # a file of the wrong shape is a usage error with one line, not a
+    # failed certificate with a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main([a.format(bad=bad, swap=swap_file) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
 def test_cocycle_report(capsys, swap_file):
     code, data = run_json(["cocycle", "odometer", "--element", swap_file,
                            "--radius", "32"], capsys)

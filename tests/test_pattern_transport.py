@@ -1,9 +1,12 @@
+import importlib.util
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from fullgroup_lab import (
+    action_from_json,
     build_ball,
     fit_line_chart,
     half_space,
@@ -22,11 +25,12 @@ from fullgroup_lab.errors import (PatternMismatch, PreconditionNphi, RimContact,
 from fullgroup_lab.line_geometry import project_to_geodesic
 from fullgroup_lab.full_group import vertex_map
 from fullgroup_lab.pattern_transport import (_changes_side, _is_invariant,
-                                             _reach_avoiding, _side_boundary,
+                                             _side_boundary, _sides,
                                              labeled_match)
 from oracles import (int_to_point, is_invariant_by_scan, point_to_int,
                      random_elements, same_pattern_by_word_at,
-                     side_boundary_by_scan, transport_by_scan)
+                     side_boundary_by_scan, transport_by_scan,
+                     transport_sides_by_scan)
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +51,20 @@ def transport(F, z: int, n: int, half):
 
 def vertex(ball, n):
     return ball.vertex_of(int_to_point(n))
+
+
+def members(side, graph) -> frozenset:
+    """The vertices of the graph in side, by membership at each of them."""
+    return frozenset(v for v in range(graph.n) if v in side)
+
+
+def sides(result, half) -> tuple:
+    """(a_plus, a_minus) of a transport as whole-window sets, from the
+    slabs of its match's marks."""
+    h = result.match_map
+    (a_plus, _), (a_minus, _), _ = _sides(
+        half.chart, {h[u]: u in half.members for u in h}, 2)
+    return members(a_plus, half.graph), members(a_minus, half.graph)
 
 
 def test_identity_pattern_matches_everywhere(odometer, lab):
@@ -187,7 +205,7 @@ def test_transport_at_anchor_is_y_itself(odometer, lab):
     F = [lab["swap"]]
     result = transport(F, ball.base, 10, half)
     window = ball.certified(1)
-    assert result.y_z & window == half.members & window
+    assert members(result.slab, ball) & window == half.members & window
     assert all(result.checks.values())
 
 
@@ -197,7 +215,8 @@ def test_transport_translates_half_space(odometer, lab):
     for shift in (2, 26, -40):
         z = vertex(ball, shift)
         result = transport(F, z, 10, half)
-        values = sorted(point_to_int(ball.point(v)) for v in result.y_z)
+        values = sorted(point_to_int(ball.point(v))
+                        for v in members(result.slab, ball))
         # oracle: integer bookkeeping, the transported set is a half line
         assert values[0] == shift
         assert values == list(range(shift, values[-1] + 1))
@@ -232,8 +251,9 @@ def test_transport_partition_and_boundaries(odometer, lab):
     z = vertex(ball, -26)
     result = transport(F, z, 10, half)
     window = ball.certified(1)
-    assert (result.a_plus | result.a_minus) >= window
-    assert not result.a_plus & result.a_minus
+    a_plus, a_minus = sides(result, half)
+    assert (a_plus | a_minus) >= window
+    assert not a_plus & a_minus
     assert result.boundary == {vertex(ball, -26)}
     h = result.match_map
     assert {h[u] for u in half.boundary} == {vertex(ball, -26)}
@@ -244,12 +264,14 @@ def test_transport_ends_and_invariance(odometer, lab):
     ball, half = lab["ball"], lab["half"]
     F = [lab["swap"]]
     result = transport(F, vertex(ball, 52), 10, half)
+    y_z = members(result.slab, ball)
+    a_plus, a_minus = sides(result, half)
     strip_minus, strip_plus = half.strips
-    assert strip_plus <= result.y_z
-    assert not strip_minus & result.y_z
-    assert strip_minus <= result.a_plus | result.a_minus
+    assert strip_plus <= y_z
+    assert not strip_minus & y_z
+    assert strip_minus <= a_plus | a_minus
     # F-invariance spelled out on integers: Y_z is a union of swap pairs
-    values = {point_to_int(ball.point(v)) for v in result.y_z}
+    values = {point_to_int(ball.point(v)) for v in y_z}
     for k in sorted(values):
         if k % 2 == 0 and abs(k) <= 195:
             assert k + 1 in values
@@ -268,7 +290,8 @@ def _families(action, seed: int) -> list:
 
 def _same_as_scan(F, z: int, n: int, half, anchor):
     """The transport to z, success or TransportFailure, reports exactly
-    what the whole-window oracle reports."""
+    what the whole-window oracle reports, and a transport that passes
+    holds the oracle's Y_z by membership at every vertex."""
     expected = transport_by_scan(F, z, n, half, anchor)
     try:
         result = transport_halfspace(F, z, n, half, anchor)
@@ -276,15 +299,35 @@ def _same_as_scan(F, z: int, n: int, half, anchor):
         if expected is None:
             assert "escapes the match window" in str(exc)
             return
-        report, failed = expected
+        report, failed, _y_z = expected
         assert failed and str(exc) == f"transport checks failed: {failed}"
         assert json.dumps(exc.report, sort_keys=True) == \
             json.dumps(report, sort_keys=True)
     else:
-        report, failed = expected
+        report, failed, y_z = expected
         assert not failed
         assert json.dumps(result.to_json(half.graph), sort_keys=True) == \
             json.dumps(report, sort_keys=True)
+        assert members(result.slab, half.graph) == y_z
+
+
+def _sides_as_scanned(half, p: int, z: int, n: int, h) -> bool:
+    """The slab sides of the match h = p -> z hold what the oracle's
+    whole-window reaches hold, by membership at every vertex, with the
+    same sizes and the same disjointness, for slabs reaching 1 and 2
+    levels past the match window; whether a slab had to rise higher."""
+    marks = {h[u]: u in half.members for u in h}
+    scan_plus, scan_minus = transport_sides_by_scan(half, p, z, n)
+    risen = False
+    for margin in (1, 2):
+        (a_plus, size_plus), (a_minus, size_minus), disjoint = \
+            _sides(half.chart, marks, margin)
+        assert members(a_plus, half.graph) == scan_plus
+        assert members(a_minus, half.graph) == scan_minus
+        assert (size_plus, size_minus) == (len(scan_plus), len(scan_minus))
+        assert disjoint == (not scan_plus & scan_minus)
+        risen |= a_plus.t2 > max(half.chart.f[v] for v in marks) + margin
+    return risen
 
 
 def _anchor(half) -> tuple:
@@ -308,12 +351,62 @@ def _compare_at_every_match(half, F, n: int):
         h = labeled_match(graph, p, z, n)
         marks = {True: frozenset(h[u] for u in h if u in half.members),
                  False: frozenset(h[u] for u in h if u not in half.members)}
-        for plus in (True, False):
-            side = _reach_avoiding(graph, marks[plus], marks[not plus])
+        for plus, side in zip((True, False),
+                              transport_sides_by_scan(half, p, z, n)):
             assert _side_boundary(graph, side, marks[not plus]) == \
                 side_boundary_by_scan(graph, side)
             assert _is_invariant(F, graph, side, marks[True] | marks[False]) \
                 == is_invariant_by_scan(F, graph, side)
+
+
+def _perfbench_thickline():
+    """perfbench's thick line, workloads.thickline_action(0)."""
+    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return action_from_json(module.thickline_action(0))
+
+
+# input -> (radius, whether some slab rises above its match window)
+SLAB_INPUTS = {"odometer": (60, False), "grigorchuk": (40, False),
+               "dihedral": (40, False), "thickline": (48, False),
+               "grid": (6, True), "bellaterra": (6, True)}
+
+
+@pytest.mark.parametrize("name", sorted(SLAB_INPUTS))
+def test_slab_transport_matches_the_whole_window_oracle(name, request):
+    # at every z whose n-ball matches p's, for families that fix Y and
+    # families that move it (transports that fail), up to the rim: the
+    # grid's match windows hold no whole fiber, and on the grid and the
+    # Bellaterra tree the levels above a match window are not always
+    # joined next to it, so the slab rises
+    action = _perfbench_thickline() if name == "thickline" else \
+        request.getfixturevalue(name)
+    radius, rises = SLAB_INPUTS[name]
+    half = half_space(fit_line_chart(build_ball(action, radius)))
+    graph = half.graph
+    p = half.chart.p
+    # Y's boundary reaches the grid's and the tree's rim, so R is no
+    # constant there; any R serves the comparison
+    anchor = (p, 2) if rises else _anchor(half)
+    families = [[identity_element(action)],
+                random_elements(action, random.Random(radius), 2,
+                                max_depth=2, max_word=2)]
+    if "t" in action.generators:
+        families.append(_families(action, radius)[0])
+    risen = compared = 0
+    for n in (0, 1, 3):
+        for z in sorted(graph.certified(n + 1)):
+            h = labeled_match(graph, p, z, n)
+            if h is None:
+                continue
+            risen += _sides_as_scanned(half, p, z, n, h)
+            for F in families:
+                if same_pattern(F, graph, p, z, n):
+                    _same_as_scan(F, z, n, half, anchor)
+                    compared += 1
+    assert compared > 2 and bool(risen) == rises
 
 
 @pytest.mark.parametrize("radius", [60, 120, 200])

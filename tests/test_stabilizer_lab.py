@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -18,8 +19,8 @@ from fullgroup_lab import (
     transport_anchor,
     transport_halfspace,
 )
-from fullgroup_lab.errors import (OrderCap, PreconditionNphi, TransportFailure,
-                                  WindowTooSmall)
+from fullgroup_lab.errors import (FamilyFailure, OrderCap, PreconditionNphi,
+                                  TransportFailure, WindowTooSmall)
 from fullgroup_lab.schreier import Graph
 from fullgroup_lab.stabilizer_lab import mulclose
 from oracles import permutation_closure_order, point_to_int
@@ -67,10 +68,12 @@ def test_pair_swap_family(odometer, lab, pair_swap):
         assert len(values) % 2 == 0
         for j in range(0, len(values), 2):
             assert values[j] % 2 == 0 and values[j + 1] == values[j] + 1
-    # nesting read off the Y_i, rebuilt at the anchors' matches
+    # nesting read off the Y_i, rebuilt at the anchors' matches by
+    # membership at every vertex
     anchor = transport_anchor(F, 10, lab["half"])
-    sets = {i: lab["half"].members if i == 0 else transport_halfspace(
-        F, family.matches[i], 10, lab["half"], anchor).y_z
+    sets = {i: lab["half"].members if i == 0 else frozenset(
+        v for v in range(ball.n) if v in transport_halfspace(
+            F, family.matches[i], 10, lab["half"], anchor).slab)
         for i in family.anchor_indices}
     window = ball.certified(1)
     for i in family.anchor_indices[:-1]:
@@ -240,3 +243,69 @@ def test_anchor_rim_test_keeps_the_match_window_inside_the_ball(odometer):
     half = half_space(fit_line_chart(build_ball(action, 82)))
     with pytest.raises(WindowTooSmall, match="admits only 1 anchors"):
         family_of(F, 24, half)
+
+
+def test_nested_family_work_per_anchor_does_not_grow_with_the_window(
+        monkeypatch, tmp_path):
+    # Graph.neighbors calls inside nested_family on verify odometer: each
+    # anchor adds the same count at r = 200, 400 and 800, so the work per
+    # anchor does not depend on r (two whole-window reaches per anchor
+    # would add about 4r calls each)
+    from fullgroup_lab import cli
+
+    calls = {"on": False, "count": 0}
+    neighbors = Graph.neighbors
+    family = cli.nested_family
+
+    def counted_neighbors(self, v):
+        calls["count"] += calls["on"]
+        return neighbors(self, v)
+
+    def counted_family(*args, **kwargs):
+        calls["on"] = True
+        try:
+            return family(*args, **kwargs)
+        finally:
+            calls["on"] = False
+
+    monkeypatch.setattr(Graph, "neighbors", counted_neighbors)
+    monkeypatch.setattr(cli, "nested_family", counted_family)
+    work = []
+    for radius in (200, 400, 800):
+        out = tmp_path / f"r{radius}.json"
+        calls["count"] = 0
+        assert cli.main(["verify", "odometer", "--radius", str(radius),
+                         "--n", "10", "--out", str(out)]) == 0
+        nesting, = [c for c in json.loads(out.read_text())["checks"]
+                    if c["id"] == "nesting"]
+        assert nesting["status"] == "pass"
+        work.append((nesting["witnesses"]["anchors"], calls["count"]))
+    (a1, c1), (a2, c2), (a3, c3) = work
+    assert a1 < a2 < a3
+    per_anchor = (c2 - c1) / (a2 - a1)
+    assert (c3 - c2) / (a3 - a2) == per_anchor
+    assert c3 <= per_anchor * a3
+
+
+def test_block_outside_its_bound_set_fails_the_family(monkeypatch, odometer,
+                                                      lab, pair_swap):
+    # no committed input puts a block outside the m-neighbourhood of its
+    # anchor segment [y_{i-1}, y_{i+2}] (nested_family's docstring), so a
+    # bound set cut down to the segment's first half stands in for one:
+    # the pair swap's block i runs from about y_i to y_{i+1}, and
+    # block_bound must see it leave
+    from fullgroup_lab import stabilizer_lab
+
+    F = [pair_swap]
+    anchor = transport_anchor(F, 10, lab["half"])
+    found = repetition(F, 10, lab["half"], anchor)
+    assert nested_family(F, 10, lab["half"], anchor, found).checks[
+        "block_bound"]
+    monkeypatch.setattr(stabilizer_lab, "neighborhood_set",
+                        lambda graph, segment, m:
+                        frozenset(segment[:len(segment) // 2]))
+    with pytest.raises(FamilyFailure) as failure:
+        nested_family(F, 10, lab["half"], anchor, found)
+    assert failure.value.report["checks"] == {
+        "block_bound": False, "block_invariance": True,
+        "disjoint_n_balls": True, "nesting": True}
