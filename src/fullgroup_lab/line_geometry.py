@@ -214,12 +214,6 @@ class GeodesicSegment:
     def pos(self, v: int) -> int:
         return self.vertices.index(v)
 
-    def segment_between(self, a: int, b: int) -> tuple:
-        i, j = self.pos(a), self.pos(b)
-        if i > j:
-            i, j = j, i
-        return self.vertices[i:j + 1]
-
 
 def end_strips(seg: GeodesicSegment, m: int) -> tuple:
     """(minus strip, plus strip): the outermost m certified vertices of seg

@@ -180,11 +180,10 @@ def nested_family(F, n: int, half: HalfSpace, anchor: tuple,
 
 def _difference(a: Slab, b: Slab, levels: tuple, window) -> tuple:
     """((a - b) & window, whether b & window <= a) for two slabs of one
-    chart, levels being its LineChart.levels.  A level off both slabs'
-    own levels holds one verdict of each, so it is read vertex by vertex
-    only when the two differ: below the lower slab and above the higher
-    one that reads nothing on nested slabs, and between them about
-    spacing + 2n levels are read."""
+    chart, levels being its LineChart.levels.  A level that is neither
+    slab's own gives one verdict per slab, and is read vertex by vertex
+    only where the two differ; so only the levels from the lower slab to
+    the higher one are read when the slabs nest, about spacing + 2n."""
     low, order, start = levels
     top = low + len(start) - 2
     lo = max(low, min(a.t1, b.t1))
