@@ -193,6 +193,50 @@ class Transducer:
         """Image of a finite word (the level-|word| action of the state)."""
         return self.run(state, word)[0]
 
+    def level_tables(self, states, ids: list) -> dict:
+        """Each state's action on the words of length n, as an image table.
+
+        ids is list(range(2 ** n)): the level-n words by their index in
+        cells(n) order.  The table of a state holds at index i the index of
+        the state's image of the i-th word.  Every entry is an element of
+        ids, so the callers that key dicts by word index share one int
+        object per word.
+
+        The tables follow the section recursion s = (s|0, s|1)·σ: a word
+        a·w goes to out(s, a)·(next(s, a) applied to w), so the block of
+        words that start with a goes onto the block of out(s, a), in the
+        order of next(s, a)'s table one level down.  The identity state
+        fixes every word, so its block is a slice of ids and the recursion
+        stops there; below a state whose sections are all the identity (a
+        root swap) no table is built.  Each (state, depth) pair reached is
+        built once per call.  Every table is a permutation of its level,
+        by induction on the depth: each state's outputs permute the two
+        letters, so its two blocks go onto the two distinct blocks, each
+        by a permutation.
+        """
+        memo = {}
+
+        def table(s: str, depth: int) -> list:
+            if s == self.identity or depth == 0:
+                return ids[:1 << depth]
+            found = memo.get((s, depth))
+            if found is None:
+                half = 1 << (depth - 1)
+                found = []
+                for a in LETTERS:
+                    lo = int(self.outputs[s][a]) * half
+                    block = ids[lo:lo + half]
+                    nxt = self.transitions[s][a]
+                    if nxt == self.identity:
+                        found += block
+                    else:
+                        found += [block[j] for j in table(nxt, depth - 1)]
+                memo[s, depth] = found
+            return found
+
+        n = len(ids).bit_length() - 1
+        return {s: table(s, n) for s in states}
+
     def cancels(self, outer: str, inner: str) -> bool:
         """Exact check that outer applied after inner is the identity map.
 
@@ -268,6 +312,27 @@ class GeneratorSpec:
 
     def max_depth(self) -> int:
         return max((len(p) for p, _ in self.pieces), default=0)
+
+    @property
+    def states(self) -> tuple:
+        """The states the generator runs: its pieces' or its one state."""
+        return tuple(s for _p, s in self.pieces) or (self.state,)
+
+    def level_images(self, tables: dict, n: int) -> list:
+        """The generator's level-n image table, from its states' tables
+        (Transducer.level_tables): on the block of words under each piece
+        prefix it is that block of the piece state's table."""
+        if self.state is not None:
+            return tables[self.state]
+        deep = [p[:n] for p, _s in self.pieces if len(p) > n]
+        if deep:
+            raise InvalidAction(f"level word {min(deep)!r} shorter than piece prefixes")
+        images = [None] * (1 << n)
+        for prefix, state in self.pieces:
+            size = 1 << (n - len(prefix))
+            lo = int(prefix or "0", 2) * size
+            images[lo:lo + size] = tables[state][lo:lo + size]
+        return images
 
 
 @dataclass(frozen=True, eq=False)
@@ -506,7 +571,7 @@ def action_from_json(data: dict) -> ActionSystem:
                 gens[name] = GeneratorSpec(pieces=tuple(sorted(
                     (piece["prefix"], piece["state"]) for piece in spec)))
         for name, spec in gens.items():
-            for state in [piece[1] for piece in spec.pieces] or [spec.state]:
+            for state in spec.states:
                 if state not in transitions:
                     raise InvalidAction(f"generator {name!r} names state "
                                         f"{state!r}, which is not in transducers")

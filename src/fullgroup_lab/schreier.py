@@ -12,6 +12,7 @@ import bisect
 import weakref
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 from .cantor_actions import ActionSystem, BoundaryPoint, cells
 from .errors import BallTooLarge, InvalidRadius
@@ -278,22 +279,34 @@ def build_ball(action: ActionSystem, radius: int,
 
 def build_level_graph(action: ActionSystem, n: int,
                       cap: int = DEFAULT_VERTEX_CAP) -> LevelGraph:
-    """Graph of the truncated action on all 2^n words of length n."""
+    """Graph of the truncated action on all 2^n words of length n.
+
+    Vertex i is the i-th word of cells(n).  Each generator's edges are read
+    off its level-n image table (GeneratorSpec.level_images), built from
+    its states' tables by the section recursion (Transducer.level_tables),
+    so no word is run through the transducer.  The vertex ids, the table
+    entries and so every edge's ends are elements of one list: the ints
+    are shared, and the dicts the line chart keys by vertex find them by
+    identity."""
     if n < 1:
         raise InvalidRadius("level must be >= 1")
     if 2 ** n > cap:
         raise BallTooLarge(cap, needed=2 ** n)
     words = cells(n)
-    index = {w: i for i, w in enumerate(words)}
+    ids = list(range(len(words)))
+    specs = [action.generators[g] for g in action.gen_names]
+    tables = action.transducer.level_tables(
+        {s for spec in specs for s in spec.states}, ids)
     edges = []
-    for g in action.gen_names:
-        images = [action.level_apply_gen(g, w) for w in words]
-        if len(set(images)) != len(words):
+    for g, spec in zip(action.gen_names, specs):
+        images = spec.level_images(tables, n)
+        # each state's table is a permutation, pieces of several states
+        # need not fit together
+        if spec.pieces and len(set(images)) != len(ids):
             raise InvalidRadius(f"generator {g!r} is not a level-{n} permutation")
-        for i, img in enumerate(images):
-            edges.append((i, g, index[img]))
-    base_word = action.basepoint.prefix(n)
-    return LevelGraph(action, n, words, edges, index[base_word])
+        edges += zip(ids, repeat(g), images)
+    base = ids[int(action.basepoint.prefix(n), 2)]
+    return LevelGraph(action, n, words, edges, base)
 
 
 @dataclass(frozen=True)

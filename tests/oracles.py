@@ -517,6 +517,28 @@ def ball_by_two_passes(action, radius: int) -> tuple:
     return labels, edges, dist
 
 
+def level_graph_by_words(action, n: int, cap: int = 1 << 16):
+    """The level-n graph with every word run through the transducer, one
+    generator at a time, with the same refusals as build_level_graph."""
+    from fullgroup_lab import LevelGraph
+    from fullgroup_lab.cantor_actions import cells
+    from fullgroup_lab.errors import BallTooLarge, InvalidRadius
+
+    if n < 1:
+        raise InvalidRadius("level must be >= 1")
+    if 2 ** n > cap:
+        raise BallTooLarge(cap, needed=2 ** n)
+    words = cells(n)
+    index = {w: i for i, w in enumerate(words)}
+    edges = []
+    for g in action.gen_names:
+        images = [action.level_apply_gen(g, w) for w in words]
+        if len(set(images)) != len(words):
+            raise InvalidRadius(f"generator {g!r} is not a level-{n} permutation")
+        edges.extend((i, g, index[img]) for i, img in enumerate(images))
+    return LevelGraph(action, n, words, edges, index[action.basepoint.prefix(n)])
+
+
 def same_pattern_by_word_at(F, graph, v1: int, v2: int, n: int) -> bool:
     """same_pattern with each piece word looked up by word_at at both ends
     of every pair of the match."""

@@ -1,21 +1,26 @@
 import pytest
 
 from fullgroup_lab import (
+    ActionSystem,
+    GeneratorSpec,
     apply_word,
     boundary_set,
     build_ball,
     build_level_graph,
     builtin_action,
+    combine_actions,
+    fragment_generators,
     graph_to_dot,
     graph_to_json,
     neighborhood_set,
     path_graph,
     regular_tree_ball,
 )
-from fullgroup_lab.errors import BallTooLarge, InvalidRadius
-from fullgroup_lab.cantor_actions import Transducer
+from fullgroup_lab.errors import (BallTooLarge, FullGroupLabError, InvalidAction,
+                                 InvalidRadius)
+from fullgroup_lab.cantor_actions import Transducer, cells
 from oracles import (WREATH, ball_by_two_passes, int_to_point, is_simple_path,
-                     point_to_int, wreath_apply_word_letters)
+                     level_graph_by_words, point_to_int, wreath_apply_word_letters)
 
 
 def test_odometer_ball_radius3_is_integer_path(odometer):
@@ -115,6 +120,95 @@ def test_level_action_is_permutation(grigorchuk):
     for g in grigorchuk.gen_names:
         images = {grigorchuk.level_apply_gen(g, w) for w in lg.labels}
         assert len(images) == lg.n
+
+
+def _dihedral_frag():
+    """Demo 01's fragmented dihedral action: ha1, ha2 split a over the
+    cylinders of length 2 and h1, h2 split b over those of length 1."""
+    dihedral = builtin_action("dihedral")
+    A = fragment_generators(
+        dihedral, "a",
+        [[("00", True), ("10", True), ("01", False), ("11", False)],
+         [("00", False), ("10", False), ("01", True), ("11", True)]],
+        prefix="ha")
+    B = fragment_generators(
+        dihedral, "b", [[("0", True), ("1", False)], [("0", False), ("1", True)]])
+    return combine_actions("dihedral_frag", A, B)
+
+
+LEVEL_ACTIONS = ("odometer", "grigorchuk", "dihedral", "thickline", "grid",
+                 "bellaterra", "dihedral_frag")
+
+
+def _level_action(request, name):
+    return _dihedral_frag() if name == "dihedral_frag" else request.getfixturevalue(name)
+
+
+def _level_outcome(build, action, n):
+    try:
+        lg = build(action, n)
+    except FullGroupLabError as exc:
+        return type(exc), str(exc)
+    return lg.labels, lg.edges, lg.base, lg.dist
+
+
+@pytest.mark.parametrize("name", LEVEL_ACTIONS)
+def test_level_graph_matches_word_by_word_builder(request, name):
+    action = _level_action(request, name)
+    for n in range(1, 11):
+        assert _level_outcome(build_level_graph, action, n) == \
+            _level_outcome(level_graph_by_words, action, n)
+
+
+@pytest.mark.parametrize("name", LEVEL_ACTIONS)
+def test_level_tables_match_apply_prefix(request, name):
+    machine = _level_action(request, name).transducer
+    for n in range(1, 9):
+        words = cells(n)
+        ids = list(range(len(words)))
+        tables = machine.level_tables(machine.states, ids)
+        for s in machine.states:
+            assert [words[i] for i in tables[s]] == \
+                [machine.apply_prefix(s, w) for w in words]
+            assert all(i is ids[i] for i in tables[s])
+
+
+def test_level_graph_shares_one_int_per_vertex(grigorchuk, odometer):
+    for action in (grigorchuk, odometer):
+        lg = build_level_graph(action, 10)
+        first = {u: u for u, _g, _v in lg.edges}
+        assert len(first) == lg.n
+        assert all(first[u] is u and first[v] is v for u, _g, v in lg.edges)
+        assert first[lg.base] is lg.base
+
+
+def test_level_graph_refusals(grigorchuk):
+    # a piece table that is not a level bijection: x moves the cylinder 0
+    # onto 1 and fixes 1
+    gens = dict(grigorchuk.generators,
+                x=GeneratorSpec(pieces=(("0", "a"), ("1", "e"))))
+    action = ActionSystem("grig_x", grigorchuk.transducer, gens,
+                          dict(grigorchuk.inverses, x="x"), grigorchuk.basepoint)
+    with pytest.raises(InvalidRadius) as exc:
+        build_level_graph(action, 3)
+    assert str(exc.value) == "generator 'x' is not a level-3 permutation"
+    # a piece deeper than the level: the first word no piece covers is named
+    with pytest.raises(InvalidAction) as exc:
+        build_level_graph(_dihedral_frag(), 1)
+    assert str(exc.value) == "level word '0' shorter than piece prefixes"
+
+
+def test_level_graph_runs_no_word(monkeypatch, grigorchuk):
+    calls = []
+    run = Transducer.run
+
+    def counted(self, state, word):
+        calls.append(word)
+        return run(self, state, word)
+
+    monkeypatch.setattr(Transducer, "run", counted)
+    lg = build_level_graph(grigorchuk, 10)
+    assert lg.n == 1024 and calls == []
 
 
 def test_boundary_set_path_examples():
