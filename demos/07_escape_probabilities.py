@@ -5,18 +5,17 @@ start is exactly 1/r, vanishing with r (recurrence evidence).  On the
 3-regular tree it stays above 1/2 (transience).  Both series are exact
 rationals: each probability is the effective conductance between the
 start and everything at distance >= r, over the start's degree, reduced
-to one edge by star-mesh elimination.  A seeded Monte Carlo cross-check
-is available.
+to one edge by star-mesh elimination.  The demo exits non-zero unless
+the odometer's series is exactly 1/r.
 """
 
-import random
+from fractions import Fraction
 
 from fullgroup_lab import (
     build_ball,
     builtin_action,
     escape_series,
     regular_tree_ball,
-    simulate_escape,
 )
 
 radii = (2, 4, 8, 16, 32)
@@ -27,6 +26,9 @@ for name in ("odometer", "grigorchuk", "dihedral"):
     series = escape_series(ball, radii)
     print(f"  {name:10s}: " + "  ".join(
         f"P(esc {r}) = {p}" for r, p in zip(series.radii, series.probabilities)))
+    if name == "odometer" and \
+            series.probabilities != tuple(Fraction(1, r) for r in radii):
+        raise SystemExit("the odometer's escape probabilities are not 1/r")
 
 print()
 print("== 3-regular tree control (transient) ==")
@@ -34,10 +36,3 @@ tree = regular_tree_ball(3, 10)
 series = escape_series(tree, (2, 4, 6, 8, 10))
 print("  " + "  ".join(f"P(esc {r}) = {p}"
                        for r, p in zip(series.radii, series.probabilities)))
-
-print()
-print("== Monte Carlo cross-check (seeded) ==")
-ball = build_ball(builtin_action("odometer"), 16)
-sim = simulate_escape(ball, 8, 20000, random.Random(1))
-print(f"  exact 1/8 = 0.125, simulated {sim['estimate']:.4f}"
-      f" +- {sim['stderr']:.4f} over {sim['trials']} trials")

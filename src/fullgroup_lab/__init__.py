@@ -21,7 +21,6 @@ from .cantor_actions import (
     combine_actions,
     fragment_generators,
     parse_point,
-    random_points,
 )
 from .cocycle import (
     CocycleValue,
@@ -62,7 +61,7 @@ from .pattern_transport import (
     transport_anchor,
     transport_halfspace,
 )
-from .recurrence import EscapeReport, escape_probability, escape_series, simulate_escape
+from .recurrence import EscapeReport, escape_probability, escape_series
 from .schreier import (
     Graph,
     LevelGraph,

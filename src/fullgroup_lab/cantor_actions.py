@@ -13,7 +13,6 @@ Words act from the left: the rightmost letter of a word is applied first.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -102,18 +101,6 @@ def parse_point(text: str) -> BoundaryPoint:
         raise InvalidPoint(f"expected 'preperiod(period)', got {text!r}")
     pre, per = text[:-1].split("(", 1)
     return canonical_point(pre, per)
-
-
-def random_points(rng: random.Random, count: int, max_preperiod: int = 8,
-                  max_period: int = 6) -> list[BoundaryPoint]:
-    pts = []
-    for _ in range(count):
-        npre = rng.randrange(max_preperiod + 1)
-        nper = rng.randrange(1, max_period + 1)
-        pre = "".join(rng.choice(LETTERS) for _ in range(npre))
-        per = "".join(rng.choice(LETTERS) for _ in range(nper))
-        pts.append(canonical_point(pre, per))
-    return pts
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,31 +224,36 @@ class Transducer:
         n = len(ids).bit_length() - 1
         return {s: table(s, n) for s in states}
 
-    def cancels(self, outer: str, inner: str) -> bool:
-        """Exact check that outer applied after inner is the identity map.
+    def fixes_every_word(self, states) -> bool:
+        """Exact check that running the states one after another, the first
+        innermost, is the identity map on infinite words.
 
-        Explores the product machine from the pair (outer, inner); the
-        composite is the identity iff every reachable pair writes back the
-        letter it reads (a pair that does not moves the word reaching it).
+        Walks the product machine from the tuple of states.  Every state is
+        letter-to-letter, so a tuple that reads a letter writes one letter
+        and moves to the tuple of its states' next states; the composite
+        maps a·w to b·(the reached tuple's composite applied to w).  So it
+        fixes every word exactly when every reachable tuple writes back
+        each letter it reads: a tuple that does not moves the word reaching
+        it, and otherwise every prefix of every word is written back.  The
+        identity state changes nothing, so it is dropped from the tuples.
         """
-        todo = [(outer, inner)]
-        seen = {(outer, inner)}
+        start = tuple(s for s in states if s != self.identity)
+        todo, seen = [start], {start}
         while todo:
-            outer, inner = todo.pop()
+            current = todo.pop()
             for a in LETTERS:
-                mid, inner2 = self.step(inner, a)
-                out, outer2 = self.step(outer, mid)
-                if out != a:
+                letter, reached = a, []
+                for s in current:
+                    letter, s = self.step(s, letter)
+                    if s != self.identity:
+                        reached.append(s)
+                if letter != a:
                     return False
-                nxt = (outer2, inner2)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    todo.append(nxt)
+                reached = tuple(reached)
+                if reached not in seen:
+                    seen.add(reached)
+                    todo.append(reached)
         return True
-
-    def is_involution(self, state: str) -> bool:
-        """Exact check that state applied twice is the identity map."""
-        return self.cancels(state, state)
 
 
 def _check_prefix_partition(prefixes) -> None:
@@ -335,6 +327,27 @@ class GeneratorSpec:
         return images
 
 
+def _fixes_every_point(machine: Transducer, specs) -> bool:
+    """Whether the generators of specs, run one after another with the
+    first innermost, compose to the identity map, decided exactly.
+
+    Cut a point x = c y with c a cell of the deepest piece depth.  Each
+    generator runs the state of the piece its current cell lies under from
+    the root, letter by letter, so it maps the cell onto a cell of the same
+    length and reaches a state that acts on the rest: the composite maps
+    c y to c' S(y), S the reached states run one after another.  It is the
+    identity exactly when every cell comes back (c' = c) and S fixes every
+    word (Transducer.fixes_every_word)."""
+    for cell in cells(max((spec.max_depth() for spec in specs), default=0)):
+        word, reached = cell, []
+        for spec in specs:
+            word, state = machine.run(spec.state_at_word(word), word)
+            reached.append(state)
+        if word != cell or not machine.fixes_every_word(reached):
+            return False
+    return True
+
+
 @dataclass(frozen=True, eq=False)
 class ActionSystem:
     """A named symmetric generating set acting on the Cantor set.
@@ -375,6 +388,17 @@ class ActionSystem:
         if spec is None:
             raise UnknownGenerator(name)
         return self.transducer.apply_prefix(spec.state_at_word(word), word)
+
+    def is_identity(self, word) -> bool:
+        """Whether a word of generator names acts as the identity on the
+        whole Cantor set, decided exactly (_fixes_every_point)."""
+        specs = []
+        for name in reversed(list(word)):
+            spec = self.generators.get(name)
+            if spec is None:
+                raise UnknownGenerator(name)
+            specs.append(spec)
+        return _fixes_every_point(self.transducer, specs)
 
     def inverse_word(self, word) -> list:
         return [self.inverse_name(g) for g in reversed(list(word))]
@@ -472,7 +496,7 @@ def fragment_generators(action: ActionSystem, base_generator: str,
     if spec.state is None:
         raise InvalidBase("base generator must be a single transducer state")
     base_state = spec.state
-    if not action.transducer.is_involution(base_state):
+    if not action.is_identity([base_generator, base_generator]):
         raise InvalidBase(f"{base_generator!r} is not an involution")
 
     tables = []
@@ -585,30 +609,16 @@ def action_from_json(data: dict) -> ActionSystem:
 
 def _infer_inverses(machine: Transducer, gens: dict) -> dict:
     """Pair each generator g with the first h listed such that h after g
-    is the identity, decided exactly: for x = c y with c a cell of the
-    deeper piece table, g runs its state on c over c to the cell c' and
-    the state s_g, and h so from c' to c'' and s_h.  h(g(x)) =
-    c'' s_h(s_g(y)) is x for every y exactly when c'' = c and s_h after
-    s_g is the identity (Transducer.cancels).  Then g after h is the
-    identity too: g is injective, and each state maps a cylinder onto a
-    cylinder of its length, so the images of g's pieces are disjoint
-    cylinders of total measure 1, and g is onto."""
+    is the identity, decided exactly (_fixes_every_point).  Then g after h
+    is the identity too: g is injective, and each state maps a cylinder
+    onto a cylinder of its length, so the images of g's pieces are
+    disjoint cylinders of total measure 1, and g is onto."""
     inverses = {}
     for g in gens:
         for h in gens:
-            if _undoes(machine, gens[h], gens[g]):
+            if _fixes_every_point(machine, (gens[g], gens[h])):
                 inverses[g] = h
                 break
         else:
             raise InvalidAction(f"no inverse found for generator {g!r}")
     return inverses
-
-
-def _undoes(machine: Transducer, h: GeneratorSpec, g: GeneratorSpec) -> bool:
-    """Whether h applied after g is the identity map (see _infer_inverses)."""
-    for cell in cells(max(g.max_depth(), h.max_depth())):
-        image, g_state = machine.run(g.state_at_word(cell), cell)
-        back, h_state = machine.run(h.state_at_word(image), image)
-        if back != cell or not machine.cancels(h_state, g_state):
-            return False
-    return True

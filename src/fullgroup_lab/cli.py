@@ -2,9 +2,8 @@
 
 Exit codes: 0 when every executed check passes, 1 when a check fails or a
 computation cannot be certified, 2 for usage errors (unknown action,
-malformed input files, a radius, level, escape radius, --n, --z, --cap,
---order-cap or --simulate out of range, a --radii that is not a list of
-integers).
+malformed input files, a radius, level, escape radius, --n, --z, --cap
+or --order-cap out of range, a --radii that is not a list of integers).
 Reports are byte-identical across repeated runs with the same inputs;
 `--timing` adds wall-clock seconds (the whole run, the window and each
 check of `verify`) and the work of the window and of each check (full BFS
@@ -78,7 +77,7 @@ from .line_geometry import (
 from .pattern_transport import (_changes_side, pattern_match_points,
                                 repetition_radius, transport_anchor,
                                 transport_halfspace)
-from .recurrence import escape_series, simulate_escape
+from .recurrence import escape_series
 from .schreier import (
     DEFAULT_VERTEX_CAP,
     Graph,
@@ -337,18 +336,9 @@ def cmd_recurrence(args) -> int:
     except ValueError:
         raise UsageError(f"radii must be comma-separated integers, "
                          f"got {args.radii!r}") from None
-    if args.simulate is not None and args.simulate < 0:
-        raise UsageError(f"simulate must be >= 0 trials, got {args.simulate}")
     radius = args.radius if args.radius is not None else max(radii)
     ball = build_ball(action, radius, cap=args.cap)
-    report = escape_series(ball, radii).to_json()
-    if args.simulate:
-        import random
-        seed = int(os.environ.get("FULLGROUP_LAB_SEED", "0"))
-        rng = random.Random(seed)
-        report["simulated"] = [simulate_escape(ball, r, args.simulate, rng)
-                               for r in radii]
-    _emit(report, args.out)
+    _emit(escape_series(ball, radii).to_json(), args.out)
     return 0
 
 
@@ -671,14 +661,16 @@ def run_verify(action, radius: int, n: int, cap: int,
             spent[check_id] = [b - a for a, b in zip(before, _work())]
         entries.append({"id": check_id, "status": status, "witnesses": witnesses,
                         "parameters": {k: getattr(w, k) for k in params}})
+    # verify samples nothing.  "seed" stays as a constant because the
+    # pinned digests of whole reports (test_cli's GOLDEN, perfbench's
+    # reference.json) would all change without it.
     return {
         "action": action.name,
         "action_hash": action.action_hash(),
         "chart_hash": w.chart.chart_hash(),
         "version": __version__,
         "parameters": {"radius": radius, "n": n, "cap": cap,
-                       "order_cap": 10 ** 6, "depth_cap": 20,
-                       "seed": os.environ.get("FULLGROUP_LAB_SEED", "0")},
+                       "order_cap": 10 ** 6, "depth_cap": 20, "seed": "0"},
         "checks": entries,
         "timing": _timing(spent) if timing else None,
     }
@@ -768,7 +760,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recurrence", help="exact escape probabilities")
     p.add_argument("action")
     p.add_argument("--radii")
-    p.add_argument("--simulate", type=int)
     common(p)
     p.set_defaults(func=cmd_recurrence)
 

@@ -27,11 +27,15 @@ on a path or a tree each step touches at most two live neighbours, and
 on the Z^2 grid the fill stays sparse.  Eliminating sphere by sphere from
 the outside in fills each sphere densely instead, which makes the grid's
 ladder at ball radius 32 about 30 times slower.
+
+No walk is simulated: a sampled estimate could only approximate values
+that are computed exactly here.  The tests check the series against a
+dense harmonic solve and the closed forms of the path and the 3-regular
+tree.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -120,31 +124,3 @@ def escape_series(graph: Graph, radii) -> EscapeReport:
     degree = sum(weights[graph.base].values())
     return EscapeReport(radii, tuple(
         Fraction(_escape_conductance(graph, weights, r), degree) for r in radii))
-
-
-def simulate_escape(graph: Graph, r: int, trials: int,
-                    rng: random.Random | None = None) -> dict:
-    """Monte Carlo cross-check of escape_probability (seeded)."""
-    if r < 1:
-        raise InvalidRadius("need r >= 1")
-    rng = rng or random.Random(0)
-    weights = _walk_weights(graph)
-    flat = [None] * graph.n
-    for v in range(graph.n):
-        steps = []
-        for u, w in weights[v].items():
-            steps.extend([u] * w)
-        flat[v] = steps
-    hits = 0
-    for _ in range(trials):
-        v = graph.base
-        while True:
-            v = rng.choice(flat[v])
-            if graph.dist[v] >= r:
-                hits += 1
-                break
-            if v == graph.base:
-                break
-    p = hits / trials
-    stderr = (p * (1 - p) / trials) ** 0.5
-    return {"estimate": p, "stderr": stderr, "trials": trials}

@@ -8,10 +8,26 @@ exhaustive enumerations) and avoids the code paths under test.
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 from fractions import Fraction
 
 from fullgroup_lab import BoundaryPoint, canonical_point
+from fullgroup_lab.cantor_actions import LETTERS
+
+# --- seeded sample points ------------------------------------------------
+
+def random_points(rng: random.Random, count: int, max_preperiod: int = 8,
+                  max_period: int = 6) -> list[BoundaryPoint]:
+    pts = []
+    for _ in range(count):
+        npre = rng.randrange(max_preperiod + 1)
+        nper = rng.randrange(1, max_period + 1)
+        pre = "".join(rng.choice(LETTERS) for _ in range(npre))
+        per = "".join(rng.choice(LETTERS) for _ in range(nper))
+        pts.append(canonical_point(pre, per))
+    return pts
+
 
 # --- 2-adic odometer bookkeeping -----------------------------------------
 
@@ -25,6 +41,14 @@ def int_to_point(n: int, width: int = 16) -> BoundaryPoint:
     bits = bin(value)[2:][::-1]
     bits = bits + "0" * (width - len(bits))
     return canonical_point(bits, "1")
+
+
+def odometer_apply_word_letters(word, letters: str) -> str:
+    """A word of t and t_inv on a level word: t adds 1 and t_inv subtracts
+    1 modulo 2^len(letters), least significant letter first."""
+    k = len(letters)
+    n = int(letters[::-1], 2) + list(word).count("t") - list(word).count("t_inv")
+    return format(n % (1 << k), f"0{k}b")[::-1]
 
 
 def point_to_int(pt: BoundaryPoint):
@@ -228,7 +252,7 @@ def random_elements(action, rng, count: int, max_depth: int = 3,
 
     After each valid table it draws 32 points and drops them, so that each
     seed keeps giving the elements its tests were written against."""
-    from fullgroup_lab import make_element, random_points
+    from fullgroup_lab import make_element
     from fullgroup_lab.errors import NotInvertible
 
     gens = list(action.gen_names)

@@ -1,5 +1,7 @@
+import functools
 import json
 import random
+from itertools import product
 
 import pytest
 
@@ -9,9 +11,10 @@ from fullgroup_lab import (
     apply_word,
     builtin_action,
     canonical_point,
+    combine_actions,
     fragment_generators,
-    random_points,
 )
+from fullgroup_lab.cantor_actions import level_apply_word
 from fullgroup_lab.errors import (
     InvalidAction,
     InvalidBase,
@@ -20,7 +23,13 @@ from fullgroup_lab.errors import (
     UnknownAction,
     UnknownGenerator,
 )
-from oracles import WREATH, point_to_int, wreath_apply_word_letters
+from oracles import (
+    WREATH,
+    odometer_apply_word_letters,
+    point_to_int,
+    random_points,
+    wreath_apply_word_letters,
+)
 
 
 def test_canonical_point_examples():
@@ -81,6 +90,8 @@ def test_d_fixes_all_ones(grigorchuk):
 def test_odometer_increment(odometer):
     x = canonical_point("11", "0")
     assert apply_word(odometer, ["t"], x) == canonical_point("001", "0")
+    assert odometer.transducer.run("t", "110") == ("001", "e")
+    assert odometer.transducer.run("t", "11") == ("00", "t")
 
 
 def test_apply_word_output_canonical(grigorchuk):
@@ -262,6 +273,10 @@ def test_inverses_are_decided_exactly(odometer, thickline):
         canonical_point(CYLINDER + "1", "1")
     for x in random_points(random.Random(0), 64):
         assert apply_word(action, ["g"], x) == x
+    # g moves only points under a cylinder of length 20, and the exact walk
+    # still tells it from the identity
+    assert action.is_identity(["g", "g"]) and action.is_identity(["i", "i"])
+    assert not action.is_identity(["i", "g"]) and not action.is_identity(["g", "i"])
     # a piecewise generator that is its own inverse
     data = action_to_json(odometer)
     data["generators"]["h"] = [{"prefix": "0", "state": "t"},
@@ -277,13 +292,39 @@ def test_inverses_are_decided_exactly(odometer, thickline):
         action_from_json(data)
 
 
-def test_cancels_walks_the_product_machine(odometer):
-    machine = odometer.transducer
-    assert machine.cancels("t", "t_inv") and machine.cancels("t_inv", "t")
-    assert not machine.cancels("t", "t") and not machine.cancels("t", "e")
-    assert machine.cancels("e", "e")
-    assert machine.run("t", "110") == ("001", "e")
-    assert machine.run("t", "11") == ("00", "t")
-    cylinder = action_from_json(_one_cylinder_action()).transducer
-    assert cylinder.is_involution("q0") and cylinder.cancels("q0", "q0")
-    assert not cylinder.cancels("e", "q0") and not cylinder.cancels("q0", "e")
+def _dihedral_with_fragments(dihedral):
+    """The dihedral generators a and b, with b fragmented on the first
+    letter (h1, h2) and a on the second (ha1, ha2)."""
+    h = fragment_generators(
+        dihedral, "b", [[("0", True), ("1", False)], [("0", False), ("1", True)]])
+    ha = fragment_generators(
+        dihedral, "a",
+        [[("00", True), ("10", True), ("01", False), ("11", False)],
+         [("00", False), ("10", False), ("01", True), ("11", True)]],
+        prefix="ha")
+    return combine_actions("dihedral_with_fragments", dihedral, h, ha)
+
+
+@pytest.mark.parametrize("name, length, identities", [
+    ("grigorchuk", 4, 44), ("odometer", 5, 8), ("dihedral", 5, 8),
+    ("dihedral_with_fragments", 3, 18)])
+def test_is_identity_agrees_with_the_level_actions(name, length, identities,
+                                                   request):
+    # every word up to the length is the identity exactly when it fixes
+    # every level-k word, 2 <= k <= 8, by an independent level action
+    # (level_apply_word for the piecewise generators)
+    if name == "dihedral_with_fragments":
+        action = _dihedral_with_fragments(request.getfixturevalue("dihedral"))
+        image = functools.partial(level_apply_word, action)
+    else:
+        action = request.getfixturevalue(name)
+        image = odometer_apply_word_letters if name == "odometer" else \
+            functools.partial(wreath_apply_word_letters, WREATH[name])
+    levels = ["".join(x) for k in range(2, 9) for x in product("01", repeat=k)]
+    words = [list(w) for k in range(1, length + 1)
+             for w in product(action.gen_names, repeat=k)]
+    found = [w for w in words if action.is_identity(w)]
+    assert found == [w for w in words if all(image(w, x) == x for x in levels)]
+    assert len(found) == identities
+    with pytest.raises(UnknownGenerator):
+        action.is_identity(["zz"])

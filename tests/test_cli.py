@@ -196,6 +196,10 @@ def test_recurrence_report(capsys):
     code, data = run_json(["recurrence", "odometer", "--radii", "2,4,8"], capsys)
     assert code == 0
     assert data["probabilities"] == ["1/2", "1/4", "1/8"]
+    # the series is exact: there is no sampled estimate to ask for
+    with pytest.raises(SystemExit) as exc:
+        main(["recurrence", "odometer", "--radii", "2", "--simulate", "10"])
+    assert exc.value.code == 2
 
 
 def test_verify_small_run(capsys):
@@ -385,8 +389,6 @@ def test_verify_degrades_to_skips_on_small_windows(capsys):
       "--order-cap", "-1"], "order cap must be >= 1"),
     (["recurrence", "odometer", "--radii", "2,x"],
      "radii must be comma-separated integers"),
-    (["recurrence", "odometer", "--simulate", "-3", "--radii", "2"],
-     "simulate must be >= 0"),
     # even the base alone exceeds a vertex cap below 1
     (["graph", "odometer", "--radius", "0", "--cap", "0"], "cap must be >= 1"),
     (["qi", "grigorchuk", "--level", "3", "--cap", "0"], "cap must be >= 1"),
@@ -405,7 +407,7 @@ def test_verify_degrades_to_skips_on_small_windows(capsys):
         "cocycle-radius0", "transport-radius0", "stabilizer-radius0",
         "verify-n", "transport-n", "stabilizer-n", "transport-z-large",
         "transport-z-negative", "stabilizer-order-cap", "recurrence-radii",
-        "recurrence-simulate", "graph-cap0", "qi-cap0", "cocycle-cap0",
+        "graph-cap0", "qi-cap0", "cocycle-cap0",
         "transport-cap0", "stabilizer-cap0", "recurrence-cap0", "verify-cap0",
         "verify-cap-negative"])
 def test_out_of_range_radius_is_usage_error(capsys, swap_file, family_file,
@@ -598,6 +600,13 @@ def test_verify_report_bytes_are_pinned(name, radius, n):
     report = cli.run_verify(builtin_action(name), radius, n, 1 << 16)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name, radius, n]
+
+
+def test_verify_report_ignores_a_seed_variable(monkeypatch):
+    # verify samples nothing, so its report's "seed" is a constant and no
+    # environment variable changes a byte
+    monkeypatch.setenv("FULLGROUP_LAB_SEED", "7")
+    test_verify_report_bytes_are_pinned("odometer", 8, 1)
 
 
 

@@ -19,13 +19,12 @@ from fullgroup_lab import (
     identity_element,
     invert,
     make_element,
-    random_points,
 )
 from fullgroup_lab import full_group
 from fullgroup_lab.cantor_actions import cells
 from fullgroup_lab.errors import NotAPartition, NotInvertible
 from fullgroup_lab.full_group import FullGroupElement, vertex_map, word_column
-from oracles import int_to_point, point_to_int, random_elements
+from oracles import int_to_point, point_to_int, random_elements, random_points
 
 
 def test_pair_swap_valid_and_bijective_on_level3(odometer, pair_swap):

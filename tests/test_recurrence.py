@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,6 @@ from fullgroup_lab import (
     escape_probability,
     escape_series,
     regular_tree_ball,
-    simulate_escape,
 )
 from fullgroup_lab.errors import InvalidRadius
 from oracles import escape_by_dense_solve, path_escape, tree3_escape
@@ -57,13 +55,6 @@ def test_tree_series_stays_large():
     assert all(p >= Fraction(1, 4) for p in series.probabilities)
     assert series.probabilities == tuple(
         escape_by_dense_solve(tree, r) for r in range(1, 9))
-
-
-def test_simulation_agrees_with_exact(odometer):
-    ball = build_ball(odometer, 8)
-    exact = escape_probability(ball, 4)
-    sim = simulate_escape(ball, 4, 4000, random.Random(17))
-    assert abs(sim["estimate"] - float(exact)) < 5 * sim["stderr"] + 1e-9
 
 
 def test_multiplicity_weighting():

@@ -19,33 +19,25 @@ def test_src_has_no_assert_statements():
     assert found == []
 
 
-# Only `recurrence --simulate` may sample: everything else is decided exactly.
-SAMPLERS = {"Random", "random_points"}
-MAY_SAMPLE = {("cli.py", "cmd_recurrence"), ("recurrence.py", "simulate_escape")}
-
-
-def _sampling_calls(path: Path) -> list:
-    """(file, enclosing top-level function or None, line) of every call of
-    random.Random or random_points in a source file."""
-    tree = ast.parse(path.read_text(), str(path))
+def test_src_neither_samples_nor_reads_the_environment():
+    # everything is decided exactly, and a report depends on its arguments
+    # alone: no module imports random, and none reads os.environ or
+    # os.getenv
     found = []
-    for top in tree.body:
-        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
-        for node in ast.walk(top):
-            if not isinstance(node, ast.Call):
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
                 continue
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else \
-                getattr(func, "id", None)
-            if name in SAMPLERS:
-                found.append((path.name, owner, node.lineno))
-    return found
-
-
-def test_only_the_recurrence_simulation_samples():
-    calls = [call for path in sorted(SRC.glob("*.py"))
-             for call in _sampling_calls(path)]
-    assert {(name, owner) for name, owner, _line in calls} == MAY_SAMPLE
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "random"
+                      or name in ("environ", "getenv", "environb", "getenvb")]
+    assert found == []
 
 
 def test_src_imports_only_the_standard_library():
