@@ -7,13 +7,15 @@ map used here, so all arithmetic is exact.
 
 Generators are states of a single Mealy machine (letter-to-letter
 transducer); a piecewise generator selects a state per cylinder prefix.
+Every action, a built-in too, is built from action-file data or from other
+actions, and decides its generators' inverses itself (ActionSystem).
 Words act from the left: the rightmost letter of a word is applied first.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -110,20 +112,17 @@ class Transducer:
     transitions[state][letter] -> next state, outputs[state][letter] ->
     output letter.  Every state's output map is a permutation of {0,1}
     (each state is a rooted-tree automorphism) and the identity state
-    fixes letters and loops to itself.
+    IDENTITY_STATE fixes letters and loops to itself.
     """
 
     transitions: dict
     outputs: dict
-    identity: str = IDENTITY_STATE
 
     # apply calls of every machine of the process; verify --timing reports
     # how many each check made
     applications = 0
 
     def __post_init__(self):
-        if self.identity not in self.transitions:
-            raise InvalidAction("missing identity state")
         for s, table in self.transitions.items():
             out = self.outputs.get(s)
             if out is None or set(table) != set(LETTERS) or set(out) != set(LETTERS):
@@ -133,10 +132,9 @@ class Transducer:
             for nxt in table.values():
                 if nxt not in self.transitions:
                     raise InvalidAction(f"state {s!r} transitions to unknown state")
-        for a in LETTERS:
-            if self.outputs[self.identity][a] != a or \
-                    self.transitions[self.identity][a] != self.identity:
-                raise InvalidAction("identity state must fix letters and loop")
+        if IDENTITY_STATE not in self.transitions or any(
+                self.step(IDENTITY_STATE, a) != (a, IDENTITY_STATE) for a in LETTERS):
+            raise InvalidAction("identity state must fix letters and loop")
 
     @property
     def states(self):
@@ -204,7 +202,7 @@ class Transducer:
         memo = {}
 
         def table(s: str, depth: int) -> list:
-            if s == self.identity or depth == 0:
+            if s == IDENTITY_STATE or depth == 0:
                 return ids[:1 << depth]
             found = memo.get((s, depth))
             if found is None:
@@ -214,7 +212,7 @@ class Transducer:
                     lo = int(self.outputs[s][a]) * half
                     block = ids[lo:lo + half]
                     nxt = self.transitions[s][a]
-                    if nxt == self.identity:
+                    if nxt == IDENTITY_STATE:
                         found += block
                     else:
                         found += [block[j] for j in table(nxt, depth - 1)]
@@ -237,7 +235,7 @@ class Transducer:
         it, and otherwise every prefix of every word is written back.  The
         identity state changes nothing, so it is dropped from the tuples.
         """
-        start = tuple(s for s in states if s != self.identity)
+        start = tuple(s for s in states if s != IDENTITY_STATE)
         todo, seen = [start], {start}
         while todo:
             current = todo.pop()
@@ -245,7 +243,7 @@ class Transducer:
                 letter, reached = a, []
                 for s in current:
                     letter, s = self.step(s, letter)
-                    if s != self.identity:
+                    if s != IDENTITY_STATE:
                         reached.append(s)
                 if letter != a:
                     return False
@@ -352,21 +350,28 @@ def _fixes_every_point(machine: Transducer, specs) -> bool:
 class ActionSystem:
     """A named symmetric generating set acting on the Cantor set.
 
-    generators maps names to GeneratorSpec; inverses pairs each generator
-    name with the name of its inverse.  Instances compare by identity:
-    one action object is built per system and shared.
+    generators maps names to GeneratorSpec.  inverses is decided when the
+    action is built (_infer_inverses): it pairs each generator name with
+    the first listed generator that undoes it, and a generator that none
+    undoes is an InvalidAction, so every generator is a bijection.
+    Instances compare by identity: one action is built per system.
     """
 
     name: str
     transducer: Transducer
     generators: dict
-    inverses: dict
     basepoint: BoundaryPoint
+    inverses: dict = field(init=False)
 
     def __post_init__(self):
-        for g in self.generators:
-            if g not in self.inverses or self.inverses[g] not in self.generators:
-                raise InvalidAction(f"generator {g!r} has no inverse in the set")
+        # checked before the inverses are searched, which look the states up
+        for g, spec in self.generators.items():
+            for state in spec.states:
+                if state not in self.transducer.transitions:
+                    raise InvalidAction(f"generator {g!r} names state "
+                                        f"{state!r}, which is not in transducers")
+        object.__setattr__(self, "inverses",
+                           _infer_inverses(self.transducer, self.generators))
 
     @property
     def gen_names(self) -> tuple:
@@ -427,52 +432,38 @@ def level_apply_word(action: ActionSystem, word, text: str) -> str:
     return text
 
 
-def _machine(table: dict) -> Transducer:
-    """table: state -> ((next0, next1), (out0, out1)); identity added."""
-    transitions = {IDENTITY_STATE: {"0": IDENTITY_STATE, "1": IDENTITY_STATE}}
-    outputs = {IDENTITY_STATE: {"0": "0", "1": "1"}}
-    for s, ((n0, n1), (o0, o1)) in table.items():
-        transitions[s] = {"0": n0, "1": n1}
-        outputs[s] = {"0": o0, "1": o1}
-    return Transducer(transitions, outputs)
+# The built-ins as action-file data, less name and e: what `action dump` prints.
+_BUILTINS = {
+    # a swaps the root letter; b=(a,c), c=(a,d), d=(1,b).
+    "grigorchuk": {"transducers": {
+        "a": {"transitions": {"0": "e", "1": "e"}, "outputs": {"0": "1", "1": "0"}},
+        "b": {"transitions": {"0": "a", "1": "c"}, "outputs": {"0": "0", "1": "1"}},
+        "c": {"transitions": {"0": "a", "1": "d"}, "outputs": {"0": "0", "1": "1"}},
+        "d": {"transitions": {"0": "e", "1": "b"}, "outputs": {"0": "0", "1": "1"}}},
+        "generators": {"a": "a", "b": "b", "c": "c", "d": "d"},
+        "basepoint": {"preperiod": "", "period": "1"}},
+    # Binary adding machine, least-significant digit first.
+    "odometer": {"transducers": {
+        "t": {"transitions": {"0": "e", "1": "t"}, "outputs": {"0": "1", "1": "0"}},
+        "t_inv": {"transitions": {"0": "t_inv", "1": "e"},
+                  "outputs": {"0": "1", "1": "0"}}},
+        "generators": {"t": "t", "t_inv": "t_inv"},
+        "basepoint": {"preperiod": "", "period": "0"}},
+    "dihedral": {"transducers": {
+        "a": {"transitions": {"0": "e", "1": "e"}, "outputs": {"0": "1", "1": "0"}},
+        "b": {"transitions": {"0": "a", "1": "b"}, "outputs": {"0": "0", "1": "1"}}},
+        "generators": {"a": "a", "b": "b"},
+        "basepoint": {"preperiod": "", "period": "1"}},
+}
+
+BUILTIN_NAMES = tuple(sorted(_BUILTINS))
 
 
 def builtin_action(name: str) -> ActionSystem:
-    """The built-in actions: grigorchuk, odometer, dihedral."""
-    if name == "grigorchuk":
-        # a swaps the root letter; b=(a,c), c=(a,d), d=(1,b).
-        machine = _machine({
-            "a": ((IDENTITY_STATE, IDENTITY_STATE), ("1", "0")),
-            "b": (("a", "c"), ("0", "1")),
-            "c": (("a", "d"), ("0", "1")),
-            "d": ((IDENTITY_STATE, "b"), ("0", "1")),
-        })
-        gens = {g: GeneratorSpec(state=g) for g in "abcd"}
-        inverses = {g: g for g in "abcd"}
-        base = canonical_point("", "1")
-    elif name == "odometer":
-        # Binary adding machine, least-significant digit first.
-        machine = _machine({
-            "t": ((IDENTITY_STATE, "t"), ("1", "0")),
-            "t_inv": (("t_inv", IDENTITY_STATE), ("1", "0")),
-        })
-        gens = {"t": GeneratorSpec(state="t"), "t_inv": GeneratorSpec(state="t_inv")}
-        inverses = {"t": "t_inv", "t_inv": "t"}
-        base = canonical_point("", "0")
-    elif name == "dihedral":
-        machine = _machine({
-            "a": ((IDENTITY_STATE, IDENTITY_STATE), ("1", "0")),
-            "b": (("a", "b"), ("0", "1")),
-        })
-        gens = {g: GeneratorSpec(state=g) for g in "ab"}
-        inverses = {g: g for g in "ab"}
-        base = canonical_point("", "1")
-    else:
+    """A built-in action: dihedral, grigorchuk or odometer."""
+    if name not in _BUILTINS:
         raise UnknownAction(name)
-    return ActionSystem(name, machine, gens, inverses, base)
-
-
-BUILTIN_NAMES = ("dihedral", "grigorchuk", "odometer")
+    return action_from_json({"name": name, **_BUILTINS[name]})
 
 
 def fragment_generators(action: ActionSystem, base_generator: str,
@@ -526,9 +517,8 @@ def fragment_generators(action: ActionSystem, base_generator: str,
         missing = sorted(all_cells - covered)
         raise NotAFragmentation(f"cells {missing} are covered by no on-piece")
 
-    inverses = {g: g for g in new_gens}
     return ActionSystem(f"{action.name}_frag_{base_generator}", action.transducer,
-                        new_gens, inverses, action.basepoint)
+                        new_gens, action.basepoint)
 
 
 def combine_actions(name: str, *systems: ActionSystem) -> ActionSystem:
@@ -542,7 +532,6 @@ def combine_actions(name: str, *systems: ActionSystem) -> ActionSystem:
         raise InvalidAction("need at least one system")
     first = systems[0]
     gens = {}
-    inverses = {}
     for system in systems:
         if system.transducer is not first.transducer or \
                 system.basepoint != first.basepoint:
@@ -551,8 +540,7 @@ def combine_actions(name: str, *systems: ActionSystem) -> ActionSystem:
             if g in gens:
                 raise InvalidAction(f"generator name {g!r} collides")
         gens.update(system.generators)
-        inverses.update(system.inverses)
-    return ActionSystem(name, first.transducer, gens, inverses, first.basepoint)
+    return ActionSystem(name, first.transducer, gens, first.basepoint)
 
 
 # --- action-definition file format -------------------------------------
@@ -583,28 +571,22 @@ def action_from_json(data: dict) -> ActionSystem:
     try:
         transitions = {s: dict(t["transitions"]) for s, t in data["transducers"].items()}
         outputs = {s: dict(t["outputs"]) for s, t in data["transducers"].items()}
-        if IDENTITY_STATE not in transitions:
-            transitions[IDENTITY_STATE] = {"0": IDENTITY_STATE, "1": IDENTITY_STATE}
-            outputs[IDENTITY_STATE] = {"0": "0", "1": "1"}
+        transitions.setdefault(IDENTITY_STATE, {"0": "e", "1": "e"})
+        outputs.setdefault(IDENTITY_STATE, {"0": "0", "1": "1"})
         machine = Transducer(transitions, outputs)
         gens = {}
         for name, spec in data["generators"].items():
-            if isinstance(spec, str):
-                gens[name] = GeneratorSpec(state=spec)
-            else:
-                gens[name] = GeneratorSpec(pieces=tuple(sorted(
-                    (piece["prefix"], piece["state"]) for piece in spec)))
-        for name, spec in gens.items():
-            for state in spec.states:
-                if state not in transitions:
-                    raise InvalidAction(f"generator {name!r} names state "
-                                        f"{state!r}, which is not in transducers")
+            try:
+                gens[name] = GeneratorSpec(state=spec) if isinstance(spec, str) \
+                    else GeneratorSpec(pieces=tuple(sorted(
+                        (piece["prefix"], piece["state"]) for piece in spec)))
+            except NotAPartition as exc:
+                raise InvalidAction(f"generator {name!r}: {exc}") from exc
         base = canonical_point(data["basepoint"]["preperiod"],
                                data["basepoint"]["period"])
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidAction(f"malformed action definition: {exc}") from exc
-    inverses = _infer_inverses(machine, gens)
-    return ActionSystem(data.get("name", "unnamed"), machine, gens, inverses, base)
+    return ActionSystem(data.get("name", "unnamed"), machine, gens, base)
 
 
 def _infer_inverses(machine: Transducer, gens: dict) -> dict:

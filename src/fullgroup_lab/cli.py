@@ -2,8 +2,10 @@
 
 Exit codes: 0 when every executed check passes, 1 when a check fails or a
 computation cannot be certified, 2 for usage errors (unknown action,
-malformed input files, a radius, level, escape radius, --n, --z, --cap
-or --order-cap out of range, a --radii that is not a list of integers).
+malformed input files, an action file's generator pieces that do not
+partition the space included, a radius, level, escape radius, --n, --z,
+--cap or --order-cap out of range, a --radii that is not a list of
+integers).
 Reports are byte-identical across repeated runs with the same inputs;
 `--timing` adds wall-clock seconds (the whole run, the window and each
 check of `verify`) and the work of the window and of each check (full BFS
@@ -332,7 +334,7 @@ def cmd_stabilizer(args) -> int:
 def cmd_recurrence(args) -> int:
     action = _load_action(args.action)
     try:
-        radii = [int(x) for x in (args.radii or "2,4,8").split(",")]
+        radii = [int(x) for x in args.radii.split(",")]
     except ValueError:
         raise UsageError(f"radii must be comma-separated integers, "
                          f"got {args.radii!r}") from None
@@ -759,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recurrence", help="exact escape probabilities")
     p.add_argument("action")
-    p.add_argument("--radii")
+    p.add_argument("--radii", default="2,4,8")
     common(p)
     p.set_defaults(func=cmd_recurrence)
 

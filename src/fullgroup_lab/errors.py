@@ -10,7 +10,9 @@ class InvalidPoint(FullGroupLabError):
 
 
 class UnknownGenerator(FullGroupLabError):
-    pass
+    def __init__(self, name):
+        self.name = name
+        super().__init__(f"unknown generator {name!r}")
 
 
 class UnknownAction(FullGroupLabError):

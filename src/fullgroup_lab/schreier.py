@@ -287,7 +287,14 @@ def build_level_graph(action: ActionSystem, n: int,
     so no word is run through the transducer.  The vertex ids, the table
     entries and so every edge's ends are elements of one list: the ints
     are shared, and the dicts the line chart keys by vertex find them by
-    identity."""
+    identity.
+
+    Each table is a permutation: a generator has an inverse (ActionSystem
+    decides one), so it is a bijection.  Its pieces are at most n deep
+    (level_images refuses a deeper one), so the cylinder of a level-n word
+    u lies under one piece, whose state, a tree automorphism, maps it onto
+    the cylinder of u's image.  Two words with one image would be disjoint
+    cylinders mapped onto one, and the generator would not be injective."""
     if n < 1:
         raise InvalidRadius("level must be >= 1")
     if 2 ** n > cap:
@@ -299,12 +306,7 @@ def build_level_graph(action: ActionSystem, n: int,
         {s for spec in specs for s in spec.states}, ids)
     edges = []
     for g, spec in zip(action.gen_names, specs):
-        images = spec.level_images(tables, n)
-        # each state's table is a permutation, pieces of several states
-        # need not fit together
-        if spec.pieces and len(set(images)) != len(ids):
-            raise InvalidRadius(f"generator {g!r} is not a level-{n} permutation")
-        edges += zip(ids, repeat(g), images)
+        edges += zip(ids, repeat(g), spec.level_images(tables, n))
     base = ids[int(action.basepoint.prefix(n), 2)]
     return LevelGraph(action, n, words, edges, base)
 

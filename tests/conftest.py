@@ -12,8 +12,10 @@ from fullgroup_lab import (
     action_to_json,
     build_ball,
     builtin_action,
+    combine_actions,
     diametral_geodesic,
     fit_line_chart,
+    fragment_generators,
     half_space,
     make_element,
 )
@@ -63,6 +65,20 @@ def bellaterra():
     """The Bellaterra automaton: the orbit of (0) is tree-like, with
     2^(r+1) - 1 vertices at radius r."""
     return action_from_json(json.loads((TESTS / "bellaterra.json").read_text()))
+
+
+@pytest.fixture(scope="session")
+def dihedral_frag(dihedral):
+    """Demo 01's fragmented dihedral action: ha1, ha2 split a over the
+    cylinders of length 2 and h1, h2 split b over those of length 1."""
+    A = fragment_generators(
+        dihedral, "a",
+        [[("00", True), ("10", True), ("01", False), ("11", False)],
+         [("00", False), ("10", False), ("01", True), ("11", True)]],
+        prefix="ha")
+    B = fragment_generators(
+        dihedral, "b", [[("0", True), ("1", False)], [("0", False), ("1", True)]])
+    return combine_actions("dihedral_frag", A, B)
 
 
 @pytest.fixture(scope="session")

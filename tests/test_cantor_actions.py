@@ -231,6 +231,24 @@ def test_action_json_roundtrip(grigorchuk):
     assert again.basepoint == grigorchuk.basepoint
 
 
+@pytest.mark.parametrize("name", ["odometer", "grigorchuk", "dihedral",
+                                  "thickline", "grid", "bellaterra",
+                                  "dihedral_frag"])
+def test_every_action_definition_round_trips(request, name):
+    action = request.getfixturevalue(name)
+    again = action_from_json(json.loads(json.dumps(action_to_json(action))))
+    assert again.action_hash() == action.action_hash()
+    assert again.gen_names == action.gen_names
+    assert again.inverses == action.inverses
+
+
+def test_builtin_inverse_tables(odometer, grigorchuk, dihedral):
+    # decided when the actions are built, not written out
+    assert odometer.inverses == {"t": "t_inv", "t_inv": "t"}
+    assert grigorchuk.inverses == {g: g for g in "abcd"}
+    assert dihedral.inverses == {"a": "a", "b": "b"}
+
+
 def test_odometer_integers_roundtrip(odometer):
     # the orbit of the basepoint is exactly the integers in 2-adic coding
     from oracles import int_to_point

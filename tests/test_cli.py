@@ -93,6 +93,29 @@ def test_action_naming_a_missing_state_is_usage_error(tmp_path, capsys, spec,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(transducers=[]), "malformed action definition: "),
+    (lambda d: d.update(generators=[]), "malformed action definition: "),
+    (lambda d: d["transducers"]["t"].update(transitions=["0", "e"]),
+     "malformed action definition: "),
+    (lambda d: d["generators"].update(t=[{"prefix": "0", "state": "t"}]),
+     "generator 't': prefixes cover measure 1/2, not 1"),
+    (lambda d: d["generators"].update(t=[{"prefix": p, "state": "t"}
+                                         for p in ("0", "01", "1")]),
+     "generator 't': prefix '0' overlaps '01'"),
+], ids=["transducers-list", "generators-list", "transitions-list",
+        "pieces-gap", "pieces-overlap"])
+def test_malformed_action_file_is_usage_error(tmp_path, capsys, edit, message):
+    data = action_to_json(builtin_action("odometer"))
+    edit(data)
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps(data))
+    assert main(["action", "dump", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad action file {path}: {message}")
+    assert "Traceback" not in err
+
+
 def test_qi_fields(capsys):
     code, data = run_json(["qi", "grigorchuk", "--level", "8"], capsys)
     assert code == 0
@@ -389,6 +412,11 @@ def test_verify_degrades_to_skips_on_small_windows(capsys):
       "--order-cap", "-1"], "order cap must be >= 1"),
     (["recurrence", "odometer", "--radii", "2,x"],
      "radii must be comma-separated integers"),
+    (["recurrence", "odometer", "--radii", ""],
+     "radii must be comma-separated integers"),
+    # a word of odometer generators on grigorchuk
+    (["element", "check", "grigorchuk", "--element", "{swap}"],
+     "unknown generator 't'"),
     # even the base alone exceeds a vertex cap below 1
     (["graph", "odometer", "--radius", "0", "--cap", "0"], "cap must be >= 1"),
     (["qi", "grigorchuk", "--level", "3", "--cap", "0"], "cap must be >= 1"),
@@ -407,6 +435,7 @@ def test_verify_degrades_to_skips_on_small_windows(capsys):
         "cocycle-radius0", "transport-radius0", "stabilizer-radius0",
         "verify-n", "transport-n", "stabilizer-n", "transport-z-large",
         "transport-z-negative", "stabilizer-order-cap", "recurrence-radii",
+        "recurrence-radii-empty", "element-unknown-generator",
         "graph-cap0", "qi-cap0", "cocycle-cap0",
         "transport-cap0", "stabilizer-cap0", "recurrence-cap0", "verify-cap0",
         "verify-cap-negative"])

@@ -8,8 +8,6 @@ from fullgroup_lab import (
     build_ball,
     build_level_graph,
     builtin_action,
-    combine_actions,
-    fragment_generators,
     graph_to_dot,
     graph_to_json,
     neighborhood_set,
@@ -115,33 +113,15 @@ def test_odometer_level2_is_cycle(odometer):
 
 
 def test_level_action_is_permutation(grigorchuk):
-    # build_level_graph validates bijectivity internally; rerun the check
+    # every generator has an inverse, so it permutes each level
     lg = build_level_graph(grigorchuk, 5)
     for g in grigorchuk.gen_names:
         images = {grigorchuk.level_apply_gen(g, w) for w in lg.labels}
         assert len(images) == lg.n
 
 
-def _dihedral_frag():
-    """Demo 01's fragmented dihedral action: ha1, ha2 split a over the
-    cylinders of length 2 and h1, h2 split b over those of length 1."""
-    dihedral = builtin_action("dihedral")
-    A = fragment_generators(
-        dihedral, "a",
-        [[("00", True), ("10", True), ("01", False), ("11", False)],
-         [("00", False), ("10", False), ("01", True), ("11", True)]],
-        prefix="ha")
-    B = fragment_generators(
-        dihedral, "b", [[("0", True), ("1", False)], [("0", False), ("1", True)]])
-    return combine_actions("dihedral_frag", A, B)
-
-
 LEVEL_ACTIONS = ("odometer", "grigorchuk", "dihedral", "thickline", "grid",
                  "bellaterra", "dihedral_frag")
-
-
-def _level_action(request, name):
-    return _dihedral_frag() if name == "dihedral_frag" else request.getfixturevalue(name)
 
 
 def _level_outcome(build, action, n):
@@ -154,7 +134,7 @@ def _level_outcome(build, action, n):
 
 @pytest.mark.parametrize("name", LEVEL_ACTIONS)
 def test_level_graph_matches_word_by_word_builder(request, name):
-    action = _level_action(request, name)
+    action = request.getfixturevalue(name)
     for n in range(1, 11):
         assert _level_outcome(build_level_graph, action, n) == \
             _level_outcome(level_graph_by_words, action, n)
@@ -162,7 +142,7 @@ def test_level_graph_matches_word_by_word_builder(request, name):
 
 @pytest.mark.parametrize("name", LEVEL_ACTIONS)
 def test_level_tables_match_apply_prefix(request, name):
-    machine = _level_action(request, name).transducer
+    machine = request.getfixturevalue(name).transducer
     for n in range(1, 9):
         words = cells(n)
         ids = list(range(len(words)))
@@ -182,19 +162,17 @@ def test_level_graph_shares_one_int_per_vertex(grigorchuk, odometer):
         assert first[lg.base] is lg.base
 
 
-def test_level_graph_refusals(grigorchuk):
-    # a piece table that is not a level bijection: x moves the cylinder 0
-    # onto 1 and fixes 1
+def test_level_graph_refusals(grigorchuk, dihedral_frag):
+    # a piece table that is not a bijection has no inverse, so no action
+    # has it: x moves the cylinder 0 onto 1 and fixes 1
     gens = dict(grigorchuk.generators,
                 x=GeneratorSpec(pieces=(("0", "a"), ("1", "e"))))
-    action = ActionSystem("grig_x", grigorchuk.transducer, gens,
-                          dict(grigorchuk.inverses, x="x"), grigorchuk.basepoint)
-    with pytest.raises(InvalidRadius) as exc:
-        build_level_graph(action, 3)
-    assert str(exc.value) == "generator 'x' is not a level-3 permutation"
+    with pytest.raises(InvalidAction) as exc:
+        ActionSystem("grig_x", grigorchuk.transducer, gens, grigorchuk.basepoint)
+    assert str(exc.value) == "no inverse found for generator 'x'"
     # a piece deeper than the level: the first word no piece covers is named
     with pytest.raises(InvalidAction) as exc:
-        build_level_graph(_dihedral_frag(), 1)
+        build_level_graph(dihedral_frag, 1)
     assert str(exc.value) == "level word '0' shorter than piece prefixes"
 
 
