@@ -255,9 +255,12 @@ class Transducer:
 
 
 def _check_prefix_partition(prefixes) -> None:
-    """Prefixes must be pairwise incomparable and cover the cylinder space
-    (prefix-free with Kraft sum exactly 1)."""
+    """Prefixes must be binary words, pairwise incomparable, and cover the
+    cylinder space (prefix-free with Kraft sum exactly 1)."""
     ordered = sorted(prefixes)
+    for p in ordered:
+        if not set(p) <= {"0", "1"}:
+            raise NotAPartition(f"prefix {p!r} is not a binary word")
     for a, b in zip(ordered, ordered[1:]):
         if b.startswith(a):
             raise NotAPartition(f"prefix {a!r} overlaps {b!r}")

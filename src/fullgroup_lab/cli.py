@@ -607,9 +607,10 @@ CHECK_IDS = tuple(check_id for check_id, *_ in CHECKS)
 
 def _work() -> tuple:
     """The clock and the process's work counters so far: full BFS rows,
-    transducer applications and element vertex maps walked."""
-    return (time.perf_counter(), Graph.full_rows, Transducer.applications,
-            Graph.map_walks)
+    bounded searches, transducer applications and element vertex maps
+    walked."""
+    return (time.perf_counter(), Graph.full_rows, Graph.searches,
+            Transducer.applications, Graph.map_walks)
 
 
 def _timing(spent: dict) -> dict:
@@ -619,7 +620,8 @@ def _timing(spent: dict) -> dict:
     window = spent.pop("window")
     timing = {"window": round(window[0], 3),
               "checks": {c: round(d[0], 3) for c, d in spent.items()}}
-    for k, key in enumerate(("rows", "applications", "walks"), start=1):
+    for k, key in enumerate(("rows", "searches", "applications", "walks"),
+                            start=1):
         timing[key] = {"window": window[k],
                        "checks": {c: d[k] for c, d in spent.items()}}
     return timing

@@ -17,7 +17,11 @@ separates the levels below it from those above: every path from a vertex
 x with f(x) < t to a vertex of F_t meets F_{t-1}.  The sweep therefore
 needs only the distances inside a fiber and between adjacent fibers,
 which short searches find on a line-like graph, instead of one BFS row
-per certified vertex (see _fit_beta).
+per certified vertex (see _fit_beta).  A fiber of one certified vertex is
+a cut vertex: the sweep has measured every pair it separates on reaching
+it, and starts afresh above it with no search.  Every fiber is such a
+vertex on the odometer, Grigorchuk and dihedral balls, and on the
+Grigorchuk and dihedral level graphs (the odometer's is a cycle).
 
 The longest geodesic centered at a vertex v rests on the same fact, for
 the level set S = g^-1(g(v)) of g = d(m, .) from a vertex m far from v:
@@ -81,16 +85,15 @@ class LineChart:
         base's row graph.dist (project_to_geodesic at the base)."""
         return _nearest(self.geodesic, self.graph.dist)
 
-    def fibers(self) -> dict:
-        return _level_sets(self.f)
-
     @cached_property
     def levels(self) -> tuple:
         """(low, order, start): order lists the vertices by level, in
         vertex order within a level, and the fiber F_(low + k) is
         order[start[k]:start[k + 1]], so start[k] counts the vertices of
         level < low + k.  f takes every level from the lowest, low, to the
-        highest.  Built once per chart, by its first transport."""
+        highest.  Built once per chart, by its first caller: the fiber
+        check, which verify (its first check, localfin) and qi run before
+        any transport."""
         f = self.f
         low = min(f)
         start = [0] * (max(f) - low + 2)
@@ -155,6 +158,19 @@ def _fit_beta(graph: Graph, f) -> int:
     F_t.  Vectors that agree are the same from then on and are kept once:
     on a line-like graph their entries lie in [0, beta] at certified y, so
     few distinct vectors remain however large the graph is.
+
+    A fiber F_s = {z} of one certified vertex ends every vector: beta is
+    read at z, then the sweep drops them all and goes on to F_(s+1) with
+    none, so that fiber takes no min-plus step and z no in-fiber search.
+    Every path from x below z to w above z meets F_s = {z}, and f is the
+    BFS depth from the minus end less an offset, so w's chain of BFS
+    parents descends one level per step, passes z, and gives
+    d(z, w) = f(w) - s.  Hence d(x, w) - (f(w) - f(x)) =
+    d(x, z) - (s - f(x)), the entry V_x(z) just read.  An uncertified
+    one-vertex fiber keeps the step, since beta is not read there.  In a
+    ball that is the first or the last fiber, with no pair to span: z lies
+    on the rim, and a vertex on the far side of z from the base would lie
+    outside the radius.
     """
     certified = graph.certified(1)
     beta, vectors, prev = 0, set(), []
@@ -164,6 +180,11 @@ def _fit_beta(graph: Graph, f) -> int:
             vectors = {tuple(min(a + row[j] for a, row in zip(vec, step)) - 1
                              for j in range(len(fiber)))
                        for vec in vectors}
+        if len(fiber) == 1 and fiber[0] in certified:
+            # a cut vertex: each vector's one entry is read, then dropped
+            beta = max([beta] + [vec[0] for vec in vectors])
+            vectors = set()
+            continue
         vectors.update(tuple(graph.distances_to(x, fiber))
                        for x in fiber if x in certified)
         at = [j for j, y in enumerate(fiber) if y in certified]
@@ -189,10 +210,14 @@ def fiber_diameter_check(chart: LineChart) -> FiberReport:
     """Every certified fiber f^-1(t) must have diameter at most beta
     (alpha*beta at alpha = 1)."""
     certified = chart.graph.certified(1)
+    low, order, start = chart.levels
     worst = 0
     worst_level = None
-    for level, verts in sorted(chart.fibers().items()):
-        verts = [v for v in verts if v in certified]
+    for k in range(len(start) - 1):
+        if start[k + 1] - start[k] < 2:
+            continue  # a fiber of one vertex holds no pair
+        level = low + k
+        verts = [v for v in order[start[k]:start[k + 1]] if v in certified]
         for i, u in enumerate(verts[:-1]):
             for d in chart.graph.distances_to(u, verts[i + 1:]):
                 if d > worst:

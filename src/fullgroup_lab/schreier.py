@@ -35,9 +35,11 @@ class Graph:
     """
 
     # Work counters of every graph of the process, which verify --timing
-    # reports per check: full BFS rows (distances_from calls) and element
-    # vertex maps walked (full_group.vertex_map).
+    # reports per check: full BFS rows (distances_from calls), bounded
+    # searches (distances_to, and so d, and distances_within calls) and
+    # element vertex maps walked (full_group.vertex_map).
     full_rows = 0
+    searches = 0
     map_walks = 0
 
     def __init__(self, labels, edges, base=0, radius=None, dist=None):
@@ -131,6 +133,7 @@ class Graph:
     def distances_within(self, sources, k: int) -> dict:
         """Vertex -> distance from the nearest source, for every vertex
         within k of the sources, by a BFS that stops at depth k."""
+        Graph.searches += 1
         dist = dict.fromkeys(sources, 0) if k >= 0 else {}
         layer, depth = list(dist), 0
         while layer and depth < k:
@@ -147,6 +150,7 @@ class Graph:
     def distances_to(self, u: int, targets) -> list:
         """Distance from u to each target by a BFS that stops once it has
         reached them all; -1 for a target it cannot reach."""
+        Graph.searches += 1
         dist = {u: 0}
         left = set(targets)
         left.discard(u)

@@ -103,8 +103,11 @@ def test_action_naming_a_missing_state_is_usage_error(tmp_path, capsys, spec,
     (lambda d: d["generators"].update(t=[{"prefix": p, "state": "t"}
                                          for p in ("0", "01", "1")]),
      "generator 't': prefix '0' overlaps '01'"),
+    (lambda d: d["generators"].update(h=[{"prefix": p, "state": "t"}
+                                         for p in ("a", "b")]),
+     "generator 'h': prefix 'a' is not a binary word"),
 ], ids=["transducers-list", "generators-list", "transitions-list",
-        "pieces-gap", "pieces-overlap"])
+        "pieces-gap", "pieces-overlap", "pieces-not-binary"])
 def test_malformed_action_file_is_usage_error(tmp_path, capsys, edit, message):
     data = action_to_json(builtin_action("odometer"))
     edit(data)
@@ -140,6 +143,17 @@ def test_element_commands(capsys, swap_file):
                            swap_file, "--element2", swap_file], capsys)
     assert code == 0
     assert all(len(piece["word"]) == 2 for piece in data["pieces"])
+
+
+def test_element_with_a_non_binary_prefix_fails_its_check(tmp_path, capsys):
+    # a prefix-free cover by Kraft sum alone, which no binary point lies under
+    path = tmp_path / "ab.json"
+    path.write_text(json.dumps({"pieces": [{"prefix": "a", "word": ["t"]},
+                                           {"prefix": "b", "word": ["t_inv"]}]}))
+    assert main(["element", "check", "odometer", "--element", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("check failed: prefix 'a' is not a binary word")
+    assert "Traceback" not in err
 
 
 def test_element_missing_point_is_usage_error(capsys, swap_file):
@@ -242,10 +256,10 @@ def test_verify_timing_adds_window_and_check_seconds(capsys):
     timing = timed.pop("timing")
     # timing aside, the report is the one written without --timing
     assert code == 0 and plain.pop("timing") is None and timed == plain
-    assert set(timing) == {"seconds", "window", "checks", "rows",
+    assert set(timing) == {"seconds", "window", "checks", "rows", "searches",
                            "applications", "walks"}
     assert set(timing["checks"]) == set(cli.CHECK_IDS)
-    for counter in ("rows", "applications", "walks"):
+    for counter in ("rows", "searches", "applications", "walks"):
         assert set(timing[counter]) == {"window", "checks"}
         assert set(timing[counter]["checks"]) == set(cli.CHECK_IDS)
     parts = timing["window"] + sum(timing["checks"].values())
@@ -269,6 +283,25 @@ def test_verify_timing_counts_every_full_row(monkeypatch):
     rows = report["timing"]["rows"]
     assert rows["window"] + sum(rows["checks"].values()) == len(calls) > 0
     assert rows["checks"]["biinf"] > 0 and rows["checks"]["nesting"] == 0
+
+
+def test_verify_timing_counts_every_bounded_search(monkeypatch):
+    # the window's and the checks' search counts add up to the
+    # distances_to (and so d) and distances_within calls of the run.  Every
+    # fiber of the odometer's window is one vertex, so its chart searches
+    # nothing
+    calls = []
+    for name in ("distances_to", "distances_within"):
+        def counted(self, *args, _search=getattr(schreier.Graph, name)):
+            calls.append(args)
+            return _search(self, *args)
+
+        monkeypatch.setattr(schreier.Graph, name, counted)
+    report = cli.run_verify(builtin_action("odometer"), 120, 10, 1 << 16,
+                            timing=True)
+    searches = report["timing"]["searches"]
+    assert searches["window"] + sum(searches["checks"].values()) == len(calls) > 0
+    assert searches["window"] == 0
 
 
 def test_verify_timing_counts_one_row_for_the_window(capsys):

@@ -163,21 +163,32 @@ def test_chart_and_fiber_check_take_at_most_three_rows(monkeypatch, odometer,
     # the diametral pair's second search, from the base's farthest vertex
     # (the base's row is graph.dist); the chart's row of the minus end comes
     # with its BFS tree, and the fiber sweep and the fiber check use
-    # searches that stop early
+    # searches that stop early.  Every fiber of the odometer ball and of
+    # the level graph is one vertex, a cut vertex, and takes no search; the
+    # thick line's fibers have two vertices
     graphs = [build_ball(odometer, 200), build_level_graph(grigorchuk, 10),
               build_ball(thickline, 40)]
-    rows = []
-    full_row = Graph.distances_from
+    rows, searches = [], []
+    full_row, search = Graph.distances_from, Graph.distances_to
 
     def counted(self, sources):
         rows.append(sources)
         return full_row(self, sources)
 
+    def counted_search(self, u, targets):
+        searches.append(u)
+        return search(self, u, targets)
+
     monkeypatch.setattr(Graph, "distances_from", counted)
+    monkeypatch.setattr(Graph, "distances_to", counted_search)
+    counts = []
     for graph in graphs:
         rows.clear()
+        searches.clear()
         fiber_diameter_check(fit_line_chart(graph))
         assert len(rows) == 1
+        counts.append(len(searches))
+    assert counts[:2] == [0, 0] and counts[2] > 0
 
 
 def test_window_takes_at_most_four_full_searches(monkeypatch, capsys, odometer):
