@@ -14,9 +14,11 @@ Words act from the left: the rightmost letter of a word is applied first.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from .errors import (
@@ -290,10 +292,7 @@ class GeneratorSpec:
     def state_at(self, point: BoundaryPoint) -> str:
         if self.state is not None:
             return self.state
-        for prefix, state in self.pieces:
-            if point.prefix(len(prefix)) == prefix:
-                return state
-        raise InvalidAction("partition failed to match a point")
+        return self.state_at_word(point.prefix(self.max_depth()))
 
     def state_at_word(self, word: str) -> str:
         if self.state is not None:
@@ -412,7 +411,11 @@ class ActionSystem:
         return [self.inverse_name(g) for g in reversed(list(word))]
 
     def action_hash(self) -> str:
-        import hashlib
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> str:
+        """Hashed once per action, which never changes."""
         return hashlib.sha256(
             json.dumps(action_to_json(self), sort_keys=True).encode()
         ).hexdigest()[:16]

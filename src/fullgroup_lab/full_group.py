@@ -89,10 +89,7 @@ class FullGroupElement:
         return max((len(p) for p, _ in self.pieces), default=0)
 
     def word_at(self, point: BoundaryPoint) -> tuple:
-        for prefix, word in self.pieces:
-            if point.prefix(len(prefix)) == prefix:
-                return word
-        raise AssertionError("validated partition must match every point")
+        return self.word_at_cell(point.prefix(self.depth))
 
     def word_at_cell(self, cell: str) -> tuple:
         for prefix, word in self.pieces:
@@ -276,12 +273,12 @@ def element_from_json(action: ActionSystem, data: dict) -> FullGroupElement:
 
 
 def elements_from_json(action: ActionSystem, data) -> list:
-    """The elements of a list of them, or of {"elements": [...]};
+    """The elements of a non-empty list of them, or of {"elements": [...]};
     InvalidElement for data of another shape."""
     if isinstance(data, dict) and "elements" in data:
         data = data["elements"]
-    if not isinstance(data, list):
-        raise InvalidElement('a family is a list of elements or {"elements": '
-                             f"[...]}}, got {json.dumps(data)[:60]}")
+    if not isinstance(data, list) or not data:
+        raise InvalidElement('a family is a non-empty list of elements or '
+                             f'{{"elements": [...]}}, got {json.dumps(data)[:60]}')
     return [element_from_json(action, entry) for entry in data]
 

@@ -10,10 +10,11 @@ from types import SimpleNamespace
 import pytest
 
 import fullgroup_lab
-from fullgroup_lab import (action_to_json, build_ball, builtin_action, cli,
-                           cocycle, line_geometry, make_element,
-                           pattern_transport, schreier)
-from fullgroup_lab.cantor_actions import Transducer
+from fullgroup_lab import (action_from_json, action_to_json, build_ball,
+                           builtin_action, cantor_actions, cli, cocycle,
+                           line_geometry, make_element, pattern_transport,
+                           schreier, verify)
+from fullgroup_lab.cantor_actions import BUILTIN_NAMES, Transducer
 from fullgroup_lab.cli import main
 from fullgroup_lab.errors import (FamilyFailure, FullGroupLabError, NoRepetition,
                                   TransportFailure)
@@ -173,6 +174,11 @@ def test_bad_element_file_is_usage_error(tmp_path, capsys):
      [[{"prefix": "", "word": ["t"]}]], "an element is"),
     (["transport", "odometer", "--F", "{bad}", "--n", "10", "--z", "3"],
      {"pieces": 5}, "a family is"),
+    # an empty family has no displacement bound to transport with
+    (["stabilizer", "odometer", "--F", "{bad}", "--n", "10"], [],
+     "a family is"),
+    (["transport", "odometer", "--F", "{bad}", "--n", "10", "--z", "3"],
+     {"elements": []}, "a family is"),
     (["stabilizer", "odometer", "--F", "{bad}", "--n", "10"],
      {"elements": [{"pieces": [{"prefix": 0, "word": ["t"]}]}]},
      "an element is"),
@@ -185,7 +191,7 @@ def test_bad_element_file_is_usage_error(tmp_path, capsys):
     (["element", "compose", "odometer", "--element", "{swap}", "--element2",
       "{bad}"], {"pieces": [{"word": ["t"]}]}, "an element is"),
 ], ids=["stabilizer-nested-list", "transport-nested-list", "transport-pieces",
-        "stabilizer-prefix", "cocycle-pieces", "cocycle-word",
+        "stabilizer-empty-list", "transport-empty-elements", "stabilizer-prefix", "cocycle-pieces", "cocycle-word",
         "element-list", "element2-no-prefix"])
 def test_malformed_element_file_is_usage_error(tmp_path, capsys, swap_file,
                                                argv, data, message):
@@ -258,13 +264,13 @@ def test_verify_timing_adds_window_and_check_seconds(capsys):
     assert code == 0 and plain.pop("timing") is None and timed == plain
     assert set(timing) == {"seconds", "window", "checks", "rows", "searches",
                            "applications", "walks"}
-    assert set(timing["checks"]) == set(cli.CHECK_IDS)
+    assert set(timing["checks"]) == set(verify.CHECK_IDS)
     for counter in ("rows", "searches", "applications", "walks"):
         assert set(timing[counter]) == {"window", "checks"}
-        assert set(timing[counter]["checks"]) == set(cli.CHECK_IDS)
+        assert set(timing[counter]["checks"]) == set(verify.CHECK_IDS)
     parts = timing["window"] + sum(timing["checks"].values())
     assert all(t >= 0 for t in timing["checks"].values())
-    assert parts <= timing["seconds"] + 0.001 * (len(cli.CHECK_IDS) + 1)
+    assert parts <= timing["seconds"] + 0.001 * (len(verify.CHECK_IDS) + 1)
 
 
 def test_verify_timing_counts_every_full_row(monkeypatch):
@@ -278,7 +284,7 @@ def test_verify_timing_counts_every_full_row(monkeypatch):
         return full_row(self, sources)
 
     monkeypatch.setattr(schreier.Graph, "distances_from", counted)
-    report = cli.run_verify(builtin_action("odometer"), 120, 10, 1 << 16,
+    report = verify.run_verify(builtin_action("odometer"), 120, 10, 1 << 16,
                             timing=True)
     rows = report["timing"]["rows"]
     assert rows["window"] + sum(rows["checks"].values()) == len(calls) > 0
@@ -297,7 +303,7 @@ def test_verify_timing_counts_every_bounded_search(monkeypatch):
             return _search(self, *args)
 
         monkeypatch.setattr(schreier.Graph, name, counted)
-    report = cli.run_verify(builtin_action("odometer"), 120, 10, 1 << 16,
+    report = verify.run_verify(builtin_action("odometer"), 120, 10, 1 << 16,
                             timing=True)
     searches = report["timing"]["searches"]
     assert searches["window"] + sum(searches["checks"].values()) == len(calls) > 0
@@ -339,7 +345,7 @@ def test_verify_timing_counts_applications_and_walks(monkeypatch):
         if name.startswith("fullgroup_lab") and \
                 getattr(module, "vertex_map", None) is vertex_map:
             monkeypatch.setattr(module, "vertex_map", counted_map)
-    report = cli.run_verify(action, 120, 10, 1 << 16, timing=True)
+    report = verify.run_verify(action, 120, 10, 1 << 16, timing=True)
     timing = report["timing"]
     total = {key: timing[key]["window"] + sum(timing[key]["checks"].values())
              for key in ("applications", "walks")}
@@ -357,7 +363,7 @@ def test_d_phi_matches_all_pairs_distances(odometer, thickline):
     # swap 4k+1 <-> 4k+2 stays in fibers too, and its word at the base is
     # empty
     for action in (odometer, thickline):
-        half = cli._window(action, 40, 1 << 16)
+        half = verify.window(action, 40, 1 << 16)
         ball = half.graph
         samples = [make_element(action, [("0", ("t_inv",)), ("1", ("t",))]),
                    make_element(action, [("0", ("t",)), ("1", ("t_inv",))]),
@@ -366,32 +372,32 @@ def test_d_phi_matches_all_pairs_distances(odometer, thickline):
         samples += random_elements(action, random.Random(9), 6, max_depth=2,
                                    max_word=3)
         w = SimpleNamespace(ball=ball, chart=half.chart, samples=samples)
-        status, witness, _ = cli._d_phi(w)
+        status, witness, _ = verify.d_phi(w)
         rows = all_pairs(ball)
         for elem in samples:
             image = vertex_map(elem, ball)
             bound = displacement_bound(elem)
             worst = max(rows[v][image[v]] for v in ball.certified(max(1, bound)))
-            assert witness[cli._elem_desc(elem)] == {"d_phi": bound,
+            assert witness[verify.elem_desc(elem)] == {"d_phi": bound,
                                                      "max_displacement": worst}
         assert status == "pass"
-        assert witness[cli._elem_desc(samples[0])]["max_displacement"] == 1
+        assert witness[verify.elem_desc(samples[0])]["max_displacement"] == 1
 
 
 def test_kernel_stab_matches_the_window_scan(odometer, thickline):
     # fixes_Y tests only the vertices near Y's boundaries, the scan every
     # vertex of the window
     for action in (odometer, thickline):
-        half = cli._window(action, 40, 1 << 16)
+        half = verify.window(action, 40, 1 << 16)
         ball = half.graph
         samples = [make_element(action, [("0", ("t",)), ("1", ("t_inv",))])]
         samples += random_elements(action, random.Random(21), 12, max_depth=2,
                                    max_word=3)
         w = SimpleNamespace(ball=ball, half=half, samples=samples)
-        _status, witness, _ = cli._kernel_stab(w)
+        _status, witness, _ = verify.kernel_stab(w)
         seen = set()
         for elem in samples:
-            entry = witness[cli._elem_desc(elem)]
+            entry = witness[verify.elem_desc(elem)]
             if isinstance(entry, str):  # window limited
                 continue
             image = vertex_map(elem, ball)
@@ -521,9 +527,9 @@ def test_verify_raises_on_a_missing_check(monkeypatch):
     # raises instead of being dropped from the report
     for row in (("extra", None, (), ()),
                 ("extra", lambda w, v: ("pass", {}, None), ("recurrence",), ())):
-        monkeypatch.setattr(cli, "CHECKS", (row,) + cli.CHECKS)
+        monkeypatch.setattr(verify, "CHECKS", (row,) + verify.CHECKS)
         with pytest.raises(RuntimeError, match="extra"):
-            cli.run_verify(builtin_action("odometer"), 8, 10, 1 << 16)
+            verify.run_verify(builtin_action("odometer"), 8, 10, 1 << 16)
         monkeypatch.undo()
 
 
@@ -534,13 +540,13 @@ def _raises(exc):
 
 
 def test_verify_check_error_stays_in_its_own_entry(monkeypatch, tmp_path):
-    intact = cli.run_verify(builtin_action("odometer"), 40, 10, 1 << 16)["checks"]
-    oneend = cli.CHECK_IDS.index("oneend")
-    entries = list(cli.CHECKS)
+    intact = verify.run_verify(builtin_action("odometer"), 40, 10, 1 << 16)["checks"]
+    oneend = verify.CHECK_IDS.index("oneend")
+    entries = list(verify.CHECKS)
     check_id, _check, deps, params = entries[oneend]
     entries[oneend] = (check_id, _raises(FullGroupLabError("strips unavailable")),
                        deps, params)
-    monkeypatch.setattr(cli, "CHECKS", tuple(entries))
+    monkeypatch.setattr(verify, "CHECKS", tuple(entries))
     out = tmp_path / "verify.json"
     assert main(["verify", "odometer", "--radius", "40", "--out", str(out)]) == 1
     checks = json.loads(out.read_text())["checks"]
@@ -573,8 +579,8 @@ FAMILY_IDS = ("nesting", "block_bound", "finite_order")
       **{c: ("fail", {"error": "moved"}) for c in FAMILY_IDS}}),
 ])
 def test_verify_dependency_rules(monkeypatch, name, exc, expect):
-    monkeypatch.setattr(cli, name, _raises(exc))
-    checks = cli.run_verify(builtin_action("odometer"), 80, 10, 1 << 16)["checks"]
+    monkeypatch.setattr(verify, name, _raises(exc))
+    checks = verify.run_verify(builtin_action("odometer"), 80, 10, 1 << 16)["checks"]
     n_params = {"upp", "stab_transport"}
     for e in checks:
         status, witnesses = expect.get(e["id"], ("pass", None))
@@ -590,14 +596,14 @@ MOVED = "every element of F must stabilize Y"
 def test_verify_reports_a_family_that_moves_y(monkeypatch):
     # F = {t} moves Y: each of the five transports fails with that error,
     # and so do the three checks built on the nested family
-    samples = cli.sample_elements
+    samples = verify.sample_elements
 
     def shifted(action):
         return {**samples(action),
                 "kernel_family": [make_element(action, [("", ("t",))])]}
 
-    monkeypatch.setattr(cli, "sample_elements", shifted)
-    report = cli.run_verify(builtin_action("odometer"), 80, 10, 1 << 16)
+    monkeypatch.setattr(verify, "sample_elements", shifted)
+    report = verify.run_verify(builtin_action("odometer"), 80, 10, 1 << 16)
     checks = {e["id"]: e for e in report["checks"]}
     transport = checks["stab_transport"]
     assert transport["status"] == "fail"
@@ -659,9 +665,38 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name, radius, n", sorted(GOLDEN))
 def test_verify_report_bytes_are_pinned(name, radius, n):
-    report = cli.run_verify(builtin_action(name), radius, n, 1 << 16)
+    report = verify.run_verify(builtin_action(name), radius, n, 1 << 16)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name, radius, n]
+
+
+# The first 16 hex digits of the SHA-256 of each action file.
+ACTION_HASHES = {
+    "dihedral": "047f0905c90dbf9a",
+    "grigorchuk": "b0a9cd3e1f94216c",
+    "odometer": "a81b94decc02be37",
+    "grid": "d6e6014da20b4e0c",
+    "bellaterra": "2f9bc9e3fac754c4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACTION_HASHES))
+def test_verify_hashes_each_action_once(monkeypatch, request, name):
+    # an action never changes, so two runs on it write its file once
+    action = builtin_action(name) if name in BUILTIN_NAMES else \
+        request.getfixturevalue(name)
+    action = action_from_json(action_to_json(action))
+    written = []
+
+    def counted(arg):
+        written.append(arg)
+        return action_to_json(arg)
+
+    monkeypatch.setattr(cantor_actions, "action_to_json", counted)
+    hashes = [verify.run_verify(action, 4, 1, 1 << 16)["action_hash"]
+              for _ in range(2)]
+    assert written == [action]
+    assert hashes == [ACTION_HASHES[name]] * 2
 
 
 def test_verify_report_ignores_a_seed_variable(monkeypatch):
@@ -739,7 +774,7 @@ def test_verify_looks_images_up_instead_of_rerunning_transducers(monkeypatch):
     # each certified set once
     action = builtin_action("odometer")
     n = build_ball(action, 200).n
-    samples = cli.sample_elements(action)
+    samples = verify.sample_elements(action)
     calls = {"apply": 0, "stabilizer_test": 0, "pattern_match_points": 0,
              "chart_hash": 0, "end_strips": 0, "d": 0, "word_at": 0,
              "apply_element": 0}
@@ -770,7 +805,7 @@ def test_verify_looks_images_up_instead_of_rerunning_transducers(monkeypatch):
             if name.startswith("fullgroup_lab") and \
                     getattr(module, fn.__name__, None) is fn:
                 monkeypatch.setattr(module, fn.__name__, counted(fn.__name__, fn))
-    report = cli.run_verify(action, 200, 10, 1 << 16)
+    report = verify.run_verify(action, 200, 10, 1 << 16)
     assert all(e["status"] == "pass" for e in report["checks"])
     # 2 n in build_ball, one per (vertex, generator); 31 letters of the 15
     # vertex walks that step off the ball and finish by the transducers,
@@ -789,12 +824,12 @@ def test_verify_looks_images_up_instead_of_rerunning_transducers(monkeypatch):
 
     # every odometer sample reaches d_phi by |f(v) - f(phi v)|, so d_phi
     # neither looks up a piece word nor searches once the maps are built
-    half = cli._window(action, 200, 1 << 16)
+    half = verify.window(action, 200, 1 << 16)
     for elem in samples["samples"]:
         vertex_map(elem, half.graph)
     monkeypatch.setattr(schreier.Graph, "d", counted("d", schreier.Graph.d))
     calls["word_at"] = 0
     w = SimpleNamespace(ball=half.graph, chart=half.chart,
                         samples=samples["samples"])
-    assert cli._d_phi(w)[0] == "pass"
+    assert verify.d_phi(w)[0] == "pass"
     assert calls["d"] == calls["word_at"] == 0

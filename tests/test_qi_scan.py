@@ -19,7 +19,7 @@ from fullgroup_lab import (
     fit_line_chart,
     max_geodesic_midpoint,
 )
-from fullgroup_lab import cli
+from fullgroup_lab import cli, verify
 from fullgroup_lab.schreier import DEFAULT_VERTEX_CAP, regular_tree_ball
 from oracles import all_pairs, midpoint_by_extension, qi_constants, qi_holds, qi_tight
 
@@ -203,7 +203,7 @@ def test_window_takes_at_most_four_full_searches(monkeypatch, capsys, odometer):
             return _full(self, *args)
 
         monkeypatch.setattr(Graph, name, counted)
-    cli._window(odometer, 200, DEFAULT_VERTEX_CAP)
+    verify.window(odometer, 200, DEFAULT_VERTEX_CAP)
     assert len(calls) == 2
     calls.clear()
     assert cli.main(["qi", "grigorchuk", "--level", "10"]) == 0
@@ -216,7 +216,7 @@ def test_biinf_takes_a_few_full_rows_per_radius(monkeypatch, odometer):
     # and one row per separator vertex other than the midpoint (on the
     # odometer the separator is the midpoint alone); the two cut balls add
     # the second search of their diametral pairs
-    half = cli._window(odometer, 400, DEFAULT_VERTEX_CAP)
+    half = verify.window(odometer, 400, DEFAULT_VERTEX_CAP)
     w = SimpleNamespace(action=odometer, radius=400, cap=DEFAULT_VERTEX_CAP,
                         ball=half.graph, chart=half.chart)
     rows = []
@@ -227,7 +227,7 @@ def test_biinf_takes_a_few_full_rows_per_radius(monkeypatch, odometer):
         return full_row(self, sources)
 
     monkeypatch.setattr(Graph, "distances_from", counted)
-    status, witness, _ = cli._biinf(w)
+    status, witness, _ = verify.biinf(w)
     assert status == "pass" and witness["midpoint_growth"] == [100, 200, 400]
     assert len(rows) == 8
 

@@ -251,11 +251,11 @@ def test_nested_family_work_per_anchor_does_not_grow_with_the_window(
     # anchor adds the same count at r = 200, 400 and 800, so the work per
     # anchor does not depend on r (two whole-window reaches per anchor
     # would add about 4r calls each)
-    from fullgroup_lab import cli
+    from fullgroup_lab import cli, verify
 
     calls = {"on": False, "count": 0}
     neighbors = Graph.neighbors
-    family = cli.nested_family
+    family = verify.nested_family
 
     def counted_neighbors(self, v):
         calls["count"] += calls["on"]
@@ -269,7 +269,7 @@ def test_nested_family_work_per_anchor_does_not_grow_with_the_window(
             calls["on"] = False
 
     monkeypatch.setattr(Graph, "neighbors", counted_neighbors)
-    monkeypatch.setattr(cli, "nested_family", counted_family)
+    monkeypatch.setattr(verify, "nested_family", counted_family)
     work = []
     for radius in (200, 400, 800):
         out = tmp_path / f"r{radius}.json"
