@@ -6,7 +6,6 @@ graphs are paths on 2^n vertices.
 """
 
 from fullgroup_lab import (
-    boundary_set,
     build_ball,
     build_level_graph,
     builtin_action,
@@ -34,10 +33,12 @@ for name in ("grigorchuk", "dihedral"):
 print()
 print("== boundary and neighborhood calculus with rim awareness ==")
 W = set(range(4))        # the first four BFS vertices
-res = boundary_set(ball, W)
+interior = ball.certified(1)  # off the rim: every neighbour is in the ball
+boundary = [v for v in W if v in interior
+            and any(u not in W for u in ball.neighbors(v))]
 print("W =", sorted(ball.label_str(v) for v in W))
-print("certified boundary:", sorted(ball.label_str(v) for v in res.certified))
-print("rim flagged:", sorted(ball.label_str(v) for v in res.rim_flagged))
+print("certified boundary:", sorted(ball.label_str(v) for v in boundary))
+print("rim flagged:", sorted(ball.label_str(v) for v in W - interior))
 print("2-neighborhood size:", len(neighborhood_set(ball, W, 2)))
 
 print()

@@ -12,7 +12,6 @@ from fullgroup_lab import (
     build_ball,
     build_level_graph,
     builtin_action,
-    diametral_geodesic,
     fiber_diameter_check,
     fit_line_chart,
     m_covering_check,
@@ -48,7 +47,7 @@ for name in ("odometer", "grigorchuk", "dihedral"):
     values = []
     for r in (6, 12, 18):
         b = build_ball(action, r)
-        s = diametral_geodesic(b)
+        s = fit_line_chart(b).geodesic
         mid = s.vertices[len(s.vertices) // 2]
         values.append(max_geodesic_midpoint(b, mid))
     print(f"  {name}: window radii (6, 12, 18) -> midpoint values {values}")

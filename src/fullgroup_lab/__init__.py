@@ -46,7 +46,6 @@ from .full_group import (
 from .line_geometry import (
     GeodesicSegment,
     LineChart,
-    diametral_geodesic,
     fiber_diameter_check,
     fit_line_chart,
     m_covering_check,
@@ -66,7 +65,6 @@ from .schreier import (
     Graph,
     LevelGraph,
     SchreierBall,
-    boundary_set,
     build_ball,
     build_level_graph,
     graph_to_dot,

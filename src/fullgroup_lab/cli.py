@@ -226,11 +226,11 @@ def cmd_cocycle(args) -> int:
 def cmd_transport(args) -> int:
     action = _load_action(args.action)
     n = pattern_radius(args.n)
+    F = elements_from_json(action, _load_json(args.F))
     half = window(action, args.radius, args.cap)
     if not 0 <= args.z < half.graph.n:
         raise UsageError(f"z must be a vertex of the ball, 0 <= z < "
                          f"{half.graph.n}, got {args.z}")
-    F = elements_from_json(action, _load_json(args.F))
     try:
         result = transport_halfspace(F, args.z, n, half,
                                      transport_anchor(F, n, half))
@@ -247,8 +247,8 @@ def cmd_stabilizer(args) -> int:
     n = pattern_radius(args.n)
     if args.order_cap < 1:
         raise UsageError(f"order cap must be >= 1, got {args.order_cap}")
-    half = window(action, args.radius, args.cap)
     F = elements_from_json(action, _load_json(args.F))
+    half = window(action, args.radius, args.cap)
     try:
         anchor = transport_anchor(F, n, half)
         matches = pattern_match_points(F, half.graph, n, anchor=anchor[0])

@@ -29,7 +29,7 @@ from .errors import NotStabilized
 from .full_group import FullGroupElement, displacement_bound, vertex_map
 from .full_group import apply_element  # unused; perfbench/tests reads it here
 from .line_geometry import LineChart, end_strips
-from .schreier import Graph, boundary_set
+from .schreier import Graph
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,24 @@ class HalfSpace:
 
 def half_space(chart: LineChart) -> HalfSpace:
     """Y = f^-1(N).  Its boundary vertices have f = 0, in the bound
-    [0, beta] (alpha + beta - 1 at alpha = 1): f, a BFS row minus a
-    constant, changes by at most 1 along an edge, so a vertex of Y
-    (f >= 0) next to one outside Y (f <= -1) has f <= 0."""
-    graph = chart.graph
-    members = frozenset(v for v in range(graph.n) if chart.f[v] >= 0)
+    [0, beta] (alpha + beta - 1 at alpha = 1), and its complement's have
+    f = -1: f, a BFS row minus a constant, changes by at most 1 along an
+    edge, so for neighbours v in Y (f >= 0) and u outside it (f <= -1),
+    0 <= f(v) <= f(u) + 1 <= 0, whence f(v) = 0 and f(u) = -1.  So the
+    boundary is the certified vertices of level 0 with a neighbour on
+    level -1, and the co-boundary those of level -1 with one on level 0;
+    a vertex off certified(1) may miss neighbours beyond the rim."""
+    graph, f = chart.graph, chart.f
+    certified = graph.certified(1)
+
+    def seam(t: int) -> frozenset:
+        # certified vertices of level t with a neighbour on level -1 - t
+        return frozenset(v for v in certified if f[v] == t and any(
+            f[u] == -1 - t for u in graph.neighbors(v)))
+
     return HalfSpace(
-        chart, members, boundary_set(graph, members).certified,
-        boundary_set(graph, frozenset(range(graph.n)) - members).certified,
-        end_strips(chart.geodesic, chart.m))
+        chart, frozenset(v for v in range(graph.n) if f[v] >= 0),
+        seam(0), seam(-1), end_strips(chart.geodesic, chart.m))
 
 
 @dataclass(frozen=True)

@@ -56,14 +56,6 @@ def diametral_pair(graph: Graph) -> tuple[int, int]:
     return u, w
 
 
-def _oriented_ends(graph: Graph) -> tuple[int, int]:
-    """(minus_end, plus_end): the lex-smaller orientation key gets +."""
-    u, w = diametral_pair(graph)
-    if graph.orientation_key(w) < graph.orientation_key(u):
-        return u, w
-    return w, u
-
-
 @dataclass(frozen=True)
 class LineChart:
     """A certified map of graph vertices to integers, with the geodesic
@@ -122,7 +114,10 @@ def fit_line_chart(graph: Graph) -> LineChart:
     minus end gives both."""
     if graph.n < 2:
         raise NotConnected("need at least 2 vertices")
-    minus_end, plus_end = _oriented_ends(graph)
+    # the end of lex-smaller orientation key gets the larger f values
+    u, w = diametral_pair(graph)
+    key = graph.orientation_key
+    minus_end, plus_end = (u, w) if key(w) < key(u) else (w, u)
     parent, drow = graph.bfs_parents(minus_end)
     if min(drow) < 0:
         raise NotConnected("graph is not connected")
@@ -248,12 +243,6 @@ def end_strips(seg: GeodesicSegment, m: int) -> tuple:
     interior = seg.graph.certified(1)
     certified = [v for v in seg.vertices if v in interior]
     return frozenset(certified[:width]), frozenset(certified[-width:])
-
-
-def diametral_geodesic(graph: Graph) -> GeodesicSegment:
-    """Shortest path between the oriented diametral ends."""
-    minus_end, plus_end = _oriented_ends(graph)
-    return _geodesic(graph, graph.bfs_parents(minus_end)[0], minus_end, plus_end)
 
 
 def _geodesic(graph: Graph, parent, minus_end: int,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import bisect
 import weakref
 from collections import deque
-from dataclasses import dataclass
 from itertools import repeat
 
 from .cantor_actions import ActionSystem, BoundaryPoint, cells
@@ -313,34 +312,6 @@ def build_level_graph(action: ActionSystem, n: int,
         edges += zip(ids, repeat(g), spec.level_images(tables, n))
     base = ids[int(action.basepoint.prefix(n), 2)]
     return LevelGraph(action, n, words, edges, base)
-
-
-@dataclass(frozen=True)
-class BoundarySets:
-    """Boundary vertices of a set, split into the rim-safe verdict and the
-    members whose neighbor list is truncated by the rim."""
-
-    certified: frozenset
-    rim_flagged: frozenset
-
-
-def boundary_set(graph: Graph, W) -> BoundarySets:
-    """Vertices of W with a neighbor outside W, computed inside the graph.
-
-    Members sitting on the rim cannot be decided (their exterior neighbors
-    may be missing) and are reported separately.
-    """
-    W = frozenset(W)
-    interior = graph.certified(1)
-    hits = set()
-    flagged = set()
-    for v in W:
-        if v not in interior:
-            flagged.add(v)
-            continue
-        if any(u not in W for u in graph.neighbors(v)):
-            hits.add(v)
-    return BoundarySets(frozenset(hits), frozenset(flagged))
 
 
 def neighborhood_set(graph: Graph, W, k: int) -> frozenset:

@@ -1,13 +1,23 @@
 """The certifier: `verify`'s window, its 15 checks and the runner over them.
 
 run_verify(action, radius, n, cap) builds the window (a half space of the
-radius-`radius` ball's line chart), runs CHECKS in order on it and returns
-the report that `fullgroup-lab verify` writes, as a dict.  With
-timing=True the report's `timing` holds the seconds and work counters of
-the window and of each check; the total `seconds` of a run is the command
-line's to add.  Out-of-range inputs raise InvalidRadius, and a vertex cap
-that the ball exceeds raises BallTooLarge; every check's own error goes
-into its entry instead.
+radius-`radius` ball's line chart) and its ladder, runs CHECKS in order on
+them and returns the report that `fullgroup-lab verify` writes, as a dict.
+With timing=True the report's `timing` holds the seconds and work counters
+of the window and of each check; the total `seconds` of a run is the
+command line's to add.  Out-of-range inputs raise InvalidRadius, and a
+vertex cap that the ball exceeds raises BallTooLarge; every check's own
+error goes into its entry instead.
+
+The ladder is the window seen at the radii max(2, R // 4), max(3, R // 2)
+and R (a set: two rungs at R = 2 and 3, three otherwise), lowest first;
+each rung is a (radius, chart) pair.  The top rung is the window's own
+chart, a rung below R is the chart of the window's ball cut at its radius,
+and a rung above R (only at R = 1 and 2) the chart of a ball built at its
+radius; one that breaks the vertex cap fails biinf, not the run.
+ladder() is the one place that rule lives, and run_verify builds the
+ladder once, in the window's timing phase; a check reads the rungs off
+the run instead of building its own.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from . import __version__
 from .cantor_actions import Transducer
 from .cocycle import cocycle_value, half_space, push_set, stabilizer_test
 from .errors import (
+    BallTooLarge,
     FullGroupLabError,
     InvalidRadius,
     NoRepetition,
@@ -38,7 +49,6 @@ from .full_group import (
     word_column,
 )
 from .line_geometry import (
-    diametral_geodesic,
     fiber_diameter_check,
     fit_line_chart,
     m_covering_check,
@@ -72,6 +82,22 @@ def window(action, radius: int, cap: int):
     and the geodesic."""
     return half_space(fit_line_chart(
         build_ball(action, chart_radius(radius), cap=cap)))
+
+
+def ladder(action, chart, cap: int) -> tuple:
+    """The rungs (radius, chart) of the window charted by chart, lowest
+    first, by the rule in the module docstring."""
+    ball = chart.graph
+    R = ball.radius
+    rungs = []
+    for r in sorted({max(2, R // 4), max(3, R // 2), R}):
+        if r == R:
+            rungs.append((r, chart))
+        else:
+            # only radius 1 and 2 ask for a window wider than the ball
+            b = ball.cut(r) if r < R else build_ball(action, r, cap=cap)
+            rungs.append((r, fit_line_chart(b)))
+    return tuple(rungs)
 
 
 def elem_desc(elem) -> str:
@@ -114,16 +140,15 @@ def localfin(w):
 
 
 def biinf(w):
-    radii = sorted({max(2, w.radius // 4), max(3, w.radius // 2), w.radius})
-    growth = []
-    for r in radii:
-        if r == w.radius:
-            b, s = w.ball, w.chart.geodesic
-        else:
-            # only radius 1 and 2 ask for a window wider than the ball
-            b = w.ball.cut(r) if r < w.radius else build_ball(w.action, r, cap=w.cap)
-            s = diametral_geodesic(b)
-        growth.append(max_geodesic_midpoint(b, s.vertices[len(s.vertices) // 2]))
+    """The longest geodesic centered at the middle of each rung's geodesic
+    must grow up the ladder."""
+    if isinstance(w.ladder, BallTooLarge):
+        raise w.ladder
+    radii, growth = [], []
+    for r, chart in w.ladder:
+        s = chart.geodesic.vertices
+        radii.append(r)
+        growth.append(max_geodesic_midpoint(chart.graph, s[len(s) // 2]))
     increasing = all(a < b for a, b in zip(growth, growth[1:]))
     return _status(increasing), {"radii": radii, "midpoint_growth": growth}, None
 
@@ -377,20 +402,25 @@ def _timing(spent: dict) -> dict:
 
 def run_verify(action, radius: int, n: int, cap: int,
                timing: bool = False) -> dict:
-    """Run CHECKS in order.  A check whose dependency gave a skip reason is
-    skipped with it; a check that raises FullGroupLabError fails with the
-    error, and so does every check that depends on it.  With timing, the
-    report's `timing` holds the seconds of the window and of each check,
-    and the work each of them did (_timing)."""
+    """Build the window and its ladder, then run CHECKS in order.  A check
+    whose dependency gave a skip reason is skipped with it; a check that
+    raises FullGroupLabError fails with the error, and so does every check
+    that depends on it.  With timing, the report's `timing` holds the
+    seconds of the window (its ladder included) and of each check, and the
+    work each of them did (_timing)."""
     pattern_radius(n)
     spent = {}
     before = _work() if timing else None
     half = window(action, radius, cap)
+    try:
+        rungs = ladder(action, half.chart, cap)
+    except BallTooLarge as exc:
+        # a rung above the window broke the cap: biinf fails with it
+        rungs = exc
     if timing:
         spent["window"] = [b - a for a, b in zip(before, _work())]
-    w = SimpleNamespace(action=action, radius=radius, n=n, cap=cap,
-                        ball=half.graph, chart=half.chart, half=half,
-                        **sample_elements(action))
+    w = SimpleNamespace(radius=radius, n=n, ball=half.graph, chart=half.chart,
+                        half=half, ladder=rungs, **sample_elements(action))
     entries, values = [], {}
     for check_id, check, deps, params in CHECKS:
         if not callable(check) or any(d not in values for d in deps):

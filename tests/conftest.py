@@ -13,7 +13,6 @@ from fullgroup_lab import (
     build_ball,
     builtin_action,
     combine_actions,
-    diametral_geodesic,
     fit_line_chart,
     fragment_generators,
     half_space,
@@ -97,8 +96,8 @@ def odo_half_200(odo_chart_200):
 
 
 @pytest.fixture(scope="session")
-def odo_seg_200(odo_ball_200):
-    return diametral_geodesic(odo_ball_200)
+def odo_seg_200(odo_chart_200):
+    return odo_chart_200.geodesic
 
 
 @pytest.fixture(scope="session")

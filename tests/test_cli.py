@@ -12,8 +12,8 @@ import pytest
 import fullgroup_lab
 from fullgroup_lab import (action_from_json, action_to_json, build_ball,
                            builtin_action, cantor_actions, cli, cocycle,
-                           line_geometry, make_element, pattern_transport,
-                           schreier, verify)
+                           fit_line_chart, line_geometry, make_element,
+                           pattern_transport, schreier, verify)
 from fullgroup_lab.cantor_actions import BUILTIN_NAMES, Transducer
 from fullgroup_lab.cli import main
 from fullgroup_lab.errors import (FamilyFailure, FullGroupLabError, NoRepetition,
@@ -310,17 +310,95 @@ def test_verify_timing_counts_every_bounded_search(monkeypatch):
     assert searches["window"] == 0
 
 
-def test_verify_timing_counts_one_row_for_the_window(capsys):
-    # the window's one full row is the diametral pair's second search; the
-    # checks take 8 in biinf and one each in m_geod, upp (the repetition
-    # radius) and stab_transport (the row of p that orders the matches)
+def test_verify_timing_counts_three_rows_for_the_window(capsys):
+    # the window's full rows are the second searches of the diametral
+    # pairs of its three rungs; the checks take 6 in biinf and one each in
+    # m_geod, upp (the repetition radius) and stab_transport (the row of p
+    # that orders the matches)
     code, data = run_json(["verify", "odometer", "--radius", "400", "--n", "10",
                            "--timing"], capsys)
     rows = data["timing"]["rows"]
-    assert code == 0 and rows["window"] == 1
-    assert sum(rows["checks"].values()) == 11
+    assert code == 0 and rows["window"] == 3
+    assert sum(rows["checks"].values()) == 9
     assert {c: k for c, k in rows["checks"].items() if k} == \
-        {"biinf": 8, "m_geod": 1, "upp": 1, "stab_transport": 1}
+        {"biinf": 6, "m_geod": 1, "upp": 1, "stab_transport": 1}
+
+
+@pytest.mark.parametrize("radius, radii", [
+    (1, [1, 2, 3]), (2, [2, 3]), (3, [2, 3]), (4, [2, 3, 4]), (5, [2, 3, 5]),
+    (12, [3, 6, 12]), (13, [3, 6, 13]), (400, [100, 200, 400]),
+])
+def test_ladder_radii(odometer, radius, radii):
+    half = verify.window(odometer, radius, 1 << 16)
+    rungs = verify.ladder(odometer, half.chart, 1 << 16)
+    assert [r for r, _chart in rungs] == radii
+    assert [chart.graph.radius for _r, chart in rungs] == radii
+    assert dict(rungs)[radius] is half.chart
+
+
+@pytest.mark.parametrize("name, radius", [
+    ("odometer", 200), ("grigorchuk", 200), ("dihedral", 200),
+    ("thickline", 240), ("grid", 16),
+])
+def test_ladder_rungs_are_the_charts_of_their_balls(request, name, radius):
+    # a rung cut from the window is charted as the ball of its radius is;
+    # the grid's beta grows up the ladder as 2r - 2
+    action = builtin_action(name) if name in BUILTIN_NAMES else \
+        request.getfixturevalue(name)
+    half = verify.window(action, radius, 1 << 16)
+    rungs = verify.ladder(action, half.chart, 1 << 16)
+    for r, chart in rungs:
+        fresh = fit_line_chart(build_ball(action, r))
+        graph = chart.graph
+        assert [graph.label_str(v) for v in range(graph.n)] == \
+            [fresh.graph.label_str(v) for v in range(fresh.graph.n)]
+        assert (chart.f, chart.beta, chart.geodesic.vertices) == \
+            (fresh.f, fresh.beta, fresh.geodesic.vertices)
+    if name == "grid":
+        assert [chart.beta for _r, chart in rungs] == [6, 14, 30]
+
+
+@pytest.mark.parametrize("radius", [12, 200])
+def test_verify_charts_each_rung_once(monkeypatch, radius):
+    # the window's chart and the two lower rungs': biinf charts nothing
+    charted = []
+
+    def counted(graph):
+        charted.append(graph.radius)
+        return fit_line_chart(graph)
+
+    monkeypatch.setattr(verify, "fit_line_chart", counted)
+    verify.run_verify(builtin_action("odometer"), radius, 10, 1 << 16)
+    assert sorted(charted) == [radius // 4, radius // 2, radius]
+
+
+def test_a_rung_over_the_cap_fails_biinf_alone(capsys):
+    # at radius 1 the rungs of radius 2 and 3 are balls of their own; one
+    # that breaks the cap fails biinf, and the report is still written
+    code, data = run_json(["verify", "odometer", "--radius", "1", "--n", "1",
+                           "--cap", "3"], capsys)
+    failed = [e for e in data["checks"] if e["status"] == "fail"]
+    assert code == 1 and failed == [
+        {"id": "biinf", "parameters": {}, "status": "fail",
+         "witnesses": {"error": "vertex cap 3 exceeded"}}]
+
+
+@pytest.mark.parametrize("command", ["transport", "stabilizer"])
+def test_family_file_is_read_before_the_window(monkeypatch, tmp_path, capsys,
+                                               command):
+    # a bad --F is a usage error before any ball is built
+    def no_window(*args):
+        raise RuntimeError("the window was built before --F was read")
+
+    monkeypatch.setattr(cli, "window", no_window)
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"elements": []}))
+    args = [command, "odometer", "--F", str(empty), "--n", "10",
+            "--radius", "20000"]
+    if command == "transport":
+        args += ["--z", "3"]
+    assert main(args) == 2
+    assert "a family is a non-empty list" in capsys.readouterr().err
 
 
 def test_verify_timing_counts_applications_and_walks(monkeypatch):
@@ -651,11 +729,13 @@ def test_failed_certificate_still_writes_its_report(tmp_path, capsys, swap_file,
 
 
 # SHA-256 of run_verify reports (as `verify --out` writes them) for
-# (action, radius, n) at cap 1 << 16.  Together the six reach every
-# (check, status, skip reason) outcome of radius 2..40 x n in {1, 2, 4, 10}.
+# (action, radius, n) at cap 1 << 16.  Together the six of radius >= 2
+# reach every (check, status, skip reason) outcome of radius 2..40 x n in
+# {1, 2, 4, 10}; at radius 1 two of the ladder's rungs lie above the window.
 GOLDEN = {
     ("dihedral", 2, 1): "424f4a48a4defab3ace76a5197ef88d29c866b05b68b95a72d9328c0a77bb014",
     ("dihedral", 2, 2): "84802c079f33422e892d942bf009d4a44dd506b4429eee9f084e6b295b885e2c",
+    ("odometer", 1, 10): "f8e7f8605f9b8d063522c00b9e6e7789c8f55fd967d8562962b112d62ae79362",
     ("odometer", 8, 1): "c172505b0e352aac8dc98b76c86a2af83f30494917b73597509a0c00745a434d",
     ("odometer", 16, 10): "460ca36640df829c30ee314c84b94b8bc11d7644f3c5922738022155fc3c8c33",
     ("odometer", 40, 10): "4c292e908afb951e228e50d8b70f3523014e59da84e6fb066edce3067729679b",

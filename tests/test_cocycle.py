@@ -75,14 +75,18 @@ def test_boundary_level_bound_grigorchuk_level8(grigorchuk, odometer):
     assert len(half.boundary) == 1 and len(half.co_boundary) == 2
 
 
-def test_rim_and_half_space_match_their_first_forms(thickline):
+def test_rim_and_half_space_match_their_first_forms(thickline, grid,
+                                                    bellaterra):
+    # the grid's and the tree's windows have wide levels 0 and -1, so the
+    # boundaries read off them are more than one vertex each
     from fullgroup_lab import builtin_action
 
     actions = [builtin_action(name)
                for name in ("odometer", "grigorchuk", "dihedral")] + [thickline]
+    wide = [build_ball(grid, 8), build_ball(bellaterra, 6)]
     graphs = [build_ball(action, 24) for action in actions] + \
         [build_ball(thickline, 5)] + \
-        [build_level_graph(action, 6) for action in actions]
+        [build_level_graph(action, 6) for action in actions] + wide
     for graph in graphs:
         for n in (0, 1, 2, 3, 10, 22, 23, 24, 40):
             assert graph.certified(n + 1) == \
@@ -92,6 +96,8 @@ def test_rim_and_half_space_match_their_first_forms(thickline):
         assert (half.boundary, half.co_boundary) == \
             half_space_boundaries(graph, half.members)
         assert half.strips == end_strips_by_index(chart.geodesic, chart.m)
+        if graph in wide:
+            assert len(half.boundary) > 1 and len(half.co_boundary) > 1
 
 
 def test_cocycle_identity_element(odo_half_200, odometer):

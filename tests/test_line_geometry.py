@@ -4,7 +4,6 @@ from fullgroup_lab import (
     Graph,
     build_ball,
     build_level_graph,
-    diametral_geodesic,
     fiber_diameter_check,
     fit_line_chart,
     m_covering_check,
@@ -89,26 +88,23 @@ def test_fiber_check_flags_fat_fiber():
 
 def test_diametral_geodesic_path():
     g = path_graph(7)
-    seg = diametral_geodesic(g)
+    seg = fit_line_chart(g).geodesic
     assert len(seg) == 6
     assert set(seg.vertices) == set(range(7))
 
 
 def test_diametral_geodesic_odometer(odometer):
     ball = build_ball(odometer, 10)
-    seg = diametral_geodesic(ball)
+    seg = fit_line_chart(ball).geodesic
     assert len(seg) == 20
     values = [point_to_int(ball.point(v)) for v in seg.vertices]
     assert values == list(range(-10, 11))  # oriented toward +infinity
-    # the chart keeps the geodesic between the ends it was fitted from
-    assert fit_line_chart(ball).geodesic == seg
 
 
 def test_diametral_geodesic_grigorchuk_level6(grigorchuk):
     lg = build_level_graph(grigorchuk, 6)
-    seg = diametral_geodesic(lg)
+    seg = fit_line_chart(lg).geodesic
     assert len(seg) == 2 ** 6 - 1
-    assert fit_line_chart(lg).geodesic == seg
     rows = all_pairs(lg)
     for i, u in enumerate(seg.vertices):
         for j in range(i + 1, len(seg.vertices), 7):
@@ -123,7 +119,7 @@ def test_max_geodesic_midpoint_path():
 
 def test_max_geodesic_midpoint_grigorchuk_level3(grigorchuk):
     lg = build_level_graph(grigorchuk, 3)
-    seg = diametral_geodesic(lg)
+    seg = fit_line_chart(lg).geodesic
     v = seg.vertices[3]
     assert max_geodesic_midpoint(lg, v) == 3
     assert exhaustive_midpoints(lg)[v] == 3
@@ -173,7 +169,7 @@ def test_midpoint_growth_over_vertices():
         best = []
         for r in (4, 8, 12):
             ball = build_ball(action, r)
-            seg = diametral_geodesic(ball)
+            seg = fit_line_chart(ball).geodesic
             mid = seg.vertices[len(seg.vertices) // 2]
             best.append(max_geodesic_midpoint(ball, mid))
         assert best[0] < best[1] < best[2]
@@ -190,7 +186,7 @@ def test_edge_step_bound(odometer, grigorchuk):
 
 def test_projection_on_geodesic_is_identity(odometer):
     ball = build_ball(odometer, 6)
-    seg = diametral_geodesic(ball)
+    seg = fit_line_chart(ball).geodesic
     for v in seg.vertices:
         assert project_to_geodesic(seg, v) == v
 
@@ -226,7 +222,7 @@ def test_chart_p_tie_breaks_toward_minus_end():
 
 def test_m_covering_pass(odometer, grigorchuk):
     ball = build_ball(odometer, 8)
-    seg = diametral_geodesic(ball)
+    seg = fit_line_chart(ball).geodesic
     report = m_covering_check(seg, 1)
     assert report.passed and report.max_distance == 0
 
@@ -237,7 +233,7 @@ def test_m_covering_pass(odometer, grigorchuk):
 
 def test_m_covering_fails_on_star():
     g = star_graph(3)
-    seg = diametral_geodesic(g)
+    seg = fit_line_chart(g).geodesic
     report = m_covering_check(seg, 0)
     assert not report.passed and report.max_distance == 1
 

@@ -212,13 +212,13 @@ def test_window_takes_at_most_four_full_searches(monkeypatch, capsys, odometer):
 
 
 def test_biinf_takes_a_few_full_rows_per_radius(monkeypatch, odometer):
-    # per radius: the midpoint's row, the row of the vertex farthest from it
+    # per rung: the midpoint's row, the row of the vertex farthest from it
     # and one row per separator vertex other than the midpoint (on the
-    # odometer the separator is the midpoint alone); the two cut balls add
-    # the second search of their diametral pairs
+    # odometer the separator is the midpoint alone); the rungs' charts and
+    # geodesics come with the window
     half = verify.window(odometer, 400, DEFAULT_VERTEX_CAP)
-    w = SimpleNamespace(action=odometer, radius=400, cap=DEFAULT_VERTEX_CAP,
-                        ball=half.graph, chart=half.chart)
+    w = SimpleNamespace(
+        ladder=verify.ladder(odometer, half.chart, DEFAULT_VERTEX_CAP))
     rows = []
     full_row = Graph.distances_from
 
@@ -229,7 +229,7 @@ def test_biinf_takes_a_few_full_rows_per_radius(monkeypatch, odometer):
     monkeypatch.setattr(Graph, "distances_from", counted)
     status, witness, _ = verify.biinf(w)
     assert status == "pass" and witness["midpoint_growth"] == [100, 200, 400]
-    assert len(rows) == 8
+    assert len(rows) == 6
 
 
 @SETTINGS

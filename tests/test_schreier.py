@@ -4,7 +4,6 @@ from fullgroup_lab import (
     ActionSystem,
     GeneratorSpec,
     apply_word,
-    boundary_set,
     build_ball,
     build_level_graph,
     builtin_action,
@@ -187,23 +186,6 @@ def test_level_graph_runs_no_word(monkeypatch, grigorchuk):
     monkeypatch.setattr(Transducer, "run", counted)
     lg = build_level_graph(grigorchuk, 10)
     assert lg.n == 1024 and calls == []
-
-
-def test_boundary_set_path_examples():
-    g = path_graph(5)
-    res = boundary_set(g, {0, 1, 2})
-    assert res.certified == {2} and not res.rim_flagged
-    res = boundary_set(g, set(range(5)))
-    assert res.certified == frozenset() and not res.rim_flagged
-
-
-def test_boundary_set_rim_semantics(odometer):
-    ball = build_ball(odometer, 3)
-    W = {ball.vertex_of(int_to_point(k)) for k in (0, 1, 2, 3)}
-    res = boundary_set(ball, W)
-    # 0 has the exterior neighbor -1 inside the window; 3 sits on the rim
-    assert res.certified == {ball.vertex_of(int_to_point(0))}
-    assert res.rim_flagged == {ball.vertex_of(int_to_point(3))}
 
 
 def test_neighborhood_set_examples(odometer):
