@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .errors import NotConnected
 from .schreier import Graph
@@ -59,12 +58,23 @@ def diametral_pair(graph: Graph) -> tuple[int, int]:
 @dataclass(frozen=True)
 class LineChart:
     """A certified map of graph vertices to integers, with the geodesic
-    between the oriented diametral ends that f was fitted from."""
+    between the oriented diametral ends that f was fitted from.
+
+    max_fiber_diameter is the widest certified fiber and worst_level the
+    lowest level of that width (None at 0).  levels is (low, order, start):
+    order lists the vertices by level, in vertex order within a level, and
+    F_(low + k) is order[start[k]:start[k + 1]]; f takes every level from
+    the lowest, low, to the highest.  fit_line_chart builds levels for the
+    fiber sweep, which finds the other two."""
 
     graph: Graph
     f: tuple
     beta: int
+    max_fiber_diameter: int
+    worst_level: int | None
     geodesic: GeodesicSegment
+    # lists, so kept out of eq and hash: f decides them
+    levels: tuple = field(compare=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -76,24 +86,6 @@ class LineChart:
         """The basepoint's projection onto the geodesic, read off the
         base's row graph.dist (project_to_geodesic at the base)."""
         return _nearest(self.geodesic, self.graph.dist)
-
-    @cached_property
-    def levels(self) -> tuple:
-        """(low, order, start): order lists the vertices by level, in
-        vertex order within a level, and the fiber F_(low + k) is
-        order[start[k]:start[k + 1]], so start[k] counts the vertices of
-        level < low + k.  f takes every level from the lowest, low, to the
-        highest.  Built once per chart, by its first caller: the fiber
-        check, which verify (its first check, localfin) and qi run before
-        any transport."""
-        f = self.f
-        low = min(f)
-        start = [0] * (max(f) - low + 2)
-        for t in f:
-            start[t - low + 1] += 1
-        for k in range(1, len(start)):
-            start[k] += start[k - 1]
-        return low, sorted(range(len(f)), key=f.__getitem__), start
 
     def chart_hash(self) -> str:
         # f is 1-Lipschitz and onto an interval: alpha = 1 and gamma = 0
@@ -109,23 +101,26 @@ class LineChart:
 
 
 def fit_line_chart(graph: Graph) -> LineChart:
-    """Fit f and the minimal beta over the certified pairs, and keep the
-    geodesic between the two ends f was fitted from: one BFS tree from the
-    minus end gives both."""
+    """Fit f, the minimal beta over the certified pairs and the widest
+    certified fiber, and keep the geodesic between the two ends f was
+    fitted from: one BFS tree from the minus end gives f and the geodesic."""
     if graph.n < 2:
         raise NotConnected("need at least 2 vertices")
     # the end of lex-smaller orientation key gets the larger f values
     u, w = diametral_pair(graph)
     key = graph.orientation_key
     minus_end, plus_end = (u, w) if key(w) < key(u) else (w, u)
+    # drow holds no -1: diametral_pair refused a base row with one, and a
+    # graph connected from the base is connected from the minus end
     parent, drow = graph.bfs_parents(minus_end)
-    if min(drow) < 0:
-        raise NotConnected("graph is not connected")
     off = drow[graph.base]
     f = tuple(drow[v] - off for v in range(graph.n))
-
-    return LineChart(graph, f, _fit_beta(graph, f),
-                     _geodesic(graph, parent, minus_end, plus_end))
+    order = sorted(range(graph.n), key=f.__getitem__)
+    # no level is empty, so a level starts where f steps up along order
+    start = [k for k in range(1, graph.n) if f[order[k]] > f[order[k - 1]]]
+    levels = (f[minus_end], order, [0] + start + [graph.n])
+    return LineChart(graph, f, *_fit_beta(graph, levels),
+                     _geodesic(graph, parent, minus_end, plus_end), levels)
 
 
 def _level_sets(f) -> dict:
@@ -135,8 +130,10 @@ def _level_sets(f) -> dict:
     return out
 
 
-def _fit_beta(graph: Graph, f) -> int:
-    """The smallest beta over the certified pairs.
+def _fit_beta(graph: Graph, levels) -> tuple:
+    """(beta, widest, worst_level): the smallest beta over the certified
+    pairs, the widest certified fiber and the lowest level where it occurs
+    (None when it is 0), for the chart whose LineChart.levels is levels.
 
     f is 1-Lipschitz, so gap = |f(u) - f(v)| <= d(u, v): the upper
     inequality gap <= d + beta holds for any beta >= 0, and the lower one
@@ -166,10 +163,16 @@ def _fit_beta(graph: Graph, f) -> int:
     ball that is the first or the last fiber, with no pair to span: z lies
     on the rim, and a vertex on the far side of z from the base would lie
     outside the radius.
+
+    The widest certified fiber is read off the in-fiber searches from the
+    certified x before they merge into the vectors.
     """
     certified = graph.certified(1)
+    low, order, start = levels
     beta, vectors, prev = 0, set(), []
-    for _t, fiber in sorted(_level_sets(f).items()):
+    widest, worst_level = 0, None
+    for k in range(len(start) - 1):
+        fiber = order[start[k]:start[k + 1]]
         if vectors:
             step = [graph.distances_to(z, fiber) for z in prev]
             vectors = {tuple(min(a + row[j] for a, row in zip(vec, step)) - 1
@@ -180,12 +183,16 @@ def _fit_beta(graph: Graph, f) -> int:
             beta = max([beta] + [vec[0] for vec in vectors])
             vectors = set()
             continue
-        vectors.update(tuple(graph.distances_to(x, fiber))
-                       for x in fiber if x in certified)
+        rows = [tuple(graph.distances_to(x, fiber))
+                for x in fiber if x in certified]
         at = [j for j, y in enumerate(fiber) if y in certified]
+        width = max([0] + [row[j] for row in rows for j in at])
+        if width > widest:
+            widest, worst_level = width, low + k
+        vectors.update(rows)
         beta = max([beta] + [vec[j] for vec in vectors for j in at])
         prev = fiber
-    return beta
+    return beta, widest, worst_level
 
 
 @dataclass(frozen=True)
@@ -203,22 +210,14 @@ class FiberReport:
 
 def fiber_diameter_check(chart: LineChart) -> FiberReport:
     """Every certified fiber f^-1(t) must have diameter at most beta
-    (alpha*beta at alpha = 1)."""
-    certified = chart.graph.certified(1)
-    low, order, start = chart.levels
-    worst = 0
-    worst_level = None
-    for k in range(len(start) - 1):
-        if start[k + 1] - start[k] < 2:
-            continue  # a fiber of one vertex holds no pair
-        level = low + k
-        verts = [v for v in order[start[k]:start[k + 1]] if v in certified]
-        for i, u in enumerate(verts[:-1]):
-            for d in chart.graph.distances_to(u, verts[i + 1:]):
-                if d > worst:
-                    worst = d
-                    worst_level = level
-    return FiberReport(worst, chart.beta, worst <= chart.beta, worst_level)
+    (alpha*beta at alpha = 1), and on a fitted chart it has: for certified
+    x and y of one fiber, f(x) = f(y), so
+    d(x, y) = d(x, y) - |f(x) - f(y)| <= beta, beta being the largest such
+    difference over the certified pairs.  The widest fiber and its level
+    come from the fit's sweep (_fit_beta), so the check searches nothing."""
+    widest = chart.max_fiber_diameter
+    return FiberReport(widest, chart.beta, widest <= chart.beta,
+                       chart.worst_level)
 
 
 @dataclass(frozen=True)

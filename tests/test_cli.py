@@ -310,6 +310,22 @@ def test_verify_timing_counts_every_bounded_search(monkeypatch):
     assert searches["window"] == 0
 
 
+@pytest.mark.parametrize("name, radius, n, window", [
+    ("thickline", 40, 3, 545), ("grid", 8, 2, 322),
+])
+def test_localfin_searches_nothing_on_wide_fibers(tmp_path, capsys, request,
+                                                  name, radius, n, window):
+    # the window's fiber sweep measures every certified fiber, so localfin
+    # reads the widest off the chart and searches nothing of its own
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(action_to_json(request.getfixturevalue(name))))
+    code, data = run_json(["verify", str(path), "--radius", str(radius),
+                           "--n", str(n), "--timing"], capsys)
+    searches = data["timing"]["searches"]
+    assert code == 0 and searches["window"] == window
+    assert searches["checks"]["localfin"] == 0
+
+
 def test_verify_timing_counts_three_rows_for_the_window(capsys):
     # the window's full rows are the second searches of the diametral
     # pairs of its three rungs; the checks take 6 in biinf and one each in
@@ -791,8 +807,10 @@ def test_verify_report_ignores_a_seed_variable(monkeypatch):
 # `--out` writes them), with each run's exit code.  They pin the strings of
 # the chart constants (alpha, beta, gamma, m, the fiber bound) and of
 # N_phi, and the check keys of a transport and of a nested family; the
-# thick line has beta = 1 and m = 3.  z = 1 is an odd integer, whose
-# pattern differs from the basepoint's, and the shift moves Y.
+# thick line has beta = 1 and m = 3, and the fiber report is read off wide
+# fibers on the grid (14 at level -1) and on Bellaterra (8 at level 3).
+# z = 1 is an odd integer, whose pattern differs from the basepoint's, and
+# the shift moves Y.
 REPORT_GOLDEN = {
     "qi-odometer-r40": (
         ["qi", "odometer", "--radius", "40"], 0,
@@ -806,6 +824,12 @@ REPORT_GOLDEN = {
     "qi-thickline-r40": (
         ["qi", "{thickline}", "--radius", "40"], 0,
         "d94e83086c1d34f9b63064def56406025378f0c657728c9529c66b545405290d"),
+    "qi-grid-r8": (
+        ["qi", "{tests}/grid.json", "--radius", "8"], 0,
+        "35b6dc819a8d7b8173a6ef1cb6496ae0e8aa3f3b949f08e718f7171c25421541"),
+    "qi-bellaterra-r6": (
+        ["qi", "{tests}/bellaterra.json", "--radius", "6"], 0,
+        "8b3d0db59d507bdb16a38dfa338352406acc3c74bcc5df0f481eb3dc18d864d1"),
     "cocycle-odometer-swap-r64": (
         ["cocycle", "odometer", "--element", "{swap}", "--radius", "64"], 0,
         "3324b56fe2d0875271aacfdb7abcbe327258a601e716cb6eed8889bd7859f6d2"),
@@ -841,7 +865,7 @@ def test_report_bytes_are_pinned(tmp_path, thickline, swap_file, family_file,
     shift.write_text(json.dumps({"elements": [SHIFT]}))
     out = tmp_path / "report.json"
     args = [a.format(thickline=thick, swap=swap_file, family=family_file,
-                     shift=shift) for a in args]
+                     shift=shift, tests=Path(__file__).parent) for a in args]
     assert main(args + ["--out", str(out)]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 

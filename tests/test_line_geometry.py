@@ -77,13 +77,17 @@ def test_fiber_check_grigorchuk_level8(grigorchuk):
     assert worst <= chart.beta
 
 
-def test_fiber_check_flags_fat_fiber():
-    # a 4-cycle carries a 2-point fiber at distance 2; beta = 1 is too small
+def test_fiber_check_reads_the_widest_fiber_off_the_fit():
+    # the 4-cycle's fit from the minus end c2 puts the two vertices at
+    # distance 2 on level 1, and beta is that distance: the fiber is as
+    # wide as beta allows, as on every fitted chart
     g = Graph([f"c{i}" for i in range(4)],
-              [(0, "s", 1), (1, "s", 2), (2, "s", 3), (3, "s", 0)], base=0)
-    chart = LineChart(g, (0, 1, 2, 1), 1, GeodesicSegment(g, (0, 1, 2)))
+              [(0, "s", 1), (1, "s", 2), (2, "s", 3), (3, "s", 0)], base=2)
+    chart = fit_line_chart(g)
+    assert chart.f == (2, 1, 0, 1)
     report = fiber_diameter_check(chart)
-    assert not report.passed  # the f=1 fiber has diameter 2 > beta = 1
+    assert (report.max_fiber_diameter, report.worst_level) == (2, 1)
+    assert report.bound == chart.beta == 2 and report.passed
 
 
 def test_diametral_geodesic_path():
@@ -216,7 +220,10 @@ def test_chart_p_tie_breaks_toward_minus_end():
     # the base (vertex 7) is adjacent to geodesic vertices 3 and 5 only
     edges = [(i, "s", i + 1) for i in range(6)] + [(7, "s", 3), (7, "s", 5)]
     g = Graph([f"v{i}" for i in range(8)], edges, base=7)
-    chart = LineChart(g, tuple(range(8)), 0, GeodesicSegment(g, tuple(range(7))))
+    chart = LineChart(g, tuple(range(8)), beta=0, max_fiber_diameter=0,
+                      worst_level=None,
+                      geodesic=GeodesicSegment(g, tuple(range(7))),
+                      levels=(0, list(range(8)), list(range(9))))
     assert chart.p == 3
 
 

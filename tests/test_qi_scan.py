@@ -162,10 +162,11 @@ def test_chart_and_fiber_check_take_at_most_three_rows(monkeypatch, odometer,
                                                      grigorchuk, thickline):
     # the diametral pair's second search, from the base's farthest vertex
     # (the base's row is graph.dist); the chart's row of the minus end comes
-    # with its BFS tree, and the fiber sweep and the fiber check use
-    # searches that stop early.  Every fiber of the odometer ball and of
-    # the level graph is one vertex, a cut vertex, and takes no search; the
-    # thick line's fibers have two vertices
+    # with its BFS tree, and the fiber sweep uses searches that stop early.
+    # Every fiber of the odometer ball and of the level graph is one
+    # vertex, a cut vertex, and takes no search; the thick line's fibers
+    # have two vertices.  The fiber check reads the sweep's widest fiber
+    # off the chart and searches nothing
     graphs = [build_ball(odometer, 200), build_level_graph(grigorchuk, 10),
               build_ball(thickline, 40)]
     rows, searches = [], []
@@ -185,9 +186,11 @@ def test_chart_and_fiber_check_take_at_most_three_rows(monkeypatch, odometer,
     for graph in graphs:
         rows.clear()
         searches.clear()
-        fiber_diameter_check(fit_line_chart(graph))
+        chart = fit_line_chart(graph)
         assert len(rows) == 1
         counts.append(len(searches))
+        fiber_diameter_check(chart)
+        assert len(rows) == 1 and len(searches) == counts[-1]
     assert counts[:2] == [0, 0] and counts[2] > 0
 
 
