@@ -355,7 +355,9 @@ class ActionSystem:
     generators maps names to GeneratorSpec.  inverses is decided when the
     action is built (_infer_inverses): it pairs each generator name with
     the first listed generator that undoes it, and a generator that none
-    undoes is an InvalidAction, so every generator is a bijection.
+    undoes is an InvalidAction, so every generator is a bijection.  depths
+    maps each generator name to its piece depth (GeneratorSpec.max_depth),
+    so the element algebra reads a letter's depth without scanning pieces.
     Instances compare by identity: one action is built per system.
     """
 
@@ -364,6 +366,7 @@ class ActionSystem:
     generators: dict
     basepoint: BoundaryPoint
     inverses: dict = field(init=False)
+    depths: dict = field(init=False)
 
     def __post_init__(self):
         # checked before the inverses are searched, which look the states up
@@ -374,6 +377,8 @@ class ActionSystem:
                                         f"{state!r}, which is not in transducers")
         object.__setattr__(self, "inverses",
                            _infer_inverses(self.transducer, self.generators))
+        object.__setattr__(self, "depths", {
+            g: spec.max_depth() for g, spec in self.generators.items()})
 
     @property
     def gen_names(self) -> tuple:

@@ -12,13 +12,17 @@ build_ball or cut returns, and are used without a test:
   within len(g) of the boundary of Y: the walk of g^-1 from v enters Y at
   most len(g) steps from v, at a vertex of dist <= radius - 1, which is a
   certified boundary vertex;
-- phi's forward vertex map gives the cocycle on the window: each v of
-  certified(d) has its preimage u = phi^-1 v within d of v, so at dist
-  <= radius - d + d = radius, a ball vertex, and vertex_map gives
-  image[u] = v (a walk that steps off the ball is finished by the
-  transducers).  So Y symdiff phi(Y) on the window is the set of image[u]
-  in certified(d) with (u in Y) != (image[u] in Y), and phi^-1 is never
-  built.
+- the cocycle lives on the 2d chart levels around Y's seam, and is read
+  off walks that stay in the ball: take v of certified(d) with preimage
+  u = phi^-1 v.  Then u's word walks at most d in-ball edges (reverse the
+  walk from v, whose dist is <= radius - d), and f, 1-Lipschitz along ball
+  edges, moves by at most d along it.  So when u and v lie on different
+  sides of Y, f(u) is in [0, d - 1] (f(v) <= -1) or in [-d, -1]
+  (f(v) >= 0).  Conversely, a walk that steps off the ball at step k >= 1
+  ends within d - k of a vertex of dist > radius, so outside
+  certified(d): it is dropped unfinished.  Y symdiff phi(Y) on the window
+  is therefore the set of images v in certified(d) of the u on the levels
+  -d .. d - 1 with (u in Y) != (v in Y), and phi^-1 is never built.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotStabilized
-from .full_group import FullGroupElement, displacement_bound, vertex_map
+from .full_group import FullGroupElement, displacement_bound, walker
 from .full_group import apply_element  # unused; perfbench/tests reads it here
 from .line_geometry import LineChart, end_strips
 from .schreier import Graph
@@ -91,8 +95,9 @@ class CocycleValue:
 
 def cocycle_value(phi: FullGroupElement, half: HalfSpace) -> CocycleValue:
     """Y symdiff phi(Y): the v of the window certified(d) with
-    (v in Y) != (phi^-1 v in Y), read off phi's map, certified when none
-    lies farther out than the smaller window (see the module docstring)."""
+    (v in Y) != (phi^-1 v in Y), read off phi's walks from the chart levels
+    -d .. d - 1, certified when none lies farther out than the smaller
+    window (see the module docstring)."""
     graph = half.graph
     if graph.radius is None:
         raise NotStabilized("cocycles need a rim-bounded orbit ball")
@@ -103,14 +108,20 @@ def cocycle_value(phi: FullGroupElement, half: HalfSpace) -> CocycleValue:
         raise NotStabilized(
             f"radius {graph.radius} too small for displacement {d}")
     window = graph.certified(d)
-    members = half.members
-    value = frozenset(v for u, v in enumerate(vertex_map(phi, graph))
-                      if v in window and (u in members) != (v in members))
+    f = half.chart.f
+    low, order, start = half.chart.levels
+    top = low + len(start) - 2
+    image = walker(phi, graph, finish=False)
+    value = set()
+    for u in order[start[max(low, -d) - low]:start[min(top, d - 1) + 1 - low]]:
+        v = image(u)
+        if v in window and (f[u] >= 0) != (f[v] >= 0):
+            value.add(v)
     if any(graph.dist[v] > w_small for v in value):
         raise NotStabilized(
             f"value changed when growing the window {w_small} -> {w_big}; "
             "radius too small")
-    return CocycleValue(value, (w_small, w_big))
+    return CocycleValue(frozenset(value), (w_small, w_big))
 
 
 def stabilizer_test(phi: FullGroupElement, half: HalfSpace) -> bool:
@@ -119,12 +130,16 @@ def stabilizer_test(phi: FullGroupElement, half: HalfSpace) -> bool:
 
 
 def push_set(phi: FullGroupElement, graph: Graph, vertices) -> frozenset:
-    """Image of a vertex set under phi (all images must stay in the graph)."""
-    image = vertex_map(phi, graph)
+    """Image of a vertex set under phi (all images must stay in the graph),
+    read at its own vertices."""
+    image = walker(phi, graph)
+    pushed = []
     for v in sorted(vertices):
-        if image[v] < 0:
+        w = image(v)
+        if w < 0:
             raise NotStabilized(f"phi pushes vertex {v} outside the ball")
-    return frozenset(image[v] for v in vertices)
+        pushed.append(w)
+    return frozenset(pushed)
 
 
 def r_constant(half: HalfSpace) -> int:

@@ -10,8 +10,12 @@ as group elements is the word problem and is out of scope.
 
 On a finite ball of the orbit an element is a partial permutation of the
 vertices, each moving at most d_phi steps along the labeled edges of its
-piece word; vertex_map lists it, so images are looked up, not recomputed,
-and word_column lists the piece word at every vertex.
+piece word.  One primitive reads it: walker(elem, ball) maps a vertex to
+its image by walking that vertex's piece word, so a certificate reads the
+element only at the vertices it looks at.  vertex_map is the walker applied
+to every vertex, kept while the element lives, for the readers of every
+vertex (stabilizer_lab's core and permutations); word_column lists the
+piece word at every vertex, for the pattern scans.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import json
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cantor_actions import (
     ActionSystem,
@@ -50,13 +55,9 @@ def _cached(cache, key, compute):
 def _generator_depth_floor(action: ActionSystem, pieces) -> int:
     """Smallest level at which every word's truncated action is defined
     (piecewise generators need words at least as deep as their pieces)."""
-    floor = 0
-    for _prefix, word in pieces:
-        for g in word:
-            spec = action.generators.get(g)
-            if spec is not None:
-                floor = max(floor, spec.max_depth())
-    return floor
+    depths = action.depths
+    return max((depths[g] for _prefix, word in pieces for g in word),
+               default=0)
 
 
 def _merge_pieces(pieces) -> tuple:
@@ -84,8 +85,10 @@ class FullGroupElement:
     action: ActionSystem
     pieces: tuple  # ((prefix, word-tuple), ...) sorted, merged
 
-    @property
+    @cached_property
     def depth(self) -> int:
+        """The deepest piece prefix, kept once read (compose and every
+        walker read it)."""
         return max((len(p) for p, _ in self.pieces), default=0)
 
     def word_at(self, point: BoundaryPoint) -> tuple:
@@ -173,30 +176,51 @@ def word_column(elem: FullGroupElement, graph: Graph) -> list:
     return _cached(graph._columns, elem, column)
 
 
-def vertex_map(elem: FullGroupElement, ball: SchreierBall) -> list:
-    """The image vertex of every ball vertex under elem, -1 off the ball:
-    its piece word walked along the ball's labeled edges, or by the
-    transducers where a walk steps off the ball (it may come back)."""
+def walker(elem: FullGroupElement, ball: SchreierBall, finish: bool = True):
+    """v -> elem's image of the ball vertex v: v's piece word, looked up at
+    v's depth-elem.depth prefix, walked along the ball's labeled edges.  A
+    walk that steps off the ball is finished by the transducers (it may
+    come back; -1 when it ends off the ball); with finish False it may be
+    left at -1, for a reader that drops such walks.  A cached whole map
+    (vertex_map) is read instead; the cache is looked up once per walker,
+    not per vertex, since hashing an element hashes its piece table."""
     if elem.action is not ball.action:
         raise ValueError("element and ball live on different actions")
+    whole = ball._maps.get(elem)
+    if whole is not None:
+        return whole.__getitem__
+    succ, labels, depth = ball.successors(), ball.labels, elem.depth
+    # a generator with no edge in the ball (radius 0) steps off everywhere
+    off = [-1] * ball.n if len(succ) < len(elem.action.generators) else None
+    steps = {}  # depth-elem.depth prefix -> the rows its word walks
 
+    def image(v: int) -> int:
+        label = labels[v]
+        cell = label.prefix(depth)
+        rows = steps.get(cell)
+        if rows is None:
+            rows = steps[cell] = [succ.get(g, off)
+                                  for g in reversed(elem.word_at_cell(cell))]
+        w = v
+        for row in rows:
+            w = row[w]
+            if w < 0:
+                if not finish:
+                    return -1
+                w = ball.vertex_of(apply_element(elem, label))
+                return -1 if w is None else w
+        return w
+
+    return image
+
+
+def vertex_map(elem: FullGroupElement, ball: SchreierBall) -> list:
+    """The image vertex of every ball vertex under elem, -1 off the ball:
+    the walker applied to every vertex, cached while elem lives."""
     def walk():
+        image = walker(elem, ball)
         Graph.map_walks += 1
-        succ = ball.successors()
-        off = [-1] * ball.n
-        rows = {word: [succ.get(g, off) for g in reversed(word)]
-                for _prefix, word in elem.pieces}
-        out = []
-        for v, word in enumerate(word_column(elem, ball)):
-            w = v
-            for row in rows[word]:
-                w = row[w]
-                if w < 0:
-                    image = ball.vertex_of(apply_element(elem, ball.labels[v]))
-                    w = -1 if image is None else image
-                    break
-            out.append(w)
-        return out
+        return [image(v) for v in range(ball.n)]
 
     return _cached(ball._maps, elem, walk)
 

@@ -39,7 +39,7 @@ from .errors import (
     RimContact,
     TransportFailure,
 )
-from .full_group import displacement_bound, invert, vertex_map, word_column
+from .full_group import displacement_bound, invert, walker, word_column
 from .schreier import Graph
 
 
@@ -367,18 +367,18 @@ def _side_boundary(graph: Graph, side, other_marks) -> frozenset:
 
 
 def _changes_side(images, graph: Graph, subset, seam, d: int) -> bool:
-    """Whether one of the vertex maps images sends some x of the window
-    certified(max(1, d)) across the subset's border, each map moving x by a
-    walk of at most d in-ball edges (vertex_map).
+    """Whether one of the walkers images (full_group.walker) sends some x
+    of the window certified(max(1, d)) across the subset's border, each
+    moving x by a walk of at most d in-ball edges.
 
     seam must meet every edge between the subset and its complement.  A walk
     that keeps off the seam never changes side, and every walk from an x
     farther than d from the seam keeps off it, so only the x within d of the
-    seam are tested.
+    seam are read.
     """
     window = graph.certified(max(1, d))
     near = [x for x in graph.distances_within(seam, d) if x in window]
-    return any((x in subset) != (image[x] in subset)
+    return any((x in subset) != (image(x) in subset)
                for image in images for x in near)
 
 
@@ -390,6 +390,6 @@ def _is_invariant(F, graph: Graph, subset: frozenset, seam) -> bool:
     its complement.
     """
     return not any(
-        _changes_side((vertex_map(e, graph) for e in (phi, invert(phi))),
+        _changes_side((walker(e, graph) for e in (phi, invert(phi))),
                       graph, subset, seam, displacement_bound(phi))
         for phi in F)

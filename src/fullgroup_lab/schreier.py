@@ -36,7 +36,8 @@ class Graph:
     # Work counters of every graph of the process, which verify --timing
     # reports per check: full BFS rows (distances_from calls), bounded
     # searches (distances_to, and so d, and distances_within calls) and
-    # element vertex maps walked (full_group.vertex_map).
+    # whole-ball element vertex maps walked (full_group.vertex_map; the
+    # vertices a walker reads on its own are not counted).
     full_rows = 0
     searches = 0
     map_walks = 0

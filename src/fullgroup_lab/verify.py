@@ -45,7 +45,7 @@ from .full_group import (
     displacement_bound,
     identity_element,
     make_element,
-    vertex_map,
+    walker,
     word_column,
 )
 from .line_geometry import (
@@ -220,7 +220,7 @@ def kernel_stab(w):
 
     def test(elem):
         empty = stabilizer_test(elem, w.half)
-        fixes = not _changes_side([vertex_map(elem, w.ball)], w.ball,
+        fixes = not _changes_side([walker(elem, w.ball)], w.ball,
                                   w.half.members, seam, displacement_bound(elem))
         return {"kernel": empty, "fixes_Y": fixes}
 
@@ -256,19 +256,19 @@ def d_phi(w):
     f = w.chart.f
     for elem in w.samples:
         bound = displacement_bound(elem)
-        image = vertex_map(elem, w.ball)
+        image = walker(elem, w.ball)
         certified = w.ball.certified(max(1, bound))
         worst = 0
         for v in certified:
-            worst = max(worst, abs(f[v] - f[image[v]]))
+            worst = max(worst, abs(f[v] - f[image(v)]))
             if worst >= bound:
                 break
         if worst < bound:
             words = word_column(elem, w.ball)
             for v in certified:
-                d = abs(f[v] - f[image[v]])
-                if d < len(words[v]):
-                    worst = max(worst, w.ball.d(v, image[v]))
+                u = image(v)
+                if abs(f[v] - f[u]) < len(words[v]):
+                    worst = max(worst, w.ball.d(v, u))
         witness[elem_desc(elem)] = {"d_phi": bound, "max_displacement": worst}
     ok = all(x["max_displacement"] <= x["d_phi"] for x in witness.values())
     return _status(ok), witness, None

@@ -110,3 +110,28 @@ def quad_swap(odometer):
     """Depth-2 kernel element: swaps 4k <-> 4k+2, fixes odd integers."""
     return make_element(odometer, [("00", ("t", "t")), ("01", ("t_inv", "t_inv")),
                                    ("10", ()), ("11", ())])
+
+
+@pytest.fixture
+def walker_reads(monkeypatch):
+    """count(module): wraps the walker a module reads elements through
+    (full_group.walker) and returns the list of the number of vertices
+    each walker it then builds reads."""
+    def count(module) -> list:
+        reads = []
+        walker = module.walker
+
+        def counted(elem, graph, finish=True):
+            image = walker(elem, graph, finish)
+            k = len(reads)
+            reads.append(0)
+
+            def read(v):
+                reads[k] += 1
+                return image(v)
+            return read
+
+        monkeypatch.setattr(module, "walker", counted)
+        return reads
+
+    return count

@@ -420,7 +420,10 @@ def test_family_file_is_read_before_the_window(monkeypatch, tmp_path, capsys,
 def test_verify_timing_counts_applications_and_walks(monkeypatch):
     # the window applies each generator once per vertex; the applications
     # add up to the Transducer.apply calls of the run, and the walks to the
-    # vertex maps it built: every element it maps, once, while it lives
+    # whole vertex maps it built: every element it maps, once, while it
+    # lives.  Only finite_order reads every vertex; the cocycle checks walk
+    # each element only at the vertices they read, and finish no walk by
+    # the transducers
     applies, mapped = [], set()
     apply, vertex_map = Transducer.apply, fullgroup_lab.full_group.vertex_map
 
@@ -444,10 +447,12 @@ def test_verify_timing_counts_applications_and_walks(monkeypatch):
     total = {key: timing[key]["window"] + sum(timing[key]["checks"].values())
              for key in ("applications", "walks")}
     assert timing["applications"]["window"] == 2 * n
-    assert total["applications"] == len(applies)
-    assert total["walks"] == len(mapped) == 12
-    assert timing["walks"]["checks"]["cocycle_fin"] == 3
-    assert timing["walks"]["checks"]["cocycle_identity"] == 9
+    assert total["applications"] == len(applies) == 2 * n + 1
+    assert total["walks"] == len(mapped) == 1
+    assert timing["walks"]["checks"]["finite_order"] == 1
+    for check in ("cocycle_fin", "cocycle_identity", "kernel_stab", "d_phi"):
+        assert timing["walks"]["checks"][check] == 0
+        assert timing["applications"]["checks"][check] == 0
 
 
 def test_d_phi_matches_all_pairs_distances(odometer, thickline):
@@ -911,12 +916,12 @@ def test_verify_looks_images_up_instead_of_rerunning_transducers(monkeypatch):
                 monkeypatch.setattr(module, fn.__name__, counted(fn.__name__, fn))
     report = verify.run_verify(action, 200, 10, 1 << 16)
     assert all(e["status"] == "pass" for e in report["checks"])
-    # 2 n in build_ball, one per (vertex, generator); 31 letters of the 15
-    # vertex walks that step off the ball and finish by the transducers,
-    # the only piece words looked up by word_at: every other lookup reads a
-    # word column
-    assert calls["apply"] == 2 * n + 31
-    assert calls["word_at"] == calls["apply_element"] == 15
+    # 2 n in build_ball, one per (vertex, generator); one letter of the one
+    # vertex walk that steps off the ball and finishes by the transducers,
+    # in finite_order's whole map of F, the only piece word looked up by
+    # word_at: every other lookup reads a walker's prefix or a word column
+    assert calls["apply"] == 2 * n + 1
+    assert calls["word_at"] == calls["apply_element"] == 1
     assert 0 < calls["stabilizer_test"] <= \
         len(samples["samples"]) + len(samples["kernel_family"])
     # one scan, in upp: the nested family reuses its matches and r
@@ -927,13 +932,14 @@ def test_verify_looks_images_up_instead_of_rerunning_transducers(monkeypatch):
     assert builds and max(builds.values()) == 1
 
     # every odometer sample reaches d_phi by |f(v) - f(phi v)|, so d_phi
-    # neither looks up a piece word nor searches once the maps are built
+    # neither looks up a piece word nor searches nor maps the whole ball:
+    # its walkers stop at the first vertex moved by d_phi
     half = verify.window(action, 200, 1 << 16)
-    for elem in samples["samples"]:
-        vertex_map(elem, half.graph)
     monkeypatch.setattr(schreier.Graph, "d", counted("d", schreier.Graph.d))
     calls["word_at"] = 0
+    walks = schreier.Graph.map_walks
     w = SimpleNamespace(ball=half.graph, chart=half.chart,
                         samples=samples["samples"])
     assert verify.d_phi(w)[0] == "pass"
     assert calls["d"] == calls["word_at"] == 0
+    assert schreier.Graph.map_walks == walks

@@ -4,6 +4,7 @@ import pytest
 
 from fullgroup_lab import (
     Graph,
+    Transducer,
     build_ball,
     build_level_graph,
     cocycle_value,
@@ -19,9 +20,10 @@ from fullgroup_lab import (
     r_constant,
     stabilizer_test,
 )
+from fullgroup_lab import cocycle, full_group
 from fullgroup_lab.cocycle import push_set
 from fullgroup_lab.errors import NotStabilized
-from fullgroup_lab.full_group import vertex_map
+from fullgroup_lab.full_group import displacement_bound, vertex_map
 from oracles import (ball_interior_ok, cocycle_by_two_windows,
                      end_strips_by_index, half_space_boundaries, int_to_point,
                      point_to_int, random_elements)
@@ -244,18 +246,27 @@ def test_translate_difference_in_boundary_neighborhood(odometer, grigorchuk,
                                                          len(word))
 
 
+# the largest radius of each action's oracle comparison, 64 by default:
+# the grid's and Bellaterra's balls grow fast, and their wide fibers put
+# many vertices on each level of the slab the cocycle reads
+ORACLE_RADIUS = {"grid": 14, "bellaterra": 7, "dihedral": 40,
+                 "dihedral_frag": 40}
+
+
 @pytest.mark.parametrize("name, count", [
-    ("odometer", 12), ("grigorchuk", 12), ("thickline", 8)])
+    ("odometer", 12), ("grigorchuk", 12), ("thickline", 8), ("grid", 10),
+    ("bellaterra", 10), ("dihedral", 10), ("dihedral_frag", 10)])
 def test_cocycle_value_matches_the_two_window_oracle(request, name, count):
-    # one window pass and its stabilization test against the comparison of
+    # one slab pass and its stabilization test against the comparison of
     # two windows, NotStabilized messages included; count elements give
     # each action a value that changes between the windows
     action = request.getfixturevalue(name)
-    ball = build_ball(action, 64)
-    elems = random_elements(action, random.Random(64), count, max_depth=3,
+    top = ORACLE_RADIUS.get(name, 64)
+    ball = build_ball(action, top)
+    elems = random_elements(action, random.Random(top), count, max_depth=3,
                             max_word=4)
     outcomes = set()
-    for radius in range(2, 65):
+    for radius in range(2, top + 1):
         half = half_space(fit_line_chart(ball.cut(radius)))
         for elem in elems:
             try:
@@ -270,3 +281,72 @@ def test_cocycle_value_matches_the_two_window_oracle(request, name, count):
             assert (value.vertices, value.window) == expect
             outcomes.add("stable")
     assert outcomes >= {"stable", "radius", "value"}
+
+
+def test_cocycle_value_reads_only_the_slab_around_the_seam(
+        monkeypatch, walker_reads, odometer, grid):
+    # the cocycle walks u only on the 2d chart levels -d .. d - 1 and
+    # finishes no walk by the transducers: on the odometer it reads the
+    # same vertices at r = 128 and r = 1,024, 2d per element, and on the
+    # grid, whose slab reaches the rim, its walks that step off the ball
+    # are dropped unfinished
+    applies = []
+    apply = Transducer.apply
+
+    def counted_apply(self, state, point):
+        applies.append(point)
+        return apply(self, state, point)
+
+    elems = random_elements(odometer, random.Random(128), 12, max_depth=3,
+                            max_word=4)
+    reads = walker_reads(cocycle)
+    seen = {}
+    for radius in (128, 1024):
+        half = half_space(fit_line_chart(build_ball(odometer, radius)))
+        walks = Graph.map_walks
+        monkeypatch.setattr(Transducer, "apply", counted_apply)
+        values = [cocycle_value(elem, half).vertices for elem in elems]
+        monkeypatch.setattr(Transducer, "apply", apply)
+        assert Graph.map_walks == walks and applies == []
+        assert reads == [2 * max(1, displacement_bound(elem))
+                         for elem in elems]
+        reads.clear()
+        seen[radius] = [{half.graph.label_str(v) for v in value}
+                        for value in values]
+    assert seen[128] == seen[1024]
+
+    half = half_space(fit_line_chart(build_ball(grid, 8)))
+    graph, f = half.graph, half.chart.f
+    elems = random_elements(grid, random.Random(8), 10, max_depth=3,
+                            max_word=3)
+    monkeypatch.setattr(Transducer, "apply", counted_apply)
+    for elem in elems:
+        try:
+            cocycle_value(elem, half)
+        except NotStabilized:  # read all the same; the window is small
+            pass
+    assert applies == []
+    # finishing the same walks would run the transducers
+    for elem in elems:
+        d = max(1, displacement_bound(elem))
+        image = full_group.walker(elem, graph)
+        for u in range(graph.n):
+            if -d <= f[u] < d:
+                image(u)
+    assert applies
+
+
+def test_push_set_finishes_walks_that_leave_the_ball(odometer):
+    # push_set reads images only at its own vertices, and finishes a walk
+    # that steps off the ball by the transducers: t t_inv steps off at the
+    # rim and comes back, t_inv alone stays off
+    ball = build_ball(odometer, 10)
+    rim = [v for v in range(ball.n) if ball.successors()["t_inv"][v] < 0]
+    assert len(rim) == 1
+    back = make_element(odometer, [("", ("t", "t_inv"))])
+    walks = Graph.map_walks
+    assert push_set(back, ball, rim + [0]) == frozenset(rim + [0])
+    with pytest.raises(NotStabilized) as got:
+        push_set(make_element(odometer, [("", ("t_inv",))]), ball, rim)
+    assert str(got.value) == f"phi pushes vertex {rim[0]} outside the ball"
+    assert Graph.map_walks == walks

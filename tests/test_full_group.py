@@ -153,6 +153,7 @@ def _cache_one_element(odometer, ball) -> weakref.ref:
         ("00", ("t", "t")), ("01", ("t_inv", "t_inv")), ("10", ()), ("11", ())]))
     for direction in (elem, invert(elem)):
         vertex_map(direction, ball)
+        word_column(direction, ball)
     assert elem in ball._maps and elem in ball._columns
     assert elem in full_group._inverses
     assert len(ball._maps) == len(ball._columns) == 2
@@ -177,6 +178,7 @@ def test_element_caches_live_as_long_as_their_element(odometer):
         product = compose(rng.choice(pool), rng.choice(pool))
         for direction in (product, invert(product)):
             vertex_map(direction, ball)
+            word_column(direction, ball)
         assert len(ball._maps) <= 2 and len(ball._columns) <= 2
         assert len(full_group._inverses) <= inverses + 1
     del product, direction
@@ -344,6 +346,16 @@ def test_vertex_map_walk_that_leaves_and_comes_back(odometer, odo_ball_60):
     image = vertex_map(elem, ball)
     assert image[rim[0]] == rim[0]
     assert image == list(range(ball.n))
+
+
+def test_vertex_map_on_a_ball_without_edges(odometer):
+    # at radius 0 no generator has an edge, so every walk steps off at once
+    # and the transducers finish it
+    ball = build_ball(odometer, 0)
+    assert ball.successors() == {}
+    assert vertex_map(make_element(odometer, [("", ("t",))]), ball) == [-1]
+    assert vertex_map(make_element(odometer, [("", ("t", "t_inv"))]),
+                      ball) == [0]
 
 
 def test_vertex_map_rejects_an_element_of_another_action(grigorchuk, odo_ball_60):

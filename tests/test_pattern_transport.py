@@ -23,7 +23,7 @@ from fullgroup_lab.cocycle import r_constant
 from fullgroup_lab.errors import (PatternMismatch, PreconditionNphi, RimContact,
                                   TransportFailure)
 from fullgroup_lab.line_geometry import project_to_geodesic
-from fullgroup_lab.full_group import vertex_map
+from fullgroup_lab.full_group import walker
 from fullgroup_lab.pattern_transport import (_changes_side, _is_invariant,
                                              _side_boundary, _sides,
                                              labeled_match)
@@ -458,7 +458,7 @@ def test_invariance_tests_the_inverse_direction(odometer):
     t_inv = make_element(odometer, [("", ("t_inv",))])
     subset = frozenset({vertex(ball, 10)})
     seam = subset | {vertex(ball, 9)}
-    assert not _changes_side([vertex_map(t_inv, ball)], ball, subset, seam, 1)
+    assert not _changes_side([walker(t_inv, ball)], ball, subset, seam, 1)
     assert not _is_invariant([t_inv], ball, subset, seam)
 
 
@@ -470,5 +470,5 @@ def test_side_change_from_depth_d_inside_the_window_is_seen(odometer):
     ball = build_ball(odometer, 10)
     t = make_element(odometer, [("", ("t",))])
     subset = seam = frozenset({vertex(ball, 10)})
-    assert _changes_side([vertex_map(t, ball)], ball, subset, seam, 1)
+    assert _changes_side([walker(t, ball)], ball, subset, seam, 1)
     assert not _is_invariant([t], ball, subset, seam)

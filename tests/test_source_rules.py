@@ -122,3 +122,30 @@ def test_no_test_or_demo_reads_a_private_name_of_cli():
                     _private(node.args[1].value):
                 found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert found == []
+
+
+def _names(node) -> set:
+    """Every name read or imported under node: identifiers, attributes and
+    import aliases."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name)
+    return found
+
+
+def test_the_cocycle_and_the_side_test_map_no_whole_ball():
+    # the cocycle module and pattern_transport._changes_side read an element
+    # only at the vertices they look at (full_group.walker), never through
+    # its vertex map of the whole ball
+    cocycle = ast.parse((SRC / "cocycle.py").read_text())
+    transport = ast.parse((SRC / "pattern_transport.py").read_text())
+    side = [node for node in transport.body
+            if getattr(node, "name", None) == "_changes_side"]
+    assert len(side) == 1
+    assert "walker" in _names(cocycle)
+    assert "vertex_map" not in _names(cocycle) | _names(side[0])

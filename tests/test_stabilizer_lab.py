@@ -19,8 +19,10 @@ from fullgroup_lab import (
     transport_anchor,
     transport_halfspace,
 )
+from fullgroup_lab import pattern_transport
 from fullgroup_lab.errors import (FamilyFailure, OrderCap, PreconditionNphi,
                                   TransportFailure, WindowTooSmall)
+from fullgroup_lab.full_group import displacement_bound
 from fullgroup_lab.schreier import Graph
 from fullgroup_lab.stabilizer_lab import mulclose
 from oracles import permutation_closure_order, point_to_int
@@ -102,13 +104,22 @@ def three_cycles(action) -> list:
     return out
 
 
-def test_a_large_family_is_walked_once_per_element(odometer, lab):
-    # each element of F and each inverse the invariance tests ask for is
-    # walked on the ball once, however many transports and blocks read it
+def test_a_large_family_is_walked_once_per_element(odometer, lab,
+                                                  walker_reads):
+    # no element of F and no inverse the invariance tests ask for is mapped
+    # over the whole ball, however many transports and blocks read it: each
+    # test walks each of them once, and only at the vertices within d of
+    # its seam, a transport's match window (the 2n + 1 vertices of the line
+    # around z) or a block
     F = three_cycles(odometer)
+    reads = walker_reads(pattern_transport)
     walks = Graph.map_walks
     family = family_of(F, 30, lab["half"])
-    assert Graph.map_walks - walks == 2 * len(F) == 18
+    assert Graph.map_walks - walks == 0
+    d = max(displacement_bound(phi) for phi in F)
+    assert len(reads) % (2 * len(F)) == 0 and len(reads) >= 18
+    widest = max(len(block) for block in family.blocks.values())
+    assert 0 < max(reads) <= max(2 * 30 + 1, widest) + 2 * d
     assert len(family.anchor_indices) >= 3
     assert all(family.checks.values())
 
