@@ -7,7 +7,7 @@ accepted only when none of it lies farther out than radius - 2d, so that
 the smaller window gives the same set.  Three facts hold on every ball that
 build_ball or cut returns, and are used without a test:
 - a word of length <= d started at dist <= radius - d never leaves the
-  ball (a letter changes dist by at most 1): vertex_map gives no -1 there;
+  ball (a letter changes dist by at most 1): a walker gives no -1 there;
 - for a word g, each v of gY \\ Y with dist <= radius - len(g) - 1 lies
   within len(g) of the boundary of Y: the walk of g^-1 from v enters Y at
   most len(g) steps from v, at a vertex of dist <= radius - 1, which is a
@@ -19,9 +19,9 @@ build_ball or cut returns, and are used without a test:
   edges, moves by at most d along it.  So when u and v lie on different
   sides of Y, f(u) is in [0, d - 1] (f(v) <= -1) or in [-d, -1]
   (f(v) >= 0).  Conversely, a walk that steps off the ball at step k >= 1
-  ends within d - k of a vertex of dist > radius, so outside
-  certified(d): it is dropped unfinished.  Y symdiff phi(Y) on the window
-  is therefore the set of images v in certified(d) of the u on the levels
+  ends within d - k of a vertex of dist > radius, so outside certified(d)
+  wherever the transducers finish it.  Y symdiff phi(Y) on the window is
+  therefore the set of images v in certified(d) of the u on the levels
   -d .. d - 1 with (u in Y) != (v in Y), and phi^-1 is never built.
 """
 
@@ -111,7 +111,7 @@ def cocycle_value(phi: FullGroupElement, half: HalfSpace) -> CocycleValue:
     f = half.chart.f
     low, order, start = half.chart.levels
     top = low + len(start) - 2
-    image = walker(phi, graph, finish=False)
+    image = walker(phi, graph)
     value = set()
     for u in order[start[max(low, -d) - low]:start[min(top, d - 1) + 1 - low]]:
         v = image(u)

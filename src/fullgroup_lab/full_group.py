@@ -176,12 +176,11 @@ def word_column(elem: FullGroupElement, graph: Graph) -> list:
     return _cached(graph._columns, elem, column)
 
 
-def walker(elem: FullGroupElement, ball: SchreierBall, finish: bool = True):
+def walker(elem: FullGroupElement, ball: SchreierBall):
     """v -> elem's image of the ball vertex v: v's piece word, looked up at
     v's depth-elem.depth prefix, walked along the ball's labeled edges.  A
     walk that steps off the ball is finished by the transducers (it may
-    come back; -1 when it ends off the ball); with finish False it may be
-    left at -1, for a reader that drops such walks.  A cached whole map
+    come back; -1 when it ends off the ball).  A cached whole map
     (vertex_map) is read instead; the cache is looked up once per walker,
     not per vertex, since hashing an element hashes its piece table."""
     if elem.action is not ball.action:
@@ -205,8 +204,6 @@ def walker(elem: FullGroupElement, ball: SchreierBall, finish: bool = True):
         for row in rows:
             w = row[w]
             if w < 0:
-                if not finish:
-                    return -1
                 w = ball.vertex_of(apply_element(elem, label))
                 return -1 if w is None else w
         return w

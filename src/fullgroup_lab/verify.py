@@ -259,14 +259,16 @@ def d_phi(w):
         image = walker(elem, w.ball)
         certified = w.ball.certified(max(1, bound))
         worst = 0
+        pairs = []
         for v in certified:
-            worst = max(worst, abs(f[v] - f[image(v)]))
+            u = image(v)
+            pairs.append((v, u))
+            worst = max(worst, abs(f[v] - f[u]))
             if worst >= bound:
                 break
-        if worst < bound:
+        if worst < bound:  # every v was read, so pairs holds them all
             words = word_column(elem, w.ball)
-            for v in certified:
-                u = image(v)
+            for v, u in pairs:
                 if abs(f[v] - f[u]) < len(words[v]):
                     worst = max(worst, w.ball.d(v, u))
         witness[elem_desc(elem)] = {"d_phi": bound, "max_displacement": worst}

@@ -121,8 +121,8 @@ def walker_reads(monkeypatch):
         reads = []
         walker = module.walker
 
-        def counted(elem, graph, finish=True):
-            image = walker(elem, graph, finish)
+        def counted(elem, graph):
+            image = walker(elem, graph)
             k = len(reads)
             reads.append(0)
 

@@ -422,8 +422,8 @@ def test_verify_timing_counts_applications_and_walks(monkeypatch):
     # add up to the Transducer.apply calls of the run, and the walks to the
     # whole vertex maps it built: every element it maps, once, while it
     # lives.  Only finite_order reads every vertex; the cocycle checks walk
-    # each element only at the vertices they read, and finish no walk by
-    # the transducers
+    # each element only at the vertices they read, none of which is near
+    # enough the rim for its walk to leave the ball
     applies, mapped = [], set()
     apply, vertex_map = Transducer.apply, fullgroup_lab.full_group.vertex_map
 

@@ -20,7 +20,7 @@ from fullgroup_lab import (
     r_constant,
     stabilizer_test,
 )
-from fullgroup_lab import cocycle, full_group
+from fullgroup_lab import cocycle
 from fullgroup_lab.cocycle import push_set
 from fullgroup_lab.errors import NotStabilized
 from fullgroup_lab.full_group import displacement_bound, vertex_map
@@ -284,12 +284,11 @@ def test_cocycle_value_matches_the_two_window_oracle(request, name, count):
 
 
 def test_cocycle_value_reads_only_the_slab_around_the_seam(
-        monkeypatch, walker_reads, odometer, grid):
-    # the cocycle walks u only on the 2d chart levels -d .. d - 1 and
-    # finishes no walk by the transducers: on the odometer it reads the
-    # same vertices at r = 128 and r = 1,024, 2d per element, and on the
-    # grid, whose slab reaches the rim, its walks that step off the ball
-    # are dropped unfinished
+        monkeypatch, walker_reads, odometer):
+    # the cocycle walks u only on the 2d chart levels -d .. d - 1: on the
+    # odometer it reads the same vertices at r = 128 and r = 1,024, 2d per
+    # element, builds no whole map, and none of its walks reaches the rim,
+    # so the transducers run for none
     applies = []
     apply = Transducer.apply
 
@@ -314,26 +313,6 @@ def test_cocycle_value_reads_only_the_slab_around_the_seam(
         seen[radius] = [{half.graph.label_str(v) for v in value}
                         for value in values]
     assert seen[128] == seen[1024]
-
-    half = half_space(fit_line_chart(build_ball(grid, 8)))
-    graph, f = half.graph, half.chart.f
-    elems = random_elements(grid, random.Random(8), 10, max_depth=3,
-                            max_word=3)
-    monkeypatch.setattr(Transducer, "apply", counted_apply)
-    for elem in elems:
-        try:
-            cocycle_value(elem, half)
-        except NotStabilized:  # read all the same; the window is small
-            pass
-    assert applies == []
-    # finishing the same walks would run the transducers
-    for elem in elems:
-        d = max(1, displacement_bound(elem))
-        image = full_group.walker(elem, graph)
-        for u in range(graph.n):
-            if -d <= f[u] < d:
-                image(u)
-    assert applies
 
 
 def test_push_set_finishes_walks_that_leave_the_ball(odometer):
