@@ -159,17 +159,22 @@ def apply_element(elem: FullGroupElement, point: BoundaryPoint) -> BoundaryPoint
     return apply_word(elem.action, elem.word_at(point), point)
 
 
+def _prefixes(graph: Graph, depth: int) -> list:
+    """The depth-d prefix of every vertex label of the graph, kept per depth
+    (an element's depth is at most DEFAULT_DEPTH_CAP, so they are few)."""
+    prefixes = graph._prefixes.get(depth)
+    if prefixes is None:
+        prefixes = graph._prefixes[depth] = [label.prefix(depth)
+                                             for label in graph.labels]
+    return prefixes
+
+
 def word_column(elem: FullGroupElement, graph: Graph) -> list:
     """elem's piece word at every vertex of the graph, whose labels are
     boundary points: one lookup of each distinct depth-d prefix in the
-    table, d = elem.depth, the prefixes themselves kept per depth (an
-    element's depth is at most DEFAULT_DEPTH_CAP, so they are few)."""
+    table, d = elem.depth."""
     def column():
-        depth = elem.depth
-        prefixes = graph._prefixes.get(depth)
-        if prefixes is None:
-            prefixes = graph._prefixes[depth] = [label.prefix(depth)
-                                                 for label in graph.labels]
+        prefixes = _prefixes(graph, elem.depth)
         words = {cell: elem.word_at_cell(cell) for cell in set(prefixes)}
         return [words[cell] for cell in prefixes]
 
@@ -188,14 +193,13 @@ def walker(elem: FullGroupElement, ball: SchreierBall):
     whole = ball._maps.get(elem)
     if whole is not None:
         return whole.__getitem__
-    succ, labels, depth = ball.successors(), ball.labels, elem.depth
+    succ, cells = ball.successors(), _prefixes(ball, elem.depth)
     # a generator with no edge in the ball (radius 0) steps off everywhere
     off = [-1] * ball.n if len(succ) < len(elem.action.generators) else None
     steps = {}  # depth-elem.depth prefix -> the rows its word walks
 
     def image(v: int) -> int:
-        label = labels[v]
-        cell = label.prefix(depth)
+        cell = cells[v]
         rows = steps.get(cell)
         if rows is None:
             rows = steps[cell] = [succ.get(g, off)
@@ -204,7 +208,7 @@ def walker(elem: FullGroupElement, ball: SchreierBall):
         for row in rows:
             w = row[w]
             if w < 0:
-                w = ball.vertex_of(apply_element(elem, label))
+                w = ball.vertex_of(apply_element(elem, ball.labels[v]))
                 return -1 if w is None else w
         return w
 
