@@ -160,8 +160,9 @@ def apply_element(elem: FullGroupElement, point: BoundaryPoint) -> BoundaryPoint
 
 
 def _prefixes(graph: Graph, depth: int) -> list:
-    """The depth-d prefix of every vertex label of the graph, kept per depth
-    (an element's depth is at most DEFAULT_DEPTH_CAP, so they are few)."""
+    """Every vertex label's prefix of length depth, kept per depth on the
+    graph (an element's depth is at most DEFAULT_DEPTH_CAP, so they are
+    few) and shared by the word columns and the walkers."""
     prefixes = graph._prefixes.get(depth)
     if prefixes is None:
         prefixes = graph._prefixes[depth] = [label.prefix(depth)
