@@ -13,7 +13,7 @@ integers).
 Reports are byte-identical across repeated runs with the same inputs;
 `--timing` adds wall-clock seconds (the whole run, the window and each
 check of `verify`) and the work of the window and of each check (full BFS
-rows, bounded searches, transducer applications, element vertex maps
+rows, bounded searches, transducer applications, element images
 walked), and is the only flag that breaks byte-equality.
 """
 

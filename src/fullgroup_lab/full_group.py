@@ -12,18 +12,19 @@ On a finite ball of the orbit an element is a partial permutation of the
 vertices, each moving at most d_phi steps along the labeled edges of its
 piece word.  One primitive reads it: walker(elem, ball) maps a vertex to
 its image by walking that vertex's piece word, so a certificate reads the
-element only at the vertices it looks at.  vertex_map is the walker applied
-to every vertex, kept while the element lives, for the readers of every
-vertex (stabilizer_lab's core and permutations); word_column lists the
-piece word at every vertex, for the pattern scans.
+element only at the vertices it looks at; no code maps a whole ball.  What
+has been read stays in one record on the element (_record), so each vertex
+is walked at most once while the element lives, and the ball holds nothing
+per element; word_column lists the piece word at every vertex there too,
+for the pattern scans.
 """
 
 from __future__ import annotations
 
 import json
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 from .cantor_actions import (
     ActionSystem,
@@ -38,18 +39,9 @@ from .schreier import Graph, SchreierBall
 
 DEFAULT_DEPTH_CAP = 20
 
-# Element -> its inverse (invert).  The element caches are weak-keyed, so an
-# entry lives as long as its element; no cached value may refer to its key,
-# or the entry would never go (so an inverse is not stored as a key back).
-_inverses = weakref.WeakKeyDictionary()
-
-
-def _cached(cache, key, compute):
-    """cache[key], computed and stored on a miss."""
-    value = cache.get(key)
-    if value is None:
-        value = cache[key] = compute()
-    return value
+# invert's mark for an involution, its own inverse: an element that held
+# itself would be a reference cycle, which only the garbage collector frees
+_SELF = "self"
 
 
 def _generator_depth_floor(action: ActionSystem, pieces) -> int:
@@ -170,36 +162,50 @@ def _prefixes(graph: Graph, depth: int) -> list:
     return prefixes
 
 
+def _record(elem: FullGroupElement, graph: Graph) -> SimpleNamespace:
+    """What walker and word_column have read of elem on graph, kept in
+    elem's __dict__ as depth is, for the last graph read on: vertex ->
+    image (-1 off the ball), depth-elem.depth prefix -> the successor rows
+    its word walks, and the word column once asked for.  It holds the
+    graph, not elem, so it goes with elem."""
+    record = elem.__dict__.get("_record")
+    if record is None or record.ball is not graph:
+        record = elem.__dict__["_record"] = SimpleNamespace(
+            ball=graph, images={}, steps={}, column=None)
+    return record
+
+
 def word_column(elem: FullGroupElement, graph: Graph) -> list:
     """elem's piece word at every vertex of the graph, whose labels are
     boundary points: one lookup of each distinct depth-d prefix in the
-    table, d = elem.depth."""
-    def column():
+    table, d = elem.depth; kept in elem's record."""
+    record = _record(elem, graph)
+    if record.column is None:
         prefixes = _prefixes(graph, elem.depth)
         words = {cell: elem.word_at_cell(cell) for cell in set(prefixes)}
-        return [words[cell] for cell in prefixes]
-
-    return _cached(graph._columns, elem, column)
+        record.column = [words[cell] for cell in prefixes]
+    return record.column
 
 
 def walker(elem: FullGroupElement, ball: SchreierBall):
     """v -> elem's image of the ball vertex v: v's piece word, looked up at
     v's depth-elem.depth prefix, walked along the ball's labeled edges.  A
     walk that steps off the ball is finished by the transducers (it may
-    come back; -1 when it ends off the ball).  A cached whole map
-    (vertex_map) is read instead; the cache is looked up once per walker,
-    not per vertex, since hashing an element hashes its piece table."""
+    come back; -1 when it ends off the ball).  Each vertex is walked once
+    (Graph.map_walks counts it) and looked up in elem's record after."""
     if elem.action is not ball.action:
         raise ValueError("element and ball live on different actions")
-    whole = ball._maps.get(elem)
-    if whole is not None:
-        return whole.__getitem__
+    record = _record(elem, ball)
+    images, steps = record.images, record.steps
     succ, cells = ball.successors(), _prefixes(ball, elem.depth)
     # a generator with no edge in the ball (radius 0) steps off everywhere
     off = [-1] * ball.n if len(succ) < len(elem.action.generators) else None
-    steps = {}  # depth-elem.depth prefix -> the rows its word walks
 
     def image(v: int) -> int:
+        w = images.get(v)
+        if w is not None:
+            return w
+        Graph.map_walks += 1
         cell = cells[v]
         rows = steps.get(cell)
         if rows is None:
@@ -210,21 +216,12 @@ def walker(elem: FullGroupElement, ball: SchreierBall):
             w = row[w]
             if w < 0:
                 w = ball.vertex_of(apply_element(elem, ball.labels[v]))
-                return -1 if w is None else w
+                w = -1 if w is None else w
+                break
+        images[v] = w
         return w
 
     return image
-
-
-def vertex_map(elem: FullGroupElement, ball: SchreierBall) -> list:
-    """The image vertex of every ball vertex under elem, -1 off the ball:
-    the walker applied to every vertex, cached while elem lives."""
-    def walk():
-        image = walker(elem, ball)
-        Graph.map_walks += 1
-        return [image(v) for v in range(ball.n)]
-
-    return _cached(ball._maps, elem, walk)
 
 
 def compose(phi: FullGroupElement, psi: FullGroupElement,
@@ -251,9 +248,11 @@ def compose(phi: FullGroupElement, psi: FullGroupElement,
 
 
 def invert(elem: FullGroupElement) -> FullGroupElement:
-    """Piece table of the inverse map, from the image partition; cached
-    while elem lives."""
-    def inverse():
+    """Piece table of the inverse map, from the image partition, kept in
+    elem's __dict__ as depth is.  An involution is its own inverse, so both
+    directions read one record."""
+    inverse = elem.__dict__.get("_inverse")
+    if inverse is None:
         action = elem.action
         depth = max(elem.depth, _generator_depth_floor(action, elem.pieces))
         out = []
@@ -261,9 +260,10 @@ def invert(elem: FullGroupElement) -> FullGroupElement:
             word = elem.word_at_cell(cell)
             image = level_apply_word(action, word, cell)
             out.append((image, tuple(action.inverse_word(word))))
-        return FullGroupElement(action, _merge_pieces(out))
-
-    return _cached(_inverses, elem, inverse)
+        pieces = _merge_pieces(out)
+        inverse = elem.__dict__["_inverse"] = _SELF \
+            if pieces == elem.pieces else FullGroupElement(action, pieces)
+    return elem if inverse is _SELF else inverse
 
 
 def displacement_bound(elem: FullGroupElement) -> int:

@@ -9,7 +9,6 @@ ignored by all distance computations.
 from __future__ import annotations
 
 import bisect
-import weakref
 from collections import deque
 from itertools import repeat
 
@@ -36,8 +35,8 @@ class Graph:
     # Work counters of every graph of the process, which verify --timing
     # reports per check: full BFS rows (distances_from calls), bounded
     # searches (distances_to, and so d, and distances_within calls) and
-    # whole-ball element vertex maps walked (full_group.vertex_map; the
-    # vertices a walker reads on its own are not counted).
+    # element images walked (full_group.walker: one per element and vertex
+    # while the element lives; a read of a walked image is not counted).
     full_rows = 0
     searches = 0
     map_walks = 0
@@ -50,11 +49,7 @@ class Graph:
         self._index = None
         self._adj = None
         self._succ = None
-        # element -> its vertex map and its piece-word column
-        # (full_group.vertex_map, word_column); an entry goes with its element
-        self._maps = weakref.WeakKeyDictionary()
-        self._columns = weakref.WeakKeyDictionary()
-        self._prefixes = {}
+        self._prefixes = {}  # depth -> every label's prefix (full_group)
         self._certified = {}
         if dist is not None:
             self.dist = list(dist)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .cocycle import HalfSpace
 from .errors import FamilyFailure, OrderCap, WindowTooSmall
-from .full_group import FullGroupElement, displacement_bound, invert, vertex_map
+from .full_group import FullGroupElement, displacement_bound, invert, walker
 from .pattern_transport import Slab, _is_invariant, transport_halfspace
 from .schreier import Graph, neighborhood_set
 
@@ -236,13 +236,15 @@ class _PermTuple(tuple):
 
 
 def _permutation_on(phi: FullGroupElement, graph: Graph, domain: list) -> _PermTuple:
+    """phi on the domain, read at its vertices alone."""
     index = {v: k for k, v in enumerate(domain)}
-    image = vertex_map(phi, graph)
+    image = walker(phi, graph)
     images = []
     for v in domain:
-        if image[v] not in index:
+        w = image(v)
+        if w not in index:
             raise FamilyFailure(f"element does not permute the domain at {v}")
-        images.append(index[image[v]])
+        images.append(index[w])
     if len(set(images)) != len(domain):
         raise FamilyFailure("element is not a permutation of the domain")
     return _PermTuple(images)
@@ -299,16 +301,16 @@ class _TupleOfPerms(tuple):
 
 
 def _f_closed_core(F, graph: Graph) -> list:
-    """Largest subset of the certified window mapped to itself by all of F."""
+    """Largest subset of the certified window mapped to itself by all of F,
+    each element and inverse read at the vertices of the core alone."""
     d_max = max(1, max(displacement_bound(phi) for phi in F))
     core = set(graph.certified(d_max))
-    maps = [phi for phi in F] + [invert(phi) for phi in F]
+    images = [walker(e, graph) for phi in F for e in (phi, invert(phi))]
     changed = True
     while changed:
         changed = False
-        for phi in maps:
-            image = vertex_map(phi, graph)
-            drop = {v for v in core if image[v] not in core}
+        for image in images:
+            drop = {v for v in core if image(v) not in core}
             if drop:
                 core -= drop
                 changed = True

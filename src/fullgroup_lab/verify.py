@@ -259,16 +259,14 @@ def d_phi(w):
         image = walker(elem, w.ball)
         certified = w.ball.certified(max(1, bound))
         worst = 0
-        pairs = []
         for v in certified:
-            u = image(v)
-            pairs.append((v, u))
-            worst = max(worst, abs(f[v] - f[u]))
+            worst = max(worst, abs(f[v] - f[image(v)]))
             if worst >= bound:
                 break
-        if worst < bound:  # every v was read, so pairs holds them all
+        if worst < bound:  # every v was walked, so its image is looked up
             words = word_column(elem, w.ball)
-            for v, u in pairs:
+            for v in certified:
+                u = image(v)
                 if abs(f[v] - f[u]) < len(words[v]):
                     worst = max(worst, w.ball.d(v, u))
         witness[elem_desc(elem)] = {"d_phi": bound, "max_displacement": worst}
@@ -382,8 +380,8 @@ CHECK_IDS = tuple(check_id for check_id, *_ in CHECKS)
 
 def _work() -> tuple:
     """The clock and the process's work counters so far: full BFS rows,
-    bounded searches, transducer applications and element vertex maps
-    walked."""
+    bounded searches, transducer applications and element images walked,
+    one per (element, vertex) of the run, which builds its elements."""
     return (time.perf_counter(), Graph.full_rows, Graph.searches,
             Transducer.applications, Graph.map_walks)
 

@@ -18,6 +18,7 @@ from fullgroup_lab import (
     half_space,
     make_element,
 )
+from fullgroup_lab import full_group
 
 
 @pytest.fixture(scope="session")
@@ -114,24 +115,31 @@ def quad_swap(odometer):
 
 @pytest.fixture
 def walker_reads(monkeypatch):
-    """count(module): wraps the walker a module reads elements through
-    (full_group.walker) and returns the list of the number of vertices
-    each walker it then builds reads."""
-    def count(module) -> list:
+    """read(*modules): wraps the walker (full_group.walker) that each module
+    reads elements through, or every fullgroup_lab module that imports it
+    when none is named, and returns a list with one (element, vertices)
+    pair per walker it then builds, vertices being the vertices that walker
+    reads, in order.  The list holds the elements, so no two share an id."""
+    def read(*modules) -> list:
         reads = []
-        walker = module.walker
+        walker = full_group.walker
+        if not modules:
+            modules = [module for name, module in list(sys.modules.items())
+                       if name.startswith("fullgroup_lab")
+                       and getattr(module, "walker", None) is walker]
 
         def counted(elem, graph):
             image = walker(elem, graph)
-            k = len(reads)
-            reads.append(0)
+            vertices = []
+            reads.append((elem, vertices))
 
-            def read(v):
-                reads[k] += 1
+            def read_one(v):
+                vertices.append(v)
                 return image(v)
-            return read
+            return read_one
 
-        monkeypatch.setattr(module, "walker", counted)
+        for module in modules:
+            monkeypatch.setattr(module, "walker", counted)
         return reads
 
-    return count
+    return read

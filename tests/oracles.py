@@ -7,6 +7,7 @@ exhaustive enumerations) and avoids the code paths under test.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections import deque
@@ -387,15 +388,37 @@ def side_boundary_by_scan(graph, side) -> frozenset:
                      if any(u not in side for u in graph.neighbors(v)))
 
 
+@functools.lru_cache(maxsize=1 << 17)
+def transducer_image(elem, point):
+    """elem's image of a boundary point by the transducers, kept for the
+    balls cut from one another, which share their labels."""
+    from fullgroup_lab.full_group import apply_element
+
+    return apply_element(elem, point)
+
+
+def transducer_map(elem, ball) -> list:
+    """The image vertex of every ball vertex under elem, -1 off the ball:
+    the transducers run from every vertex's label, with no edge walked."""
+    return list(_transducer_map(elem, ball))
+
+
+@functools.lru_cache(maxsize=32)
+def _transducer_map(elem, ball) -> tuple:
+    images = (ball.vertex_of(transducer_image(elem, label))
+              for label in ball.labels)
+    return tuple(-1 if w is None else w for w in images)
+
+
 def is_invariant_by_scan(F, graph, subset) -> bool:
     """Membership in subset is kept by every phi of F and its inverse at
     every vertex of the window certified(max(1, d_phi))."""
-    from fullgroup_lab.full_group import displacement_bound, invert, vertex_map
+    from fullgroup_lab.full_group import displacement_bound, invert
 
     for phi in F:
         window = graph.certified(max(1, displacement_bound(phi)))
         for direction in (phi, invert(phi)):
-            image = vertex_map(direction, graph)
+            image = transducer_map(direction, graph)
             if any(image[x] < 0 or (x in subset) != (image[x] in subset)
                    for x in window):
                 return False
@@ -477,7 +500,7 @@ def cocycle_by_two_windows(phi, half):
     from fullgroup_lab import neighborhood_set
     from fullgroup_lab.errors import NotStabilized
     from fullgroup_lab.full_group import (FullGroupElement, displacement_bound,
-                                          invert, vertex_map)
+                                          invert)
 
     graph = half.graph
     if graph.radius is None:
@@ -488,7 +511,7 @@ def cocycle_by_two_windows(phi, half):
     if w_small < 1:
         raise NotStabilized(
             f"radius {graph.radius} too small for displacement {d}")
-    pre = vertex_map(invert(phi), graph)
+    pre = transducer_map(invert(phi), graph)
 
     def sym_diff(w):
         window = [v for v in range(graph.n) if graph.dist[v] <= w]
@@ -507,7 +530,8 @@ def cocycle_by_two_windows(phi, half):
         if not word:
             continue
         inverse = tuple(phi.action.inverse_word(word))
-        back = vertex_map(FullGroupElement(phi.action, (("", inverse),)), graph)
+        back = transducer_map(FullGroupElement(phi.action, (("", inverse),)),
+                              graph)
         stray = {v for v in range(graph.n) if graph.dist[v] <= w_small
                  and v not in half.members and back[v] in half.members} - \
             neighborhood_set(graph, half.boundary, len(word))

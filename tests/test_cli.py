@@ -18,9 +18,9 @@ from fullgroup_lab.cantor_actions import BUILTIN_NAMES, Transducer
 from fullgroup_lab.cli import main
 from fullgroup_lab.errors import (FamilyFailure, FullGroupLabError, NoRepetition,
                                   TransportFailure)
-from fullgroup_lab.full_group import FullGroupElement, displacement_bound, vertex_map
+from fullgroup_lab.full_group import FullGroupElement, displacement_bound
 from fullgroup_lab.line_geometry import LineChart
-from oracles import all_pairs, random_elements
+from oracles import all_pairs, random_elements, transducer_map
 
 SWAP = {"pieces": [{"prefix": "0", "word": ["t"]},
                    {"prefix": "1", "word": ["t_inv"]}]}
@@ -417,42 +417,61 @@ def test_family_file_is_read_before_the_window(monkeypatch, tmp_path, capsys,
     assert "a family is a non-empty list" in capsys.readouterr().err
 
 
-def test_verify_timing_counts_applications_and_walks(monkeypatch):
+def test_verify_timing_counts_applications_and_walks(monkeypatch,
+                                                   walker_reads):
     # the window applies each generator once per vertex; the applications
     # add up to the Transducer.apply calls of the run, and the walks to the
-    # whole vertex maps it built: every element it maps, once, while it
-    # lives.  Only finite_order reads every vertex; the cocycle checks walk
-    # each element only at the vertices they read, none of which is near
-    # enough the rim for its walk to leave the ball
-    applies, mapped = [], set()
-    apply, vertex_map = Transducer.apply, fullgroup_lab.full_group.vertex_map
+    # images walked, one per element and vertex the run reads: the run
+    # builds its own elements, and each keeps what it has read.  No walk of
+    # the run steps off the ball, so the transducers finish none, and the
+    # window and the checks that read no element walk nothing
+    applies = []
+    apply = Transducer.apply
 
     def counted_apply(self, state, point):
         applies.append(point)
         return apply(self, state, point)
 
-    def counted_map(elem, ball):
-        mapped.add((ball, elem))
-        return vertex_map(elem, ball)
-
     action = builtin_action("odometer")
     n = build_ball(action, 120).n
     monkeypatch.setattr(Transducer, "apply", counted_apply)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("fullgroup_lab") and \
-                getattr(module, "vertex_map", None) is vertex_map:
-            monkeypatch.setattr(module, "vertex_map", counted_map)
+    reads = walker_reads()
     report = verify.run_verify(action, 120, 10, 1 << 16, timing=True)
     timing = report["timing"]
     total = {key: timing[key]["window"] + sum(timing[key]["checks"].values())
              for key in ("applications", "walks")}
     assert timing["applications"]["window"] == 2 * n
-    assert total["applications"] == len(applies) == 2 * n + 1
-    assert total["walks"] == len(mapped) == 1
-    assert timing["walks"]["checks"]["finite_order"] == 1
-    for check in ("cocycle_fin", "cocycle_identity", "kernel_stab", "d_phi"):
+    assert total["applications"] == len(applies) == 2 * n
+    pairs = {(id(elem), v) for elem, vertices in reads for v in vertices}
+    assert total["walks"] == len(pairs) > 0
+    assert timing["walks"]["window"] == 0
+    for check in ("localfin", "biinf", "m_geod", "boundY", "upp", "oneend",
+                  "block_bound", "recurrence"):
         assert timing["walks"]["checks"][check] == 0
+    for check in ("cocycle_fin", "cocycle_identity", "nesting",
+                  "finite_order"):
+        assert timing["walks"]["checks"][check] > 0
+    for check in ("cocycle_fin", "cocycle_identity", "kernel_stab", "d_phi"):
         assert timing["applications"]["checks"][check] == 0
+
+
+@pytest.mark.parametrize("name, radius, n, parent", [
+    ("odometer", 400, 10, 3859), ("thickline", 240, 24, 4094)])
+def test_verify_walks_each_image_once(request, walker_reads, name, radius, n,
+                                      parent):
+    # each (element, vertex) that the run reads is walked once, however
+    # many checks, transports and blocks read it: at most half the images
+    # walked when each walker and whole map walked its own (parent)
+    reads = walker_reads()
+    report = verify.run_verify(request.getfixturevalue(name), radius, n,
+                               1 << 16, timing=True)
+    assert all(e["status"] == "pass" for e in report["checks"])
+    walks = report["timing"]["walks"]
+    total = walks["window"] + sum(walks["checks"].values())
+    pairs = {(id(elem), v) for elem, vertices in reads for v in vertices}
+    assert total == len(pairs)
+    assert sum(len(vertices) for _elem, vertices in reads) > total
+    assert 2 * total <= parent
 
 
 def test_d_phi_matches_all_pairs_distances(odometer, thickline):
@@ -474,7 +493,7 @@ def test_d_phi_matches_all_pairs_distances(odometer, thickline):
         status, witness, _ = verify.d_phi(w)
         rows = all_pairs(ball)
         for elem in samples:
-            image = vertex_map(elem, ball)
+            image = transducer_map(elem, ball)
             bound = displacement_bound(elem)
             worst = max(rows[v][image[v]] for v in ball.certified(max(1, bound)))
             assert witness[verify.elem_desc(elem)] == {"d_phi": bound,
@@ -499,7 +518,7 @@ def test_kernel_stab_matches_the_window_scan(odometer, thickline):
             entry = witness[verify.elem_desc(elem)]
             if isinstance(entry, str):  # window limited
                 continue
-            image = vertex_map(elem, ball)
+            image = transducer_map(elem, ball)
             window = ball.certified(max(1, displacement_bound(elem)))
             fixes = not any((v in half.members) != (image[v] in half.members)
                             for v in window)
@@ -916,12 +935,13 @@ def test_verify_looks_images_up_instead_of_rerunning_transducers(monkeypatch):
                 monkeypatch.setattr(module, fn.__name__, counted(fn.__name__, fn))
     report = verify.run_verify(action, 200, 10, 1 << 16)
     assert all(e["status"] == "pass" for e in report["checks"])
-    # 2 n in build_ball, one per (vertex, generator); one letter of the one
-    # vertex walk that steps off the ball and finishes by the transducers,
-    # in finite_order's whole map of F, the only piece word looked up by
-    # word_at: every other lookup reads a walker's prefix or a word column
-    assert calls["apply"] == 2 * n + 1
-    assert calls["word_at"] == calls["apply_element"] == 1
+    # 2 n in build_ball, one per (vertex, generator), and none elsewhere:
+    # every element is read at certified vertices alone, so no walk steps
+    # off the ball for the transducers to finish, and no piece word is
+    # looked up by word_at: every lookup reads a walker's prefix or a word
+    # column
+    assert calls["apply"] == 2 * n
+    assert calls["word_at"] == calls["apply_element"] == 0
     assert 0 < calls["stabilizer_test"] <= \
         len(samples["samples"]) + len(samples["kernel_family"])
     # one scan, in upp: the nested family reuses its matches and r
@@ -932,8 +952,9 @@ def test_verify_looks_images_up_instead_of_rerunning_transducers(monkeypatch):
     assert builds and max(builds.values()) == 1
 
     # every odometer sample reaches d_phi by |f(v) - f(phi v)|, so d_phi
-    # neither looks up a piece word nor searches nor maps the whole ball:
-    # its walkers stop at the first vertex moved by d_phi
+    # neither looks up a piece word nor searches, and on a ball new to the
+    # samples it walks one image of each: its walkers stop at the first
+    # vertex, which d_phi moves
     half = verify.window(action, 200, 1 << 16)
     monkeypatch.setattr(schreier.Graph, "d", counted("d", schreier.Graph.d))
     calls["word_at"] = 0
@@ -942,4 +963,4 @@ def test_verify_looks_images_up_instead_of_rerunning_transducers(monkeypatch):
                         samples=samples["samples"])
     assert verify.d_phi(w)[0] == "pass"
     assert calls["d"] == calls["word_at"] == 0
-    assert schreier.Graph.map_walks == walks
+    assert schreier.Graph.map_walks - walks == len(samples["samples"])

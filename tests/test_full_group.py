@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import random
+import sys
 import weakref
 
 import pytest
@@ -20,11 +21,13 @@ from fullgroup_lab import (
     invert,
     make_element,
 )
-from fullgroup_lab import full_group
 from fullgroup_lab.cantor_actions import cells
 from fullgroup_lab.errors import NotAPartition, NotInvertible
-from fullgroup_lab.full_group import FullGroupElement, vertex_map, word_column
-from oracles import int_to_point, point_to_int, random_elements, random_points
+from fullgroup_lab.full_group import (DEFAULT_DEPTH_CAP, FullGroupElement,
+                                      walker, word_column)
+from fullgroup_lab.schreier import Graph
+from oracles import (int_to_point, point_to_int, random_elements,
+                     random_points, transducer_map)
 
 
 def test_pair_swap_valid_and_bijective_on_level3(odometer, pair_swap):
@@ -135,55 +138,65 @@ def test_invert_examples(odometer, pair_swap):
 
 
 def test_invert_is_cached_while_the_element_lives(odometer, pair_swap):
-    assert invert(pair_swap) is invert(pair_swap)
-    # an equal table built afresh finds the same inverse
+    # an involution is its own inverse, so both directions read one record;
+    # any other element's inverse is built once while the element lives
+    assert invert(pair_swap) is pair_swap
     again = make_element(odometer, [("0", ("t",)), ("1", ("t_inv",))])
-    assert again is not pair_swap and invert(again) is invert(pair_swap)
+    assert again is not pair_swap and invert(again) is again
+    shift = make_element(odometer, [("", ("t",))])
+    assert invert(shift) is invert(shift) != shift
     elements = random_elements(odometer, random.Random(5), 64)
     inverses = [invert(elem) for elem in elements]
     assert all(invert(elem) is inverse
                for elem, inverse in zip(elements, inverses))
+    own = [inverse is elem for elem, inverse in zip(elements, inverses)]
+    assert own == [inverse.pieces == elem.pieces
+                   for elem, inverse in zip(elements, inverses)]
+    assert any(own) and not all(own)
 
 
-def _cache_one_element(odometer, ball) -> weakref.ref:
-    """Cache an element's map, column and inverse, and its inverse's map
-    and column, on the ball; a weak reference to the element."""
+def _read_one_element(odometer, ball) -> tuple:
+    """Read an element and its inverse on the ball, by a walker and a word
+    column each; weak references to both."""
     shift = make_element(odometer, [("", ("t",))])
     elem = compose(shift, make_element(odometer, [
         ("00", ("t", "t")), ("01", ("t_inv", "t_inv")), ("10", ()), ("11", ())]))
     for direction in (elem, invert(elem)):
-        vertex_map(direction, ball)
+        walker(direction, ball)(0)
         word_column(direction, ball)
-    assert elem in ball._maps and elem in ball._columns
-    assert elem in full_group._inverses
-    assert len(ball._maps) == len(ball._columns) == 2
-    return weakref.ref(elem)
+    assert invert(elem) is not elem
+    return weakref.ref(elem), weakref.ref(invert(elem))
 
 
 def test_element_caches_live_as_long_as_their_element(odometer):
-    # an entry goes with its element (and an inverse with the element that
-    # holds it), so a long-lived ball queried with fresh products keeps a
-    # bounded number of entries
+    # an element's read record (which holds the ball), its inverse and the
+    # inverse's record go with it by reference counting alone, and the
+    # ball holds nothing per element, so a long-lived ball read with fresh
+    # products keeps only its per-depth prefix lists
     gc.collect()
-    ball = build_ball(odometer, 16)
-    inverses = len(full_group._inverses)
-    probe = _cache_one_element(odometer, ball)
-    assert probe() is None
-    assert len(ball._maps) == len(ball._columns) == 0
-    assert len(full_group._inverses) == inverses
-    pool = random_elements(odometer, random.Random(3), 16, max_depth=2,
-                           max_word=2)
-    rng = random.Random(4)
-    for _ in range(2000):
-        product = compose(rng.choice(pool), rng.choice(pool))
-        for direction in (product, invert(product)):
-            vertex_map(direction, ball)
-            word_column(direction, ball)
-        assert len(ball._maps) <= 2 and len(ball._columns) <= 2
-        assert len(full_group._inverses) <= inverses + 1
-    del product, direction
-    assert len(ball._maps) == len(ball._columns) == 0
-    assert len(full_group._inverses) == inverses
+    gc.disable()
+    try:
+        ball = build_ball(odometer, 16)
+        refs = sys.getrefcount(ball)
+        probes = _read_one_element(odometer, ball)
+        assert [probe() for probe in probes] == [None, None]
+        assert sys.getrefcount(ball) == refs
+        state = sorted(vars(ball))
+        pool = random_elements(odometer, random.Random(3), 16, max_depth=2,
+                               max_word=2)
+        rng = random.Random(4)
+        for _ in range(2000):
+            product = compose(rng.choice(pool), rng.choice(pool))
+            for direction in (product, invert(product)):
+                walker(direction, ball)(0)
+                word_column(direction, ball)
+            assert sys.getrefcount(ball) <= refs + 2
+        del product, direction
+        assert sys.getrefcount(ball) == refs
+        assert sorted(vars(ball)) == state
+        assert set(ball._prefixes) <= set(range(DEFAULT_DEPTH_CAP + 1))
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("name", ["odometer", "grigorchuk", "thickline"])
@@ -274,11 +287,10 @@ def test_unknown_generator_in_piece(odometer):
 
 # --- elements as vertex maps of a ball ---------------------------------------
 
-def transducer_map(elem, ball) -> list:
-    """Reference route: run the transducers from every vertex's label."""
-    images = (ball.vertex_of(apply_element(elem, ball.labels[v]))
-              for v in range(ball.n))
-    return [-1 if w is None else w for w in images]
+def read_all(elem, ball) -> list:
+    """elem's image of every ball vertex, read through a walker."""
+    image = walker(elem, ball)
+    return [image(v) for v in range(ball.n)]
 
 
 @pytest.fixture(scope="module")
@@ -289,26 +301,34 @@ def odo_ball_60(odometer):
 @pytest.mark.parametrize("name, radius", [
     ("odometer", 60), ("grigorchuk", 40), ("dihedral", 40), ("thickline", 40)])
 def test_vertex_map_matches_the_transducers(request, name, radius):
-    # every vertex, rim included, for random piece tables; a word of length
-    # at most d_phi started within radius - d_phi never leaves the ball, so
-    # no image there is -1 (the certificates rely on it without a test)
+    # a walker read at every vertex, rim included, for random piece tables;
+    # a word of length at most d_phi started within radius - d_phi never
+    # leaves the ball, so no image there is -1 (the certificates rely on it
+    # without a test); each image is walked once, and a second read, by
+    # this walker or a new one, looks it up
     action = request.getfixturevalue(name)
     ball = build_ball(action, radius)
     for elem in random_elements(action, random.Random(radius), 12):
         inner = ball.certified(displacement_bound(elem))
         for direction in (elem, invert(elem)):
-            image = vertex_map(direction, ball)
-            assert image == transducer_map(direction, ball)
-            assert all(image[v] >= 0 for v in inner)
-            assert vertex_map(direction, ball) is image
+            walks = Graph.map_walks
+            image = walker(direction, ball)
+            images = [image(v) for v in range(ball.n)]
+            assert images == transducer_map(direction, ball)
+            assert all(images[v] >= 0 for v in inner)
+            assert Graph.map_walks - walks <= ball.n
+            walks = Graph.map_walks
+            assert [image(v) for v in range(ball.n)] == images
+            assert read_all(direction, ball) == images
+            assert Graph.map_walks == walks
 
 
 @pytest.mark.parametrize("name", ["odometer", "grigorchuk", "dihedral",
                                   "thickline"])
 def test_word_column_matches_word_at(request, name):
     # the column is read from one prefix list per depth, each built once,
-    # and cached like the vertex maps; the identity tables, words g^-1 g and
-    # () alternating over the cells, have six depths
+    # and kept in the element's read record; the identity tables, words
+    # g^-1 g and () alternating over the cells, have six depths
     action = request.getfixturevalue(name)
     ball = build_ball(action, 40)
     g = action.gen_names[0]
@@ -334,7 +354,7 @@ def test_word_column_matches_word_at(request, name):
 def test_vertex_map_property_over_seeds(odometer, odo_ball_60, seed):
     rng = random.Random(seed)
     for elem in random_elements(odometer, rng, 2, max_depth=4, max_word=4):
-        assert vertex_map(elem, odo_ball_60) == transducer_map(elem, odo_ball_60)
+        assert read_all(elem, odo_ball_60) == transducer_map(elem, odo_ball_60)
 
 
 def test_vertex_map_walk_that_leaves_and_comes_back(odometer, odo_ball_60):
@@ -343,7 +363,7 @@ def test_vertex_map_walk_that_leaves_and_comes_back(odometer, odo_ball_60):
     elem = make_element(odometer, [("", ("t", "t_inv"))])
     rim = [v for v in range(ball.n) if ball.successors()["t_inv"][v] < 0]
     assert len(rim) == 1 and ball.dist[rim[0]] == 60
-    image = vertex_map(elem, ball)
+    image = read_all(elem, ball)
     assert image[rim[0]] == rim[0]
     assert image == list(range(ball.n))
 
@@ -353,11 +373,11 @@ def test_vertex_map_on_a_ball_without_edges(odometer):
     # and the transducers finish it
     ball = build_ball(odometer, 0)
     assert ball.successors() == {}
-    assert vertex_map(make_element(odometer, [("", ("t",))]), ball) == [-1]
-    assert vertex_map(make_element(odometer, [("", ("t", "t_inv"))]),
-                      ball) == [0]
+    assert read_all(make_element(odometer, [("", ("t",))]), ball) == [-1]
+    assert read_all(make_element(odometer, [("", ("t", "t_inv"))]),
+                    ball) == [0]
 
 
 def test_vertex_map_rejects_an_element_of_another_action(grigorchuk, odo_ball_60):
     with pytest.raises(ValueError):
-        vertex_map(make_element(grigorchuk, [("", ("a",))]), odo_ball_60)
+        walker(make_element(grigorchuk, [("", ("a",))]), odo_ball_60)

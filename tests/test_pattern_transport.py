@@ -23,6 +23,7 @@ from fullgroup_lab.cocycle import r_constant
 from fullgroup_lab.errors import (PatternMismatch, PreconditionNphi, RimContact,
                                   TransportFailure)
 from fullgroup_lab.line_geometry import project_to_geodesic
+from fullgroup_lab import full_group
 from fullgroup_lab.full_group import walker
 from fullgroup_lab.pattern_transport import (_changes_side, _is_invariant,
                                              _side_boundary, _sides,
@@ -107,7 +108,7 @@ def test_same_pattern_compares_words_not_pieces(odometer, pair_swap):
 
 def test_pattern_scan_builds_each_column_once(odometer, monkeypatch):
     # the scan reads F's columns once, not once per candidate z, and each
-    # column is built once for as long as its element lives
+    # column is built once, into its element's read record
     ball = build_ball(odometer, 60)
     F = list(dict.fromkeys(random_elements(odometer, random.Random(5), 6,
                                            max_depth=2)))
@@ -117,7 +118,7 @@ def test_pattern_scan_builds_each_column_once(odometer, monkeypatch):
 
     def counted(elem, graph):
         reads.append(elem)
-        if elem not in graph._columns:
+        if full_group._record(elem, graph).column is None:
             builds.append(elem)
         return word_column(elem, graph)
 

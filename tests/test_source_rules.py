@@ -138,14 +138,54 @@ def _names(node) -> set:
     return found
 
 
+def _every_vertex(node) -> list:
+    """The loops under node over every vertex of a graph: range calls whose
+    arguments read an attribute n (range(graph.n))."""
+    return [ast.unparse(sub) for sub in ast.walk(node)
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+            and sub.func.id == "range"
+            and any(isinstance(a, ast.Attribute) and a.attr == "n"
+                    for arg in sub.args for a in ast.walk(arg))]
+
+
 def test_the_cocycle_and_the_side_test_map_no_whole_ball():
-    # the cocycle module and pattern_transport._changes_side read an element
-    # only at the vertices they look at (full_group.walker), never through
-    # its vertex map of the whole ball
-    cocycle = ast.parse((SRC / "cocycle.py").read_text())
-    transport = ast.parse((SRC / "pattern_transport.py").read_text())
-    side = [node for node in transport.body
-            if getattr(node, "name", None) == "_changes_side"]
-    assert len(side) == 1
-    assert "walker" in _names(cocycle)
-    assert "vertex_map" not in _names(cocycle) | _names(side[0])
+    # an element is read only at the vertices a certificate looks at: no
+    # function of the package that builds a walker (full_group.walker), and
+    # not pattern_transport._changes_side, which reads the walkers it is
+    # given, loops over every vertex of its graph
+    readers = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and (
+                    node.name == "_changes_side" or any(
+                        isinstance(sub, ast.Call) and
+                        isinstance(sub.func, ast.Name) and
+                        sub.func.id == "walker" for sub in ast.walk(node))):
+                readers[f"{path.name}:{node.name}"] = _every_vertex(node)
+    assert {"cocycle.py:cocycle_value", "cocycle.py:push_set",
+            "pattern_transport.py:_changes_side",
+            "pattern_transport.py:_is_invariant",
+            "stabilizer_lab.py:_permutation_on",
+            "stabilizer_lab.py:_f_closed_core",
+            "verify.py:d_phi", "verify.py:kernel_stab"} <= set(readers)
+    assert {name: loops for name, loops in readers.items() if loops} == {}
+
+
+def test_no_module_maps_a_whole_ball():
+    # the walker is the one reader of an element on a ball: no module of
+    # the package defines, imports or calls vertex_map
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        if "vertex_map" in _names(tree) | defined:
+            found.append(path.name)
+    assert found == []
+
+
+def test_the_graph_keeps_no_element_state():
+    # what has been read of an element lives in the element's own record
+    # (full_group), so a graph keeps no weak-keyed cache of elements:
+    # schreier imports no weakref
+    assert "weakref" not in _names(ast.parse((SRC / "schreier.py").read_text()))

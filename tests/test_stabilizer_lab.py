@@ -106,20 +106,23 @@ def three_cycles(action) -> list:
 
 def test_a_large_family_is_walked_once_per_element(odometer, lab,
                                                   walker_reads):
-    # no element of F and no inverse the invariance tests ask for is mapped
-    # over the whole ball, however many transports and blocks read it: each
-    # test walks each of them once, and only at the vertices within d of
-    # its seam, a transport's match window (the 2n + 1 vertices of the line
-    # around z) or a block
+    # however many transports and blocks read them, each vertex of F's
+    # elements and of the inverses the invariance tests ask for is walked
+    # once, and each test reads only the vertices within d of its seam, a
+    # transport's match window (the 2n + 1 vertices of the line around z)
+    # or a block
     F = three_cycles(odometer)
     reads = walker_reads(pattern_transport)
     walks = Graph.map_walks
     family = family_of(F, 30, lab["half"])
-    assert Graph.map_walks - walks == 0
+    pairs = {(id(elem), v) for elem, vertices in reads for v in vertices}
+    assert Graph.map_walks - walks == len(pairs)
+    counts = [len(vertices) for _elem, vertices in reads]
+    assert sum(counts) > len(pairs)
     d = max(displacement_bound(phi) for phi in F)
     assert len(reads) % (2 * len(F)) == 0 and len(reads) >= 18
     widest = max(len(block) for block in family.blocks.values())
-    assert 0 < max(reads) <= max(2 * 30 + 1, widest) + 2 * d
+    assert 0 < max(counts) <= max(2 * 30 + 1, widest) + 2 * d
     assert len(family.anchor_indices) >= 3
     assert all(family.checks.values())
 
