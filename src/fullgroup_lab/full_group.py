@@ -43,6 +43,11 @@ DEFAULT_DEPTH_CAP = 20
 # itself would be a reference cycle, which only the garbage collector frees
 _SELF = "self"
 
+# Element images walked in the process, one per element and vertex while
+# the element lives (verify --timing's walks); a module global, since a
+# store to a class attribute at every walk voids the class's lookup cache
+walks = 0
+
 
 def _generator_depth_floor(action: ActionSystem, pieces) -> int:
     """Smallest level at which every word's truncated action is defined
@@ -192,7 +197,7 @@ def walker(elem: FullGroupElement, ball: SchreierBall):
     v's depth-elem.depth prefix, walked along the ball's labeled edges.  A
     walk that steps off the ball is finished by the transducers (it may
     come back; -1 when it ends off the ball).  Each vertex is walked once
-    (Graph.map_walks counts it) and looked up in elem's record after."""
+    (walks counts it) and looked up in elem's record after."""
     if elem.action is not ball.action:
         raise ValueError("element and ball live on different actions")
     record = _record(elem, ball)
@@ -202,10 +207,11 @@ def walker(elem: FullGroupElement, ball: SchreierBall):
     off = [-1] * ball.n if len(succ) < len(elem.action.generators) else None
 
     def image(v: int) -> int:
+        global walks
         w = images.get(v)
         if w is not None:
             return w
-        Graph.map_walks += 1
+        walks += 1
         cell = cells[v]
         rows = steps.get(cell)
         if rows is None:

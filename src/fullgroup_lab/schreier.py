@@ -33,13 +33,11 @@ class Graph:
     """
 
     # Work counters of every graph of the process, which verify --timing
-    # reports per check: full BFS rows (distances_from calls), bounded
-    # searches (distances_to, and so d, and distances_within calls) and
-    # element images walked (full_group.walker: one per element and vertex
-    # while the element lives; a read of a walked image is not counted).
+    # reports per check: full BFS rows (distances_from calls) and bounded
+    # searches (distances_to, and so d, and distances_within calls);
+    # full_group.walks counts the element images walked.
     full_rows = 0
     searches = 0
-    map_walks = 0
 
     def __init__(self, labels, edges, base=0, radius=None, dist=None):
         self.labels = list(labels)

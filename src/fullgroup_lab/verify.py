@@ -25,7 +25,7 @@ from __future__ import annotations
 import time
 from types import SimpleNamespace
 
-from . import __version__
+from . import __version__, full_group
 from .cantor_actions import Transducer
 from .cocycle import cocycle_value, half_space, push_set, stabilizer_test
 from .errors import (
@@ -383,7 +383,7 @@ def _work() -> tuple:
     bounded searches, transducer applications and element images walked,
     one per (element, vertex) of the run, which builds its elements."""
     return (time.perf_counter(), Graph.full_rows, Graph.searches,
-            Transducer.applications, Graph.map_walks)
+            Transducer.applications, full_group.walks)
 
 
 def _timing(spent: dict) -> dict:

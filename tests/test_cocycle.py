@@ -23,6 +23,7 @@ from fullgroup_lab import (
 from fullgroup_lab import cocycle
 from fullgroup_lab.cocycle import push_set
 from fullgroup_lab.errors import NotStabilized
+from fullgroup_lab import full_group
 from fullgroup_lab.full_group import displacement_bound
 from oracles import (ball_interior_ok, cocycle_by_two_windows,
                      end_strips_by_index, half_space_boundaries, int_to_point,
@@ -302,12 +303,12 @@ def test_cocycle_value_reads_only_the_slab_around_the_seam(
     seen = {}
     for radius in (128, 1024):
         half = half_space(fit_line_chart(build_ball(odometer, radius)))
-        walks = Graph.map_walks
+        walks = full_group.walks
         monkeypatch.setattr(Transducer, "apply", counted_apply)
         values = [cocycle_value(elem, half).vertices for elem in elems]
         monkeypatch.setattr(Transducer, "apply", apply)
         counts = [len(vertices) for _elem, vertices in reads]
-        assert applies == [] and Graph.map_walks - walks == sum(counts)
+        assert applies == [] and full_group.walks - walks == sum(counts)
         assert counts == [2 * max(1, displacement_bound(elem)) for elem in elems]
         reads.clear()
         seen[radius] = [{half.graph.label_str(v) for v in value}
@@ -323,9 +324,9 @@ def test_push_set_finishes_walks_that_leave_the_ball(odometer):
     rim = [v for v in range(ball.n) if ball.successors()["t_inv"][v] < 0]
     assert len(rim) == 1
     back = make_element(odometer, [("", ("t", "t_inv"))])
-    walks = Graph.map_walks
+    walks = full_group.walks
     assert push_set(back, ball, rim + [0]) == frozenset(rim + [0])
     with pytest.raises(NotStabilized) as got:
         push_set(make_element(odometer, [("", ("t_inv",))]), ball, rim)
     assert str(got.value) == f"phi pushes vertex {rim[0]} outside the ball"
-    assert Graph.map_walks - walks == 3
+    assert full_group.walks - walks == 3

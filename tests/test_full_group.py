@@ -23,9 +23,9 @@ from fullgroup_lab import (
 )
 from fullgroup_lab.cantor_actions import cells
 from fullgroup_lab.errors import NotAPartition, NotInvertible
+from fullgroup_lab import full_group
 from fullgroup_lab.full_group import (DEFAULT_DEPTH_CAP, FullGroupElement,
                                       walker, word_column)
-from fullgroup_lab.schreier import Graph
 from oracles import (int_to_point, point_to_int, random_elements,
                      random_points, transducer_map)
 
@@ -311,16 +311,16 @@ def test_vertex_map_matches_the_transducers(request, name, radius):
     for elem in random_elements(action, random.Random(radius), 12):
         inner = ball.certified(displacement_bound(elem))
         for direction in (elem, invert(elem)):
-            walks = Graph.map_walks
+            walks = full_group.walks
             image = walker(direction, ball)
             images = [image(v) for v in range(ball.n)]
             assert images == transducer_map(direction, ball)
             assert all(images[v] >= 0 for v in inner)
-            assert Graph.map_walks - walks <= ball.n
-            walks = Graph.map_walks
+            assert full_group.walks - walks <= ball.n
+            walks = full_group.walks
             assert [image(v) for v in range(ball.n)] == images
             assert read_all(direction, ball) == images
-            assert Graph.map_walks == walks
+            assert full_group.walks == walks
 
 
 @pytest.mark.parametrize("name", ["odometer", "grigorchuk", "dihedral",

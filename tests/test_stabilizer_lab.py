@@ -22,6 +22,7 @@ from fullgroup_lab import (
 from fullgroup_lab import pattern_transport
 from fullgroup_lab.errors import (FamilyFailure, OrderCap, PreconditionNphi,
                                   TransportFailure, WindowTooSmall)
+from fullgroup_lab import full_group
 from fullgroup_lab.full_group import displacement_bound
 from fullgroup_lab.schreier import Graph
 from fullgroup_lab.stabilizer_lab import mulclose
@@ -113,10 +114,10 @@ def test_a_large_family_is_walked_once_per_element(odometer, lab,
     # or a block
     F = three_cycles(odometer)
     reads = walker_reads(pattern_transport)
-    walks = Graph.map_walks
+    walks = full_group.walks
     family = family_of(F, 30, lab["half"])
     pairs = {(id(elem), v) for elem, vertices in reads for v in vertices}
-    assert Graph.map_walks - walks == len(pairs)
+    assert full_group.walks - walks == len(pairs)
     counts = [len(vertices) for _elem, vertices in reads]
     assert sum(counts) > len(pairs)
     d = max(displacement_bound(phi) for phi in F)
