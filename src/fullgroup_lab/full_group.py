@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from types import SimpleNamespace
 
 from .cantor_actions import (
     ActionSystem,
@@ -167,16 +166,16 @@ def _prefixes(graph: Graph, depth: int) -> list:
     return prefixes
 
 
-def _record(elem: FullGroupElement, graph: Graph) -> SimpleNamespace:
-    """What walker and word_column have read of elem on graph, kept in
-    elem's __dict__ as depth is, for the last graph read on: vertex ->
-    image (-1 off the ball), depth-elem.depth prefix -> the successor rows
-    its word walks, and the word column once asked for.  It holds the
-    graph, not elem, so it goes with elem."""
+def _record(elem: FullGroupElement, graph: Graph) -> list:
+    """[graph, images, steps, column]: what walker and word_column have read
+    of elem on graph, kept in elem's __dict__ as depth is, for the last
+    graph read on: vertex -> image (-1 off the ball), depth-elem.depth
+    prefix -> the successor rows its word walks, and the word column once
+    asked for.  It holds the graph, not elem, so it goes with elem; a list
+    is the cheapest record to build, and every fresh product builds one."""
     record = elem.__dict__.get("_record")
-    if record is None or record.ball is not graph:
-        record = elem.__dict__["_record"] = SimpleNamespace(
-            ball=graph, images={}, steps={}, column=None)
+    if record is None or record[0] is not graph:
+        record = elem.__dict__["_record"] = [graph, {}, {}, None]
     return record
 
 
@@ -185,11 +184,11 @@ def word_column(elem: FullGroupElement, graph: Graph) -> list:
     boundary points: one lookup of each distinct depth-d prefix in the
     table, d = elem.depth; kept in elem's record."""
     record = _record(elem, graph)
-    if record.column is None:
+    if record[3] is None:
         prefixes = _prefixes(graph, elem.depth)
         words = {cell: elem.word_at_cell(cell) for cell in set(prefixes)}
-        record.column = [words[cell] for cell in prefixes]
-    return record.column
+        record[3] = [words[cell] for cell in prefixes]
+    return record[3]
 
 
 def walker(elem: FullGroupElement, ball: SchreierBall):
@@ -200,8 +199,7 @@ def walker(elem: FullGroupElement, ball: SchreierBall):
     (walks counts it) and looked up in elem's record after."""
     if elem.action is not ball.action:
         raise ValueError("element and ball live on different actions")
-    record = _record(elem, ball)
-    images, steps = record.images, record.steps
+    _graph, images, steps, _column = _record(elem, ball)
     succ, cells = ball.successors(), _prefixes(ball, elem.depth)
     # a generator with no edge in the ball (radius 0) steps off everywhere
     off = [-1] * ball.n if len(succ) < len(elem.action.generators) else None
