@@ -386,10 +386,9 @@ def _is_invariant(F, graph: Graph, subset: frozenset, seam) -> bool:
     """Membership in the subset is preserved by every phi of F, both ways,
     at every x of the window certified(max(1, d)), d = displacement_bound(phi):
     no side change (_changes_side) under phi or invert(phi), whose words
-    have phi's lengths.  seam must meet every edge between the subset and
-    its complement.
+    have phi's lengths (an involution, its own inverse, is read once).
+    seam must meet every edge between the subset and its complement.
     """
-    return not any(
-        _changes_side((walker(e, graph) for e in (phi, invert(phi))),
-                      graph, subset, seam, displacement_bound(phi))
-        for phi in F)
+    return not any(_changes_side(
+        [walker(e, graph) for e in dict.fromkeys((phi, invert(phi)))],
+        graph, subset, seam, displacement_bound(phi)) for phi in F)

@@ -302,10 +302,12 @@ class _TupleOfPerms(tuple):
 
 def _f_closed_core(F, graph: Graph) -> list:
     """Largest subset of the certified window mapped to itself by all of F,
-    each element and inverse read at the vertices of the core alone."""
+    each distinct element and inverse read at the vertices of the core
+    alone (an involution is its own inverse)."""
     d_max = max(1, max(displacement_bound(phi) for phi in F))
     core = set(graph.certified(d_max))
-    images = [walker(e, graph) for phi in F for e in (phi, invert(phi))]
+    images = [walker(e, graph)
+              for e in dict.fromkeys(e for phi in F for e in (phi, invert(phi)))]
     changed = True
     while changed:
         changed = False

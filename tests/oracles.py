@@ -388,26 +388,28 @@ def side_boundary_by_scan(graph, side) -> frozenset:
                      if any(u not in side for u in graph.neighbors(v)))
 
 
-@functools.lru_cache(maxsize=1 << 17)
-def transducer_image(elem, point):
-    """elem's image of a boundary point by the transducers, kept for the
-    balls cut from one another, which share their labels."""
-    from fullgroup_lab.full_group import apply_element
-
-    return apply_element(elem, point)
-
-
 def transducer_map(elem, ball) -> list:
     """The image vertex of every ball vertex under elem, -1 off the ball:
     the transducers run from every vertex's label, with no edge walked."""
-    return list(_transducer_map(elem, ball))
+    return list(_transducer_map(elem.action, elem.pieces, ball))
 
 
+# Both caches key an element by its piece table, so that they hold no
+# element, and no element's read record, alive.
 @functools.lru_cache(maxsize=32)
-def _transducer_map(elem, ball) -> tuple:
-    images = (ball.vertex_of(transducer_image(elem, label))
+def _transducer_map(action, pieces, ball) -> tuple:
+    images = (ball.vertex_of(_transducer_image(action, pieces, label))
               for label in ball.labels)
     return tuple(-1 if w is None else w for w in images)
+
+
+@functools.lru_cache(maxsize=1 << 17)
+def _transducer_image(action, pieces, point):
+    """The image of a boundary point, kept for the balls cut from one
+    another, which share their labels."""
+    from fullgroup_lab.full_group import FullGroupElement, apply_element
+
+    return apply_element(FullGroupElement(action, pieces), point)
 
 
 def is_invariant_by_scan(F, graph, subset) -> bool:

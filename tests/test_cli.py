@@ -456,7 +456,7 @@ def test_verify_timing_counts_applications_and_walks(monkeypatch,
 
 
 @pytest.mark.parametrize("name, radius, n, parent", [
-    ("odometer", 400, 10, 3859), ("thickline", 240, 24, 4094)])
+    ("odometer", 400, 10, 3859), ("thickline", 240, 24, 4093)])
 def test_verify_walks_each_image_once(request, walker_reads, name, radius, n,
                                       parent):
     # each (element, vertex) that the run reads is walked once, however

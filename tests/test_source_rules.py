@@ -185,7 +185,8 @@ def test_no_module_maps_a_whole_ball():
 
 
 def test_the_graph_keeps_no_element_state():
-    # what has been read of an element lives in the element's own record
-    # (full_group), so a graph keeps no weak-keyed cache of elements:
-    # schreier imports no weakref
-    assert "weakref" not in _names(ast.parse((SRC / "schreier.py").read_text()))
+    # what has been read of an element, and its inverse, live on the
+    # element itself (full_group), so no weak-keyed cache of elements is
+    # left: neither schreier nor full_group imports weakref
+    for name in ("schreier.py", "full_group.py"):
+        assert "weakref" not in _names(ast.parse((SRC / name).read_text()))
