@@ -20,6 +20,17 @@ from fullgroup_lab import (
 )
 from fullgroup_lab import full_group
 
+import oracles
+
+
+@pytest.fixture(autouse=True)
+def _one_test_of_transducer_maps():
+    """Clear the transducer oracle's caches after each test, so that no
+    test carries the maps of the tests before it (they would lengthen
+    every later garbage collection)."""
+    yield
+    oracles.clear_transducer_caches()
+
 
 @pytest.fixture(scope="session")
 def odometer():

@@ -403,6 +403,11 @@ def _transducer_map(action, pieces, ball) -> tuple:
     return tuple(-1 if w is None else w for w in images)
 
 
+def clear_transducer_caches() -> None:
+    _transducer_map.cache_clear()
+    _transducer_image.cache_clear()
+
+
 @functools.lru_cache(maxsize=1 << 17)
 def _transducer_image(action, pieces, point):
     """The image of a boundary point, kept for the balls cut from one

@@ -455,13 +455,14 @@ def test_verify_timing_counts_applications_and_walks(monkeypatch,
         assert timing["applications"]["checks"][check] == 0
 
 
-@pytest.mark.parametrize("name, radius, n, parent", [
+@pytest.mark.parametrize("name, radius, n, unshared", [
     ("odometer", 400, 10, 3859), ("thickline", 240, 24, 4093)])
 def test_verify_walks_each_image_once(request, walker_reads, name, radius, n,
-                                      parent):
+                                      unshared):
     # each (element, vertex) that the run reads is walked once, however
-    # many checks, transports and blocks read it: at most half the images
-    # walked when each walker and whole map walked its own (parent)
+    # many checks, transports and blocks read it: at most half of the
+    # images walked when each walker and each whole map walked its own
+    # (unshared)
     reads = walker_reads()
     report = verify.run_verify(request.getfixturevalue(name), radius, n,
                                1 << 16, timing=True)
@@ -471,7 +472,7 @@ def test_verify_walks_each_image_once(request, walker_reads, name, radius, n,
     pairs = {(id(elem), v) for elem, vertices in reads for v in vertices}
     assert total == len(pairs)
     assert sum(len(vertices) for _elem, vertices in reads) > total
-    assert 2 * total <= parent
+    assert 2 * total <= unshared
 
 
 def test_d_phi_matches_all_pairs_distances(odometer, thickline):
