@@ -193,12 +193,13 @@ def cocycle_identity(w, fin):
     values, failed, limited = fin
     witness = {}
     pairs_checked = 0
-    for a in values:
-        for b in values:
-            key = f"{elem_desc(a)} * {elem_desc(b)}"
+    descs = [(a, elem_desc(a), c.vertices) for a, c in values.items()]
+    for a, desc_a, c_a in descs:
+        for b, desc_b, c_b in descs:
+            key = f"{desc_a} * {desc_b}"
             try:
                 left = cocycle_value(compose(a, b), w.half).vertices
-                right = values[a].vertices ^ push_set(a, w.ball, values[b].vertices)
+                right = c_a ^ push_set(a, w.ball, c_b)
             except FullGroupLabError as exc:
                 limited = True
                 witness[key] = f"window limited: {exc}"
@@ -419,6 +420,7 @@ def run_verify(action, radius: int, n: int, cap: int,
         rungs = exc
     if timing:
         spent["window"] = [b - a for a, b in zip(before, _work())]
+    chart_hash = half.chart.chart_hash()
     w = SimpleNamespace(radius=radius, n=n, ball=half.graph, chart=half.chart,
                         half=half, ladder=rungs, **sample_elements(action))
     entries, values = [], {}
@@ -450,7 +452,7 @@ def run_verify(action, radius: int, n: int, cap: int,
     return {
         "action": action.name,
         "action_hash": action.action_hash(),
-        "chart_hash": w.chart.chart_hash(),
+        "chart_hash": chart_hash,
         "version": __version__,
         "parameters": {"radius": radius, "n": n, "cap": cap,
                        "order_cap": 10 ** 6, "depth_cap": 20, "seed": "0"},
