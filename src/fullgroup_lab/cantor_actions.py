@@ -42,16 +42,33 @@ def cells(depth: int) -> list:
 
 
 def _primitive_root(word: str) -> str:
-    n = len(word)
-    for d in range(1, n + 1):
-        if n % d == 0 and word == word[:d] * (n // d):
-            return word[:d]
-    return word
+    """The shortest u with word = u^k: word cut at its least nonzero
+    rotation that fixes it.  The rotations that fix word form a subgroup of
+    the cyclic group of order |word|, so that rotation divides |word|, and
+    word = u^k for u of length d exactly when the rotation by d fixes it."""
+    return word[:(word + word).find(word, 1)]
+
+
+def _shrink(preperiod: str, period: str) -> BoundaryPoint:
+    """The point preperiod + period^infinity for a primitive period: the
+    preperiod is shrunk while its last letter equals the last letter of the
+    (rotating) period."""
+    while preperiod and preperiod[-1] == period[-1]:
+        preperiod = preperiod[:-1]
+        period = period[-1] + period[:-1]
+    return BoundaryPoint(preperiod, period)
 
 
 @dataclass(frozen=True, order=True)
 class BoundaryPoint:
-    """Canonical form of the infinite word preperiod + period^infinity."""
+    """Canonical form of the infinite word preperiod + period^infinity.
+
+    Every instance comes from canonical_point: from a call, or from
+    Transducer.apply, which writes the point canonical_point would return
+    without the call where its docstring proves that form.  So the period
+    is primitive, a nonempty preperiod ends with a letter other than the
+    period's last, and equal words are equal points.
+    """
 
     preperiod: str
     period: str
@@ -92,11 +109,7 @@ def canonical_point(preperiod: str, period: str) -> BoundaryPoint:
     for ch in preperiod + period:
         if ch not in LETTERS:
             raise InvalidPoint(f"non-binary letter {ch!r}")
-    period = _primitive_root(period)
-    while preperiod and preperiod[-1] == period[-1]:
-        preperiod = preperiod[:-1]
-        period = period[-1] + period[:-1]
-    return BoundaryPoint(preperiod, period)
+    return _shrink(preperiod, _primitive_root(period))
 
 
 def parse_point(text: str) -> BoundaryPoint:
@@ -107,6 +120,13 @@ def parse_point(text: str) -> BoundaryPoint:
     return canonical_point(pre, per)
 
 
+# Transducer.apply calls of every machine of the process; verify --timing
+# reports how many each check made.  A module global, since a store to a
+# class attribute at every apply voids CPython's attribute cache for the
+# class.
+applications = 0
+
+
 @dataclass(frozen=True, eq=False)
 class Transducer:
     """A Mealy machine whose states act on infinite binary words.
@@ -114,15 +134,14 @@ class Transducer:
     transitions[state][letter] -> next state, outputs[state][letter] ->
     output letter.  Every state's output map is a permutation of {0,1}
     (each state is a rooted-tree automorphism) and the identity state
-    IDENTITY_STATE fixes letters and loops to itself.
+    IDENTITY_STATE fixes letters and loops to itself.  steps is the step
+    table compiled from the two when the machine is built: steps[state]
+    [letter] -> (output letter, next state).
     """
 
     transitions: dict
     outputs: dict
-
-    # apply calls of every machine of the process; verify --timing reports
-    # how many each check made
-    applications = 0
+    steps: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         for s, table in self.transitions.items():
@@ -134,6 +153,9 @@ class Transducer:
             for nxt in table.values():
                 if nxt not in self.transitions:
                     raise InvalidAction(f"state {s!r} transitions to unknown state")
+        object.__setattr__(self, "steps", {
+            s: {a: (self.outputs[s][a], table[a]) for a in LETTERS}
+            for s, table in self.transitions.items()})
         if IDENTITY_STATE not in self.transitions or any(
                 self.step(IDENTITY_STATE, a) != (a, IDENTITY_STATE) for a in LETTERS):
             raise InvalidAction("identity state must fix letters and loop")
@@ -143,36 +165,70 @@ class Transducer:
         return tuple(sorted(self.transitions))
 
     def step(self, state: str, letter: str) -> tuple[str, str]:
-        return self.outputs[state][letter], self.transitions[state][letter]
+        return self.steps[state][letter]
 
     def apply(self, state: str, point: BoundaryPoint) -> BoundaryPoint:
         """Run the machine from `state` over the eventually periodic input.
 
-        The run is simulated until the (state, period offset) pair repeats,
-        which pins down the eventually periodic output exactly.
+        The run reads the step table letter by letter.  Once it reaches the
+        identity state, the rest of the input is the rest of the output,
+        and it stops.  Otherwise it runs the period turn after turn and
+        records its state at each turn's start; when one repeats, the
+        output between its two visits is a period of the output.
+
+        The input is canonical (see BoundaryPoint): its period P is
+        primitive, and its preperiod Q, when not empty, ends with a letter
+        other than P's last.  So a run that stops writes its output in
+        canonical form without canonical_point.  Let W be the letters
+        written when it stops.
+        - It stops inside Q, after k < |Q| letters.  The output is
+          (W + Q[k:], P): P is primitive, and the preperiod ends with Q's
+          last letter, which is not P's last.  It is canonical as it is.
+        - It stops at Q's end, or r letters into a turn of P.  The output
+          is W followed by P rotated by r, which is primitive as P is.
+          Only W's trailing letters may have to move into the period, which
+          is the last step of canonical_point (_shrink).
+        A run that does not stop writes its period as machine outputs,
+        each one a letter, so they are not checked again: the period is
+        only cut to its primitive root before that last step.  One
+        infinite word has one canonical form whatever (preperiod, period)
+        it is read from, so recording the state only at turn starts, where
+        the output's period may be a multiple of its least one, gives the
+        same point.
         """
-        Transducer.applications += 1
-        out_pre, s = self.run(state, point.preperiod)
-        per = point.period
-        seen: dict[tuple[str, int], int] = {}
-        out_cycle = []
-        i = 0
-        while (s, i % len(per)) not in seen:
-            seen[(s, i % len(per))] = i
-            o, s = self.step(s, per[i % len(per)])
-            out_cycle.append(o)
-            i += 1
-        j = seen[(s, i % len(per))]
-        pre = out_pre + "".join(out_cycle[:j])
-        period = "".join(out_cycle[j:])
-        return canonical_point(pre, period)
+        global applications
+        applications += 1
+        steps = self.steps
+        pre, per = point.preperiod, point.period
+        out = []
+        s = state
+        for ch in pre:
+            if s == IDENTITY_STATE:
+                return BoundaryPoint("".join(out) + pre[len(out):], per)
+            o, s = steps[s][ch]
+            out.append(o)
+        turns = {}  # state at a turn's start -> letters written before it
+        while s not in turns:
+            turns[s] = len(out)
+            for ch in per:
+                if s == IDENTITY_STATE:
+                    r = (len(out) - len(pre)) % len(per)
+                    return _shrink("".join(out), per[r:] + per[:r])
+                o, s = steps[s][ch]
+                out.append(o)
+        j = turns[s]
+        return _shrink("".join(out[:j]), _primitive_root("".join(out[j:])))
 
     def run(self, state: str, word: str) -> tuple[str, str]:
-        """(image, state reached) of the run from `state` over a word."""
+        """(image, state reached) of the run from `state` over a word; a
+        run that reaches the identity state copies the rest of the word."""
+        steps = self.steps
         out = []
         s = state
         for ch in word:
-            o, s = self.step(s, ch)
+            if s == IDENTITY_STATE:
+                return "".join(out) + word[len(out):], s
+            o, s = steps[s][ch]
             out.append(o)
         return "".join(out), s
 
@@ -289,11 +345,6 @@ class GeneratorSpec:
         if self.pieces:
             _check_prefix_partition([p for p, _ in self.pieces])
 
-    def state_at(self, point: BoundaryPoint) -> str:
-        if self.state is not None:
-            return self.state
-        return self.state_at_word(point.prefix(self.max_depth()))
-
     def state_at_word(self, word: str) -> str:
         if self.state is not None:
             return self.state
@@ -393,7 +444,10 @@ class ActionSystem:
         spec = self.generators.get(name)
         if spec is None:
             raise UnknownGenerator(name)
-        return self.transducer.apply(spec.state_at(point), point)
+        state = spec.state
+        if state is None:
+            state = spec.state_at_word(point.prefix(self.depths[name]))
+        return self.transducer.apply(state, point)
 
     def level_apply_gen(self, name: str, word: str) -> str:
         spec = self.generators.get(name)

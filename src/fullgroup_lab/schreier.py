@@ -11,11 +11,14 @@ from __future__ import annotations
 import bisect
 from collections import deque
 from itertools import repeat
+from operator import attrgetter
 
 from .cantor_actions import ActionSystem, BoundaryPoint, cells
 from .errors import BallTooLarge, InvalidRadius
 
 DEFAULT_VERTEX_CAP = 1 << 16
+
+_point_key = attrgetter("preperiod", "period")
 
 
 class Graph:
@@ -235,7 +238,9 @@ def build_ball(action: ActionSystem, radius: int,
 
     Each (vertex, generator) image is computed once: the search keeps the
     images of the vertices it expands, and only the last layer's are
-    computed afterwards, for the edge list."""
+    computed afterwards, for the edge list.  Points are hashed and sorted
+    by their (preperiod, period) tuples, which order them as sort_key does
+    and are equal exactly when the points are."""
     if radius < 0:
         raise InvalidRadius("radius must be >= 0")
     if cap < 1:
@@ -243,32 +248,31 @@ def build_ball(action: ActionSystem, radius: int,
     base = action.basepoint
     gens = action.gen_names
     labels = [base]
-    seen = {base: 0}
+    seen = {_point_key(base): 0}
     dist = [0]
     images = []  # images[v][k]: generator k's image of vertex v
     layer = [0]
     for depth in range(1, radius + 1):
-        found = set()
+        found = {}
         for v in layer:
             row = [action.apply_gen(g, labels[v]) for g in gens]
             images.append(row)
-            found.update(img for img in row if img not in seen)
+            found.update(zip(map(_point_key, row), row))
         new_layer = []
-        for pt in sorted(found, key=lambda p: p.sort_key()):
+        for key in sorted(k for k in found if k not in seen):
             if len(labels) >= cap:
                 raise BallTooLarge(cap)
-            seen[pt] = len(labels)
-            labels.append(pt)
+            seen[key] = len(labels)
+            labels.append(found[key])
             dist.append(depth)
-            new_layer.append(seen[pt])
+            new_layer.append(seen[key])
         layer = new_layer
         if not new_layer:
             break
     images.extend([action.apply_gen(g, labels[v]) for g in gens] for v in layer)
     edges = []
     for v, row in enumerate(images):
-        for g, img in zip(gens, row):
-            w = seen.get(img)
+        for g, w in zip(gens, map(seen.get, map(_point_key, row))):
             if w is not None:
                 edges.append((v, g, w))
     return SchreierBall(action, labels, edges, radius, dist)

@@ -104,6 +104,55 @@ def wreath_apply_word_letters(table: dict, word, letters: str) -> str:
     return letters
 
 
+# --- letter-by-letter transducer runs (no step table, no identity stop) ---
+
+def _step(machine, state: str, letter: str) -> tuple:
+    return machine.outputs[state][letter], machine.transitions[state][letter]
+
+
+def reference_run(machine, state: str, word: str) -> tuple:
+    """(image, state reached) of the run from state over a word, stepping
+    through every letter by the machine's transitions and outputs."""
+    out = []
+    s = state
+    for ch in word:
+        o, s = _step(machine, s, ch)
+        out.append(o)
+    return "".join(out), s
+
+
+def reference_canonical(preperiod: str, period: str) -> BoundaryPoint:
+    """preperiod + period^infinity in canonical form: the period cut to its
+    shortest root by trying every divisor of its length, then the
+    preperiod shrunk while its last letter equals the rotating period's."""
+    n = len(period)
+    period = next(period[:d] for d in range(1, n + 1)
+                  if n % d == 0 and period == period[:d] * (n // d))
+    while preperiod and preperiod[-1] == period[-1]:
+        preperiod = preperiod[:-1]
+        period = period[-1] + period[:-1]
+    return BoundaryPoint(preperiod, period)
+
+
+def reference_apply(machine, state: str, point: BoundaryPoint) -> BoundaryPoint:
+    """The machine's image of a point, simulated letter by letter until the
+    (state, period offset) pair repeats, which pins down the eventually
+    periodic output exactly."""
+    out_pre, s = reference_run(machine, state, point.preperiod)
+    per = point.period
+    seen = {}
+    out_cycle = []
+    i = 0
+    while (s, i % len(per)) not in seen:
+        seen[(s, i % len(per))] = i
+        o, s = _step(machine, s, per[i % len(per)])
+        out_cycle.append(o)
+        i += 1
+    j = seen[(s, i % len(per))]
+    return reference_canonical(out_pre + "".join(out_cycle[:j]),
+                               "".join(out_cycle[j:]))
+
+
 def points_agree(a: BoundaryPoint, b_prefix: str) -> bool:
     return a.prefix(len(b_prefix)) == b_prefix
 

@@ -4,6 +4,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fullgroup_lab import (
     action_from_json,
@@ -14,7 +15,7 @@ from fullgroup_lab import (
     combine_actions,
     fragment_generators,
 )
-from fullgroup_lab.cantor_actions import level_apply_word
+from fullgroup_lab.cantor_actions import Transducer, level_apply_word
 from fullgroup_lab.errors import (
     InvalidAction,
     InvalidBase,
@@ -28,6 +29,9 @@ from oracles import (
     odometer_apply_word_letters,
     point_to_int,
     random_points,
+    reference_apply,
+    reference_canonical,
+    reference_run,
     wreath_apply_word_letters,
 )
 
@@ -99,6 +103,42 @@ def test_apply_word_output_canonical(grigorchuk):
     for x in random_points(rng, 50):
         y = apply_word(grigorchuk, ["b", "a", "c"], x)
         assert canonical_point(y.preperiod, y.period) == y
+
+
+@pytest.fixture(scope="module")
+def machines(odometer, grigorchuk, dihedral, thickline, grid, bellaterra):
+    found = {a.name: a.transducer
+             for a in (odometer, grigorchuk, dihedral, thickline, grid, bellaterra)}
+    # b and c never reach the identity, and s maps 1(0) to 0(0) = (0): a
+    # run whose output period is found by its repeated state must still
+    # move the preperiod's last letters into the period
+    found["shrinking"] = Transducer(
+        {"e": {"0": "e", "1": "e"}, "s": {"0": "b", "1": "b"},
+         "b": {"0": "b", "1": "c"}, "c": {"0": "b", "1": "b"}},
+        {"e": {"0": "0", "1": "1"}, "s": {"0": "1", "1": "0"},
+         "b": {"0": "0", "1": "1"}, "c": {"0": "1", "1": "0"}})
+    return found
+
+
+@pytest.mark.parametrize("name", ["odometer", "grigorchuk", "dihedral",
+                                  "thickline", "grid", "bellaterra",
+                                  "shrinking"])
+@settings(max_examples=60, deadline=None)
+@given(pre=st.text("01", max_size=12), per=st.text("01", min_size=1, max_size=24),
+       word=st.text("01", max_size=16))
+def test_runs_match_the_letter_by_letter_reference(machines, name, pre, per,
+                                                   word):
+    # every state, on a canonical point and on a finite word: the step
+    # table and the stop at the identity state change no image, and the
+    # image apply writes is canonical
+    machine = machines[name]
+    point = canonical_point(pre, per)
+    assert point == reference_canonical(pre, per)
+    for state in machine.states:
+        image = machine.apply(state, point)
+        assert image == reference_apply(machine, state, point)
+        assert image == canonical_point(image.preperiod, image.period)
+        assert machine.run(state, word) == reference_run(machine, state, word)
 
 
 def test_apply_word_matches_wreath_oracle(grigorchuk, dihedral):

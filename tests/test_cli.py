@@ -436,12 +436,14 @@ def test_verify_timing_counts_applications_and_walks(monkeypatch,
     n = build_ball(action, 120).n
     monkeypatch.setattr(Transducer, "apply", counted_apply)
     reads = walker_reads()
+    before = fullgroup_lab.cantor_actions.applications
     report = verify.run_verify(action, 120, 10, 1 << 16, timing=True)
     timing = report["timing"]
     total = {key: timing[key]["window"] + sum(timing[key]["checks"].values())
              for key in ("applications", "walks")}
     assert timing["applications"]["window"] == 2 * n
-    assert total["applications"] == len(applies) == 2 * n
+    assert total["applications"] == len(applies) == 2 * n == \
+        fullgroup_lab.cantor_actions.applications - before
     pairs = {(id(elem), v) for elem, vertices in reads for v in vertices}
     assert total["walks"] == len(pairs) > 0
     assert timing["walks"]["window"] == 0
@@ -893,6 +895,15 @@ def test_report_bytes_are_pinned(tmp_path, thickline, swap_file, family_file,
                      shift=shift, tests=Path(__file__).parent) for a in args]
     assert main(args + ["--out", str(out)]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["grigorchuk", "dihedral", "thickline",
+                                  "dihedral_frag"])
+def test_sample_elements_build_the_identity_once(request, name):
+    # the samples and the kernel family hold one identity object, so the
+    # checks that read both share its read record
+    samples = verify.sample_elements(request.getfixturevalue(name))
+    assert samples["kernel_family"][0] is samples["samples"][0]
 
 
 def test_verify_looks_images_up_instead_of_rerunning_transducers(monkeypatch):
