@@ -38,7 +38,8 @@ boundary = [v for v in W if v in interior
             and any(u not in W for u in ball.neighbors(v))]
 print("W =", sorted(ball.label_str(v) for v in W))
 print("certified boundary:", sorted(ball.label_str(v) for v in boundary))
-print("rim flagged:", sorted(ball.label_str(v) for v in W - interior))
+print("rim flagged:",
+      sorted(ball.label_str(v) for v in W.difference(interior)))
 print("2-neighborhood size:", len(neighborhood_set(ball, W, 2)))
 
 print()

@@ -193,16 +193,14 @@ def word_column(elem: FullGroupElement, graph: Graph) -> list:
 
 def walker(elem: FullGroupElement, ball: SchreierBall):
     """v -> elem's image of the ball vertex v: v's piece word, looked up at
-    v's depth-elem.depth prefix, walked along the ball's labeled edges.  A
+    v's depth-elem.depth prefix, walked along the ball's successor rows.  A
     walk that steps off the ball is finished by the transducers (it may
     come back; -1 when it ends off the ball).  Each vertex is walked once
     (walks counts it) and looked up in elem's record after."""
     if elem.action is not ball.action:
         raise ValueError("element and ball live on different actions")
     _graph, images, steps, _column = _record(elem, ball)
-    succ, cells = ball.successors(), _prefixes(ball, elem.depth)
-    # a generator with no edge in the ball (radius 0) steps off everywhere
-    off = [-1] * ball.n if len(succ) < len(elem.action.generators) else None
+    succ, cells = ball.succ, _prefixes(ball, elem.depth)
 
     def image(v: int) -> int:
         global walks
@@ -213,7 +211,7 @@ def walker(elem: FullGroupElement, ball: SchreierBall):
         cell = cells[v]
         rows = steps.get(cell)
         if rows is None:
-            rows = steps[cell] = [succ.get(g, off)
+            rows = steps[cell] = [succ[g]
                                   for g in reversed(elem.word_at_cell(cell))]
         w = v
         for row in rows:

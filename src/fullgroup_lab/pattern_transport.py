@@ -50,7 +50,7 @@ def labeled_match(graph: Graph, v1: int, v2: int, n: int):
     it exists iff the rooted, generator-labeled neighborhoods are
     isomorphic (loops must match loops).
     """
-    succ = graph.successors()
+    succ = graph.succ
     match = {v1: v2}
     reverse = {v2: v1}
     frontier = [v1]

@@ -47,11 +47,11 @@ from .schreier import Graph
 def _walk_weights(graph: Graph) -> list:
     """Per-vertex dict neighbor -> edge multiplicity, loops excluded."""
     weights = [dict() for _ in range(graph.n)]
-    for u, _name, v in graph.edges:
-        if u == v:
-            continue
-        weights[u][v] = weights[u].get(v, 0) + 1
-        weights[v][u] = weights[v].get(u, 0) + 1
+    for row in graph.succ.values():
+        for u, v in enumerate(row):
+            if v >= 0 and u != v:
+                weights[u][v] = weights[u].get(v, 0) + 1
+                weights[v][u] = weights[v].get(u, 0) + 1
     return weights
 
 

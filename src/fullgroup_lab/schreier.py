@@ -1,14 +1,15 @@
 """Finite pieces of orbit Schreier graphs and level quotients.
 
-Balls are built by breadth-first search from the basepoint with a
-deterministic vertex order: layer by layer, ties broken by the canonical
-form of the point.  Loops and multi-edges are kept in the edge list but
-ignored by all distance computations.
+Each generator acts as a map of the orbit, so a graph stores its vertices
+and one successor row per generator, and nothing else.  Balls are built by
+breadth-first search from the basepoint with a deterministic vertex order:
+layer by layer, ties broken by the canonical form of the point.  Loops and
+multi-edges are kept in the rows but ignored by all distance computations.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right
 from collections import deque
 from itertools import repeat
 from operator import attrgetter
@@ -20,42 +21,42 @@ DEFAULT_VERTEX_CAP = 1 << 16
 
 _point_key = attrgetter("preperiod", "period")
 
+# Work counters of every graph, which verify --timing reports per check:
+# full BFS rows (distances_from calls) and bounded searches (distances_to,
+# d and distances_within calls); module globals, since a store to a class
+# attribute voids the class's lookup cache.
+full_rows = 0
+searches = 0
+
 
 class Graph:
-    """Vertex-labeled multigraph with an optional basepoint/rim structure.
+    """Vertex-labeled graph with an optional basepoint/rim structure.
 
     labels[i] is the payload of vertex i (a BoundaryPoint for orbit balls,
-    a string for level graphs and synthetic fixtures).  edges is a list of
-    (u, name, v) triples.  dist is the base's BFS row, dist[i] the distance
-    from the base to vertex i: build_ball's search depth for a ball, the
-    same search run here when none is given; the line chart reads it
-    instead of searching from the base again.  For graphs cut out of an
-    infinite orbit, radius is the BFS radius; graphs without a rim (level
-    graphs, synthetic fixtures) leave radius None and every vertex is
-    certified at any margin.
+    a string for level graphs and synthetic fixtures).  succ maps each
+    generator name to its row, the list of each vertex's image, -1 where
+    the edge leaves the graph.  The rows are closed under inverses (an
+    involution is its own), so a vertex's images are all its neighbours.
+    dist is the base's BFS row: build_ball's search depth for a ball, the
+    same search run here when none is given.  For graphs cut out of an
+    infinite orbit, radius is the BFS radius and the vertices come in BFS
+    order from the base 0, so the vertices certified at a margin are a
+    prefix of them.  Graphs without a rim (level graphs, synthetic
+    fixtures) leave radius None and every vertex is certified.
     """
 
-    # Work counters of every graph of the process, which verify --timing
-    # reports per check: full BFS rows (distances_from calls) and bounded
-    # searches (distances_to, and so d, and distances_within calls);
-    # full_group.walks counts the element images walked.
-    full_rows = 0
-    searches = 0
-
-    def __init__(self, labels, edges, base=0, radius=None, dist=None):
+    def __init__(self, labels, succ, base=0, radius=None, dist=None):
         self.labels = list(labels)
-        self.edges = list(edges)
+        self.succ = succ
         self.base = base
         self.radius = radius
         self._index = None
         self._adj = None
-        self._succ = None
         self._prefixes = {}  # depth -> every label's prefix (full_group)
-        self._certified = {}
-        if dist is not None:
-            self.dist = list(dist)
-        else:
-            self.dist = self.distances_from([base])
+        self.dist = list(dist) if dist is not None else \
+            self.distances_from([base])
+        if radius is not None and self.dist != sorted(self.dist):
+            raise ValueError("a rim needs the vertices in BFS order")
 
     @staticmethod
     def _key(label):
@@ -83,31 +84,30 @@ class Graph:
         return (str(lab),)
 
     def neighbors(self, v: int):
+        """v's distinct images but v, sorted, built for every vertex at the
+        first call from the rows' own ints (a level graph shares them)."""
         if self._adj is None:
             adj = [set() for _ in range(self.n)]
-            for u, _name, w in self.edges:
-                if u != w:
-                    adj[u].add(w)
-                    adj[w].add(u)
+            for row in self.succ.values():
+                for u, w in enumerate(row):
+                    if w >= 0 and u != w:
+                        adj[u].add(w)
             self._adj = [tuple(sorted(s)) for s in adj]
         return self._adj[v]
 
-    def successors(self) -> dict:
-        """Generator name -> list of each vertex's image along that
-        generator's edge, -1 where the edge leaves the graph."""
-        if self._succ is None:
-            names = dict.fromkeys(name for _u, name, _v in self.edges)
-            self._succ = {name: [-1] * self.n for name in names}
-            for u, name, v in self.edges:
-                self._succ[name][u] = v
-        return self._succ
+    @property
+    def edges(self) -> list:
+        """The rows as sorted (u, name, v) triples, for the exports."""
+        return sorted((u, name, v) for name, row in self.succ.items()
+                      for u, v in enumerate(row) if v >= 0)
 
     def degree_sequence(self):
         return sorted(len(self.neighbors(v)) for v in range(self.n))
 
     def distances_from(self, sources) -> list:
         """BFS distances (loopless simple adjacency); -1 if unreachable."""
-        Graph.full_rows += 1
+        global full_rows
+        full_rows += 1
         dist = [-1] * self.n
         q = deque()
         for s in sources:
@@ -129,7 +129,8 @@ class Graph:
     def distances_within(self, sources, k: int) -> dict:
         """Vertex -> distance from the nearest source, for every vertex
         within k of the sources, by a BFS that stops at depth k."""
-        Graph.searches += 1
+        global searches
+        searches += 1
         dist = dict.fromkeys(sources, 0) if k >= 0 else {}
         layer, depth = list(dist), 0
         while layer and depth < k:
@@ -146,7 +147,8 @@ class Graph:
     def distances_to(self, u: int, targets) -> list:
         """Distance from u to each target by a BFS that stops once it has
         reached them all; -1 for a target it cannot reach."""
-        Graph.searches += 1
+        global searches
+        searches += 1
         dist = {u: 0}
         left = set(targets)
         left.discard(u)
@@ -167,15 +169,13 @@ class Graph:
         """Distance from u to v by a BFS that stops at v; -1 if unreachable."""
         return self.distances_to(u, (v,))[0]
 
-    def certified(self, margin: int) -> frozenset:
+    def certified(self, margin: int) -> range:
         """Vertices whose in-graph neighborhood of the given margin is not
-        truncated by the rim; rimless graphs certify everything.  Cached
-        per margin: the margins asked for are few (verify asks for five)."""
-        cutoff = None if self.radius is None else self.radius - margin
-        if cutoff not in self._certified:
-            self._certified[cutoff] = frozenset(
-                v for v in range(self.n) if cutoff is None or self.dist[v] <= cutoff)
-        return self._certified[cutoff]
+        truncated by the rim, those with dist <= radius - margin: a prefix
+        of the BFS order.  Rimless graphs certify everything."""
+        if self.radius is None:
+            return range(self.n)
+        return range(bisect_right(self.dist, self.radius - margin))
 
     def bfs_parents(self, root: int):
         """(parent, dist) of a BFS from root, parent[root] = -1.  A vertex's
@@ -200,9 +200,9 @@ class Graph:
 class SchreierBall(Graph):
     """Radius-r ball of the orbit Schreier graph around the basepoint."""
 
-    def __init__(self, action: ActionSystem, labels, edges, radius, dist):
+    def __init__(self, action: ActionSystem, labels, succ, radius, dist):
         self.action = action
-        super().__init__(labels, edges, base=0, radius=radius, dist=dist)
+        super().__init__(labels, succ, base=0, radius=radius, dist=dist)
 
     def point(self, v: int) -> BoundaryPoint:
         return self.labels[v]
@@ -210,26 +210,25 @@ class SchreierBall(Graph):
     def cut(self, radius: int) -> SchreierBall:
         """The ball of a radius at most this one's, equal to what build_ball
         returns: its vertices are a prefix of these (build_ball adds them
-        layer by layer), its edges those among them, in the same order."""
+        layer by layer), and its rows these rows' first entries, with the
+        images beyond that prefix off the ball."""
         if not 0 <= radius <= self.radius:
             raise InvalidRadius(f"cannot cut radius {radius} from a ball of "
                                 f"radius {self.radius}")
-        k = bisect.bisect_right(self.dist, radius)
-        # the edges run in order of (source, generator, target), so those
-        # leaving the first k vertices come first
-        edges = [e for e in self.edges[:bisect.bisect_left(self.edges, (k,))]
-                 if e[2] < k]
-        return SchreierBall(self.action, self.labels[:k], edges, radius,
+        k = bisect_right(self.dist, radius)
+        succ = {g: [w if w < k else -1 for w in row[:k]]
+                for g, row in self.succ.items()}
+        return SchreierBall(self.action, self.labels[:k], succ, radius,
                             self.dist[:k])
 
 
 class LevelGraph(Graph):
     """Action graph on all binary words of a fixed length."""
 
-    def __init__(self, action: ActionSystem, level, labels, edges, base):
+    def __init__(self, action: ActionSystem, level, labels, succ, base):
         self.action = action
         self.level = level
-        super().__init__(labels, edges, base=base, radius=None)
+        super().__init__(labels, succ, base=base, radius=None)
 
 
 def build_ball(action: ActionSystem, radius: int,
@@ -237,58 +236,53 @@ def build_ball(action: ActionSystem, radius: int,
     """Exact radius-r ball around the basepoint, deterministic indexing.
 
     Each (vertex, generator) image is computed once: the search keeps the
-    images of the vertices it expands, and only the last layer's are
-    computed afterwards, for the edge list.  Points are hashed and sorted
-    by their (preperiod, period) tuples, which order them as sort_key does
+    images of the layers it expands, and only the last layer's are
+    computed afterwards, for the rows.  Points are hashed and sorted by
+    their (preperiod, period) tuples, which order them as sort_key does
     and are equal exactly when the points are."""
     if radius < 0:
         raise InvalidRadius("radius must be >= 0")
     if cap < 1:
         raise BallTooLarge(cap, needed=1)  # the base alone
-    base = action.basepoint
-    gens = action.gen_names
-    labels = [base]
-    seen = {_point_key(base): 0}
+    labels = [action.basepoint]
+    seen = {_point_key(labels[0]): 0}
     dist = [0]
-    images = []  # images[v][k]: generator k's image of vertex v
-    layer = [0]
+    images = {g: [] for g in action.gen_names}  # g's image of each vertex
+    first = 0  # the last layer is labels[first:]
     for depth in range(1, radius + 1):
         found = {}
-        for v in layer:
-            row = [action.apply_gen(g, labels[v]) for g in gens]
-            images.append(row)
+        layer = labels[first:]
+        for g, column in images.items():
+            row = list(map(action.apply_gen, repeat(g), layer))
+            column += row
             found.update(zip(map(_point_key, row), row))
-        new_layer = []
+        first = len(labels)
         for key in sorted(k for k in found if k not in seen):
             if len(labels) >= cap:
                 raise BallTooLarge(cap)
             seen[key] = len(labels)
             labels.append(found[key])
             dist.append(depth)
-            new_layer.append(seen[key])
-        layer = new_layer
-        if not new_layer:
+        if len(labels) == first:
             break
-    images.extend([action.apply_gen(g, labels[v]) for g in gens] for v in layer)
-    edges = []
-    for v, row in enumerate(images):
-        for g, w in zip(gens, map(seen.get, map(_point_key, row))):
-            if w is not None:
-                edges.append((v, g, w))
-    return SchreierBall(action, labels, edges, radius, dist)
+    layer = labels[first:]
+    for g, column in images.items():
+        column += map(action.apply_gen, repeat(g), layer)
+    succ = {g: list(map(seen.get, map(_point_key, column), repeat(-1)))
+            for g, column in images.items()}
+    return SchreierBall(action, labels, succ, radius, dist)
 
 
 def build_level_graph(action: ActionSystem, n: int,
                       cap: int = DEFAULT_VERTEX_CAP) -> LevelGraph:
     """Graph of the truncated action on all 2^n words of length n.
 
-    Vertex i is the i-th word of cells(n).  Each generator's edges are read
-    off its level-n image table (GeneratorSpec.level_images), built from
-    its states' tables by the section recursion (Transducer.level_tables),
-    so no word is run through the transducer.  The vertex ids, the table
-    entries and so every edge's ends are elements of one list: the ints
-    are shared, and the dicts the line chart keys by vertex find them by
-    identity.
+    Vertex i is the i-th word of cells(n).  Each generator's row is its
+    level-n image table (GeneratorSpec.level_images), built from its
+    states' tables by the section recursion (Transducer.level_tables), so
+    no word is run through the transducer.  The vertex ids and the table
+    entries are elements of one list: the ints are shared, and the dicts
+    the line chart keys by vertex find them by identity.
 
     Each table is a permutation: a generator has an inverse (ActionSystem
     decides one), so it is a bijection.  Its pieces are at most n deep
@@ -305,11 +299,10 @@ def build_level_graph(action: ActionSystem, n: int,
     specs = [action.generators[g] for g in action.gen_names]
     tables = action.transducer.level_tables(
         {s for spec in specs for s in spec.states}, ids)
-    edges = []
-    for g, spec in zip(action.gen_names, specs):
-        edges += zip(ids, repeat(g), spec.level_images(tables, n))
+    succ = {g: spec.level_images(tables, n)
+            for g, spec in zip(action.gen_names, specs)}
     base = ids[int(action.basepoint.prefix(n), 2)]
-    return LevelGraph(action, n, words, edges, base)
+    return LevelGraph(action, n, words, succ, base)
 
 
 def neighborhood_set(graph: Graph, W, k: int) -> frozenset:
@@ -321,34 +314,40 @@ def neighborhood_set(graph: Graph, W, k: int) -> frozenset:
 
 def path_graph(n: int, base: int = 0) -> Graph:
     labels = [f"p{i:03d}" for i in range(n)]
-    edges = [(i, "s", i + 1) for i in range(n - 1)]
-    return Graph(labels, edges, base=base)
+    succ = {"s": [i + 1 if i + 1 < n else -1 for i in range(n)],
+            "s_inv": [i - 1 for i in range(n)]}
+    return Graph(labels, succ, base=base)
 
 
 def star_graph(leaves: int) -> Graph:
     labels = [f"s{i}" for i in range(leaves + 1)]
-    edges = [(0, "s", i) for i in range(1, leaves + 1)]
-    return Graph(labels, edges, base=0)
+    succ = {}
+    for leaf in range(1, leaves + 1):
+        row = succ[f"s{leaf}"] = [-1] * (leaves + 1)
+        row[0], row[leaf] = leaf, 0
+    return Graph(labels, succ, base=0)
 
 
 def regular_tree_ball(degree: int, radius: int) -> Graph:
-    """Ball of the infinite degree-regular tree (transient control graph)."""
+    """Ball of the infinite degree-regular tree (transient control graph);
+    degree involutions colour it, each child taking a colour left free."""
     labels = ["r"]
-    edges = []
+    succ = {f"s{c}": [-1] for c in range(degree)}
     dist = [0]
     frontier = [0]
     for depth in range(1, radius + 1):
         nxt = []
         for v in frontier:
-            children = degree if v == 0 else degree - 1
-            for _ in range(children):
+            for row in [row for row in succ.values() if row[v] < 0]:
                 w = len(labels)
                 labels.append(f"t{w}")
                 dist.append(depth)
-                edges.append((v, "s", w))
+                for other in succ.values():
+                    other.append(-1)
+                row[v], row[w] = w, v
                 nxt.append(w)
         frontier = nxt
-    return Graph(labels, edges, base=0, radius=radius, dist=dist)
+    return Graph(labels, succ, base=0, radius=radius, dist=dist)
 
 
 # --- exports -------------------------------------------------------------
@@ -356,7 +355,7 @@ def regular_tree_ball(degree: int, radius: int) -> Graph:
 def graph_to_json(graph: Graph) -> dict:
     return {
         "vertices": [graph.label_str(v) for v in range(graph.n)],
-        "edges": sorted([u, name, v] for u, name, v in graph.edges),
+        "edges": [list(edge) for edge in graph.edges],
         "dist": list(graph.dist),
         "base": graph.base,
         "radius": graph.radius,
@@ -368,7 +367,7 @@ def graph_to_dot(graph: Graph, include_loops: bool = True) -> str:
     for v in range(graph.n):
         lines.append(f'  n{v} [label="{graph.label_str(v)}"];')
     seen = set()
-    for u, name, v in sorted(graph.edges):
+    for u, name, v in graph.edges:
         if u == v and not include_loops:
             continue
         key = (min(u, v), max(u, v), name)

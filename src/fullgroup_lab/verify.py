@@ -25,7 +25,7 @@ from __future__ import annotations
 import time
 from types import SimpleNamespace
 
-from . import __version__, cantor_actions, full_group
+from . import __version__, cantor_actions, full_group, schreier
 from .cocycle import cocycle_value, half_space, push_set, stabilizer_test
 from .errors import (
     BallTooLarge,
@@ -57,7 +57,7 @@ from .pattern_transport import (_changes_side, pattern_match_points,
                                 repetition_radius, transport_anchor,
                                 transport_halfspace)
 from .recurrence import escape_series
-from .schreier import Graph, build_ball
+from .schreier import build_ball
 from .stabilizer_lab import finite_embedding_order, nested_family
 
 
@@ -384,7 +384,7 @@ def _work() -> tuple:
     """The clock and the process's work counters so far: full BFS rows,
     bounded searches, transducer applications and element images walked,
     one per (element, vertex) of the run, which builds its elements."""
-    return (time.perf_counter(), Graph.full_rows, Graph.searches,
+    return (time.perf_counter(), schreier.full_rows, schreier.searches,
             cantor_actions.applications, full_group.walks)
 
 

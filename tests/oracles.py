@@ -188,6 +188,26 @@ def bfs_distances(n: int, pairs, source: int) -> list:
     return dist
 
 
+def graph_of_edges(labels, edges, **kw):
+    """The Graph of an edge list, for the graphs the tests define by one:
+    each edge (u, name, v) becomes an involution u <-> v on the first row
+    of its name that is free at both ends (name, then name.1, name.2, ...),
+    so the rows are closed under inverses.  kw goes to Graph."""
+    from fullgroup_lab import Graph
+
+    succ = {}
+    for u, name, v in edges:
+        k = 0
+        while True:
+            row = succ.setdefault(f"{name}.{k}" if k else name,
+                                  [-1] * len(labels))
+            if row[u] < 0 and row[v] < 0:
+                row[u], row[v] = v, u
+                break
+            k += 1
+    return Graph(labels, succ, **kw)
+
+
 def simple_pairs(graph) -> set:
     return {(min(u, v), max(u, v)) for u, _g, v in graph.edges if u != v}
 
@@ -432,7 +452,7 @@ def end_strips_by_index(seg, m: int) -> tuple:
 def side_boundary_by_scan(graph, side) -> frozenset:
     """Certified vertices of side with a neighbor outside it, by a scan
     of the whole side."""
-    w1 = graph.certified(1)
+    w1 = frozenset(graph.certified(1))
     return frozenset(v for v in side & w1
                      if any(u not in side for u in graph.neighbors(v)))
 
@@ -521,7 +541,7 @@ def transport_by_scan(F, z: int, n: int, half, anchor):
     if not set(half.boundary) | set(half.co_boundary) <= set(h):
         return None
     a_plus, a_minus = transport_sides_by_scan(half, p, z, n)
-    w1 = graph.certified(1)
+    w1 = frozenset(graph.certified(1))
     boundary_plus = side_boundary_by_scan(graph, a_plus)
     boundary_minus = side_boundary_by_scan(graph, a_minus)
     checks = {
@@ -621,10 +641,10 @@ def ball_by_two_passes(action, radius: int) -> tuple:
     return labels, edges, dist
 
 
-def level_graph_by_words(action, n: int, cap: int = 1 << 16):
-    """The level-n graph with every word run through the transducer, one
-    generator at a time, with the same refusals as build_level_graph."""
-    from fullgroup_lab import LevelGraph
+def level_graph_by_words(action, n: int, cap: int = 1 << 16) -> tuple:
+    """(labels, edges, base) of the level-n graph, with every word run
+    through the transducer, one generator at a time, and the same
+    refusals as build_level_graph."""
     from fullgroup_lab.cantor_actions import cells
     from fullgroup_lab.errors import BallTooLarge, InvalidRadius
 
@@ -640,7 +660,7 @@ def level_graph_by_words(action, n: int, cap: int = 1 << 16):
         if len(set(images)) != len(words):
             raise InvalidRadius(f"generator {g!r} is not a level-{n} permutation")
         edges.extend((i, g, index[img]) for i, img in enumerate(images))
-    return LevelGraph(action, n, words, edges, index[action.basepoint.prefix(n)])
+    return words, edges, index[action.basepoint.prefix(n)]
 
 
 def same_pattern_by_word_at(F, graph, v1: int, v2: int, n: int) -> bool:

@@ -184,7 +184,7 @@ def test_criterion_6_transport_and_nesting():
     assert len(family.anchor_indices) >= 3
     # the family keeps no Y_i; rebuild them at the anchors' matches, by
     # membership at every vertex
-    window = ball.certified(1)
+    window = frozenset(ball.certified(1))
     sets = {i: half.members if i == 0 else frozenset(
             v for v in range(ball.n) if v in transport_halfspace(
                 F, family.matches[i], 10, half, anchor).slab)

@@ -910,23 +910,13 @@ def test_verify_looks_images_up_instead_of_rerunning_transducers(monkeypatch):
     # transducer runs stay O(n) per verify (about 316 n when every vertex
     # image re-ran them), F's stabilizer tests are shared by every
     # transport and the nested family, no certificate hashes the chart,
-    # the half space computes the end strips once, and a graph builds
-    # each certified set once
+    # and the half space computes the end strips once
     action = builtin_action("odometer")
     n = build_ball(action, 200).n
     samples = verify.sample_elements(action)
     calls = {"apply": 0, "stabilizer_test": 0, "pattern_match_points": 0,
              "chart_hash": 0, "end_strips": 0, "d": 0, "word_at": 0,
              "apply_element": 0}
-    builds = {}
-    certified = schreier.Graph.certified
-
-    def counted_certified(graph, margin):
-        cutoff = None if graph.radius is None else graph.radius - margin
-        if cutoff not in graph._certified:
-            builds[graph, cutoff] = builds.get((graph, cutoff), 0) + 1
-        return certified(graph, margin)
-
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -936,7 +926,6 @@ def test_verify_looks_images_up_instead_of_rerunning_transducers(monkeypatch):
     monkeypatch.setattr(Transducer, "apply", counted("apply", Transducer.apply))
     monkeypatch.setattr(LineChart, "chart_hash",
                         counted("chart_hash", LineChart.chart_hash))
-    monkeypatch.setattr(schreier.Graph, "certified", counted_certified)
     monkeypatch.setattr(FullGroupElement, "word_at",
                         counted("word_at", FullGroupElement.word_at))
     for fn in (cocycle.stabilizer_test, pattern_transport.pattern_match_points,
@@ -961,7 +950,6 @@ def test_verify_looks_images_up_instead_of_rerunning_transducers(monkeypatch):
     # one chart hash, for the report
     assert calls["chart_hash"] == 1
     assert calls["end_strips"] == 1
-    assert builds and max(builds.values()) == 1
 
     # every odometer sample reaches d_phi by |f(v) - f(phi v)|, so d_phi
     # neither looks up a piece word nor searches, and on a ball new to the

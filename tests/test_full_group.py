@@ -361,7 +361,7 @@ def test_vertex_map_walk_that_leaves_and_comes_back(odometer, odo_ball_60):
     # t_inv runs first and steps off the ball at one rim vertex; t returns
     ball = odo_ball_60
     elem = make_element(odometer, [("", ("t", "t_inv"))])
-    rim = [v for v in range(ball.n) if ball.successors()["t_inv"][v] < 0]
+    rim = [v for v in range(ball.n) if ball.succ["t_inv"][v] < 0]
     assert len(rim) == 1 and ball.dist[rim[0]] == 60
     image = read_all(elem, ball)
     assert image[rim[0]] == rim[0]
@@ -369,10 +369,10 @@ def test_vertex_map_walk_that_leaves_and_comes_back(odometer, odo_ball_60):
 
 
 def test_vertex_map_on_a_ball_without_edges(odometer):
-    # at radius 0 no generator has an edge, so every walk steps off at once
-    # and the transducers finish it
+    # at radius 0 every generator's row steps off the ball, so every walk
+    # steps off at once and the transducers finish it
     ball = build_ball(odometer, 0)
-    assert ball.successors() == {}
+    assert ball.succ == {"t": [-1], "t_inv": [-1]}
     assert read_all(make_element(odometer, [("", ("t",))]), ball) == [-1]
     assert read_all(make_element(odometer, [("", ("t", "t_inv"))]),
                     ball) == [0]

@@ -15,8 +15,8 @@ from fullgroup_lab import (
 )
 from fullgroup_lab.line_geometry import GeodesicSegment, LineChart
 from fullgroup_lab.errors import NotConnected
-from oracles import (all_pairs, exhaustive_midpoints, point_to_int, qi_holds,
-                     qi_tight)
+from oracles import (all_pairs, exhaustive_midpoints, graph_of_edges,
+                     point_to_int, qi_holds, qi_tight)
 
 
 def test_odometer_chart_constants(odometer):
@@ -49,7 +49,7 @@ def test_single_edge_chart():
 
 
 def test_disconnected_rejected():
-    g = Graph(["a", "b"], [], base=0)
+    g = Graph(["a", "b"], {}, base=0)
     with pytest.raises(NotConnected):
         fit_line_chart(g)
 
@@ -81,8 +81,9 @@ def test_fiber_check_reads_the_widest_fiber_off_the_fit():
     # the 4-cycle's fit from the minus end c2 puts the two vertices at
     # distance 2 on level 1, and beta is that distance: the fiber is as
     # wide as beta allows, as on every fitted chart
-    g = Graph([f"c{i}" for i in range(4)],
-              [(0, "s", 1), (1, "s", 2), (2, "s", 3), (3, "s", 0)], base=2)
+    g = graph_of_edges([f"c{i}" for i in range(4)],
+                       [(0, "s", 1), (1, "s", 2), (2, "s", 3), (3, "s", 0)],
+                       base=2)
     chart = fit_line_chart(g)
     assert chart.f == (2, 1, 0, 1)
     report = fiber_diameter_check(chart)
@@ -198,7 +199,7 @@ def test_projection_on_geodesic_is_identity(odometer):
 def test_projection_tie_breaks_toward_minus_end():
     # x (vertex 7) adjacent to geodesic vertices 3 and 5 only
     edges = [(i, "s", i + 1) for i in range(6)] + [(7, "s", 3), (7, "s", 5)]
-    g = Graph([f"v{i}" for i in range(8)], edges, base=0)
+    g = graph_of_edges([f"v{i}" for i in range(8)], edges, base=0)
     seg = GeodesicSegment(g, tuple(range(7)))
     assert project_to_geodesic(seg, 7) == 3
 
@@ -219,7 +220,7 @@ def test_chart_p_is_the_base_projection(request, name):
 def test_chart_p_tie_breaks_toward_minus_end():
     # the base (vertex 7) is adjacent to geodesic vertices 3 and 5 only
     edges = [(i, "s", i + 1) for i in range(6)] + [(7, "s", 3), (7, "s", 5)]
-    g = Graph([f"v{i}" for i in range(8)], edges, base=7)
+    g = graph_of_edges([f"v{i}" for i in range(8)], edges, base=7)
     chart = LineChart(g, tuple(range(8)), beta=0, max_fiber_diameter=0,
                       worst_level=None,
                       geodesic=GeodesicSegment(g, tuple(range(7))),

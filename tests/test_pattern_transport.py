@@ -205,7 +205,7 @@ def test_transport_at_anchor_is_y_itself(odometer, lab):
     ball, half = lab["ball"], lab["half"]
     F = [lab["swap"]]
     result = transport(F, ball.base, 10, half)
-    window = ball.certified(1)
+    window = frozenset(ball.certified(1))
     assert members(result.slab, ball) & window == half.members & window
     assert all(result.checks.values())
 
@@ -251,7 +251,7 @@ def test_transport_partition_and_boundaries(odometer, lab):
     F = [lab["swap"]]
     z = vertex(ball, -26)
     result = transport(F, z, 10, half)
-    window = ball.certified(1)
+    window = frozenset(ball.certified(1))
     a_plus, a_minus = sides(result, half)
     assert (a_plus | a_minus) >= window
     assert not a_plus & a_minus

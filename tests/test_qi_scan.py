@@ -21,7 +21,8 @@ from fullgroup_lab import (
 )
 from fullgroup_lab import cli, verify
 from fullgroup_lab.schreier import DEFAULT_VERTEX_CAP, regular_tree_ball
-from oracles import all_pairs, midpoint_by_extension, qi_constants, qi_holds, qi_tight
+from oracles import (all_pairs, graph_of_edges, midpoint_by_extension,
+                     qi_constants, qi_holds, qi_tight)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -40,9 +41,15 @@ def _grid(width: int, length: int):
 
 def _graph(n: int, edges, base: int = 0, rim: bool = False) -> Graph:
     labels = [f"v{i:03d}" for i in range(n)]
-    g = Graph(labels, [(u, "s", v) for u, v in edges], base=base)
+    edges = [(u, "s", v) for u, v in edges]
+    g = graph_of_edges(labels, edges, base=base)
     if rim and max(g.dist) >= 2:
-        g = Graph(labels, g.edges, base=base, radius=max(g.dist), dist=g.dist)
+        # a rim needs the vertices in BFS order from the base: relabel them
+        order = sorted(range(n), key=g.dist.__getitem__)
+        new = {v: i for i, v in enumerate(order)}
+        g = graph_of_edges([labels[v] for v in order],
+                           [(new[u], s, new[v]) for u, s, v in edges],
+                           radius=max(g.dist), dist=sorted(g.dist))
     return g
 
 
@@ -136,10 +143,9 @@ def test_midpoint_matches_levelwise_extension(graph):
 def test_d_matches_all_pairs_with_disconnected_pairs(g1, g2):
     # disjoint union: pairs across the two parts are unreachable (-1)
     shift = g1.n
-    edges = [(u, v) for u, _s, v in g1.edges]
-    edges += [(u + shift, v + shift) for u, _s, v in g2.edges]
-    graph = Graph([f"v{i:03d}" for i in range(g1.n + g2.n)],
-                  [(u, "s", v) for u, v in edges])
+    edges = [(u, "s", v) for u, _s, v in g1.edges if u <= v]
+    edges += [(u + shift, "s", v + shift) for u, _s, v in g2.edges if u <= v]
+    graph = graph_of_edges([f"v{i:03d}" for i in range(g1.n + g2.n)], edges)
     rows = all_pairs(graph)
     for u in range(graph.n):
         for v in range(graph.n):

@@ -1,8 +1,12 @@
+import hashlib
+import json
+
 import pytest
 
 from fullgroup_lab import (
     ActionSystem,
     GeneratorSpec,
+    Graph,
     apply_word,
     build_ball,
     build_level_graph,
@@ -12,12 +16,14 @@ from fullgroup_lab import (
     neighborhood_set,
     path_graph,
     regular_tree_ball,
+    star_graph,
 )
 from fullgroup_lab.errors import (BallTooLarge, FullGroupLabError, InvalidAction,
                                  InvalidRadius)
 from fullgroup_lab.cantor_actions import Transducer, cells
-from oracles import (WREATH, ball_by_two_passes, int_to_point, is_simple_path,
-                     level_graph_by_words, point_to_int, wreath_apply_word_letters)
+from oracles import (WREATH, ball_by_two_passes, bfs_distances, graph_of_edges,
+                     int_to_point, is_simple_path, level_graph_by_words,
+                     point_to_int, wreath_apply_word_letters)
 
 
 def test_odometer_ball_radius3_is_integer_path(odometer):
@@ -123,20 +129,30 @@ LEVEL_ACTIONS = ("odometer", "grigorchuk", "dihedral", "thickline", "grid",
                  "bellaterra", "dihedral_frag")
 
 
+def _level_graph(action, n):
+    lg = build_level_graph(action, n)
+    return lg.labels, lg.edges, lg.base, lg.dist
+
+
+def _level_graph_by_words(action, n):
+    labels, edges, base = level_graph_by_words(action, n)
+    dist = bfs_distances(len(labels), [(u, v) for u, _g, v in edges], base)
+    return labels, sorted(edges), base, dist
+
+
 def _level_outcome(build, action, n):
     try:
-        lg = build(action, n)
+        return build(action, n)
     except FullGroupLabError as exc:
         return type(exc), str(exc)
-    return lg.labels, lg.edges, lg.base, lg.dist
 
 
 @pytest.mark.parametrize("name", LEVEL_ACTIONS)
 def test_level_graph_matches_word_by_word_builder(request, name):
     action = request.getfixturevalue(name)
     for n in range(1, 11):
-        assert _level_outcome(build_level_graph, action, n) == \
-            _level_outcome(level_graph_by_words, action, n)
+        assert _level_outcome(_level_graph, action, n) == \
+            _level_outcome(_level_graph_by_words, action, n)
 
 
 @pytest.mark.parametrize("name", LEVEL_ACTIONS)
@@ -155,9 +171,13 @@ def test_level_tables_match_apply_prefix(request, name):
 def test_level_graph_shares_one_int_per_vertex(grigorchuk, odometer):
     for action in (grigorchuk, odometer):
         lg = build_level_graph(action, 10)
-        first = {u: u for u, _g, _v in lg.edges}
+        first = {}
+        for row in lg.succ.values():
+            for v in row:
+                first.setdefault(v, v)
         assert len(first) == lg.n
-        assert all(first[u] is u and first[v] is v for u, _g, v in lg.edges)
+        assert all(first[v] is v for row in lg.succ.values() for v in row)
+        assert all(first[w] is w for v in range(lg.n) for w in lg.neighbors(v))
         assert first[lg.base] is lg.base
 
 
@@ -256,13 +276,16 @@ def test_build_ball_applies_each_generator_once_per_vertex(request, monkeypatch,
         calls.clear()
         ball = build_ball(action, radius)
         monkeypatch.undo()
-        assert (ball.labels, ball.edges, ball.dist) == expected
+        labels, edges, dist = expected
+        assert (ball.labels, ball.edges, ball.dist) == \
+            (labels, sorted(edges), dist)
         assert len(calls) == ball.n * len(action.gen_names)
 
 
-def test_certified_is_cached_and_equals_the_plain_filter(thickline):
+def test_certified_is_a_bfs_prefix_equal_to_the_plain_filter(thickline):
     ball = build_ball(thickline, 30)
-    graphs = [ball, ball.cut(12), build_level_graph(builtin_action("grigorchuk"), 5)]
+    graphs = [ball, ball.cut(12), build_level_graph(builtin_action("grigorchuk"), 5),
+              regular_tree_ball(3, 4)]
     for graph in graphs:
         for margin in (-1, 0, 1, 2, 3, 7, 12, 40, 2, 1):
             if graph.radius is None:
@@ -270,9 +293,122 @@ def test_certified_is_cached_and_equals_the_plain_filter(thickline):
             else:
                 plain = frozenset(v for v in range(graph.n)
                                   if graph.dist[v] <= graph.radius - margin)
-            certified = graph.certified(margin)
-            assert certified == plain
-            assert graph.certified(margin) is certified
+            assert frozenset(graph.certified(margin)) == plain
+            assert graph.certified(margin) == range(len(plain))
+
+
+def test_a_rim_needs_the_vertices_in_bfs_order():
+    # the certified vertices are a prefix only if dist is non-decreasing
+    edges = [(0, "s", 1), (1, "s", 2)]
+    with pytest.raises(ValueError):
+        graph_of_edges(["a", "b", "c"], edges, base=2, radius=2)
+    with pytest.raises(ValueError):
+        Graph(["a", "b"], {"s": [1, 0]}, base=1, radius=1, dist=[1, 0])
+    # without a rim any order will do, and in BFS order a rim is taken
+    assert graph_of_edges(["a", "b", "c"], edges, base=2).dist == [2, 1, 0]
+    assert graph_of_edges(["a", "b", "c"], edges, radius=2).certified(1) == \
+        range(2)
+
+
+def _adjacency(n: int, edges) -> list:
+    """Each vertex's sorted neighbours in the triple list, read both ways."""
+    adj = [set() for _ in range(n)]
+    for u, _g, v in edges:
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    return [tuple(sorted(s)) for s in adj]
+
+
+def _assert_symmetric_with(graph, edges):
+    adj = [graph.neighbors(v) for v in range(graph.n)]
+    assert adj == _adjacency(graph.n, edges)
+    assert all(u in adj[w] for u in range(graph.n) for w in adj[u])
+
+
+@pytest.mark.parametrize("name", LEVEL_ACTIONS)
+def test_neighbors_match_the_oracles_triple_lists(request, name):
+    # the rows are closed under inverses, so each vertex's images are all
+    # of its neighbours, on balls, their cuts and level graphs
+    action = request.getfixturevalue(name)
+    ball = build_ball(action, 8)
+    _assert_symmetric_with(ball, ball_by_two_passes(action, 8)[1])
+    for r in (0, 1, 5):
+        _assert_symmetric_with(ball.cut(r), ball_by_two_passes(action, r)[1])
+    for n in (1, 4, 7):
+        try:
+            edges = level_graph_by_words(action, n)[1]
+        except FullGroupLabError:
+            continue
+        _assert_symmetric_with(build_level_graph(action, n), edges)
+
+
+def test_fixtures_neighbors_are_symmetric():
+    fixtures = [path_graph(1), path_graph(7), star_graph(5),
+                regular_tree_ball(3, 3), regular_tree_ball(4, 2),
+                graph_of_edges([f"v{i}" for i in range(5)],
+                               [(0, "s", 1), (1, "s", 2), (2, "s", 0),
+                                (3, "s", 3), (0, "s", 1)])]
+    for graph in fixtures:
+        _assert_symmetric_with(graph, graph.edges)
+    assert [path_graph(7).neighbors(v) for v in (0, 3, 6)] == \
+        [(1,), (2, 4), (5,)]
+    assert star_graph(5).neighbors(0) == (1, 2, 3, 4, 5)
+    assert regular_tree_ball(3, 3).degree_sequence() == [1] * 12 + [3] * 10
+
+
+# SHA-256 of graph_to_json (keys sorted) and of graph_to_dot with and
+# without loops, recorded when the graphs still kept their edge lists
+EXPORT_PINS = {
+    ("odometer", "ball", 0): (
+        "74c6fc7efd54d7e1a3a947ae9e2f2b9964ac0708faeb876023f89f36d35aa93b",
+        "7fc2ec63cb21b21d96b9ea550cb1c9e1b2000cc4954f65fa4550dd7993e49481",
+        "7fc2ec63cb21b21d96b9ea550cb1c9e1b2000cc4954f65fa4550dd7993e49481"),
+    ("odometer", "ball", 6): (
+        "663cc9669c5a9b4140a0b1ed9e55c6fe60d50871a2400b27880618bb9e898696",
+        "c09e7bd330c5a4da3c245296301a229f9b8692fbb50068f3b0efcdff95a891a6",
+        "c09e7bd330c5a4da3c245296301a229f9b8692fbb50068f3b0efcdff95a891a6"),
+    ("grigorchuk", "ball", 5): (
+        "bf969c0bc4029bc241b14ea6537387ee1b36a6d32db24a7e9726ca1e5ebfb311",
+        "3f14fc3301d9d31c4bb49a1285f6936044673f20583a34dc7ded117b33f12678",
+        "223a651129130ccad9e3be9225be6b97fd7dc606394afc45f1dce7f014d4a2f6"),
+    ("thickline", "ball", 7): (
+        "d4fd92d658005e097abae9ae847458fb08f3670b32c8a5e45ab6ff34b6986caf",
+        "42c3f211b02809302a1e6010cdd4b128f233de64465e8a704c8f0f3b3b5a87c4",
+        "42c3f211b02809302a1e6010cdd4b128f233de64465e8a704c8f0f3b3b5a87c4"),
+    ("grid", "ball", 4): (
+        "0e3761f53b474d2ab0b17ebd7fe00e0997c386f13ef20977b21aac49bdc9d6e4",
+        "10f202d5d6a8a6aa0fb158b1451195ec4e7258eb415d18458ad095d650179c6f",
+        "10f202d5d6a8a6aa0fb158b1451195ec4e7258eb415d18458ad095d650179c6f"),
+    ("bellaterra", "ball", 3): (
+        "95d7b694f4d7489e2abc379ca3daa591e2e824d5d4217b46685a365ce3438308",
+        "ca1c20eeebc51b50b6ec207f765b404f15fb6db98672570019f9dc4723d2384f",
+        "d871ec83f80112e085cda23db2b35dbc07a3cae681937208b5b97da43dfb1ccd"),
+    ("odometer", "level", 3): (
+        "9778bb91126c5a8df69fd5563d5e751f5e69a70c4dcd1de06a56e9ac5733d68f",
+        "fa72fcf2717ede99f71285a8480262845fe531ea551fe1889da814fa2c7d3bb4",
+        "fa72fcf2717ede99f71285a8480262845fe531ea551fe1889da814fa2c7d3bb4"),
+    ("grigorchuk", "level", 4): (
+        "cf650bc947b435d28e42fa35eb9a361797d4a0c70b44be7cc07a08d5c59556d2",
+        "cc601bf8145a7ca4ef66eb25fa050ac4441bee5c893b0375f09b70552018ba45",
+        "129d865223165b18435c4f03fbbfa10248fa34c000a38304db585705de8980c9"),
+    ("dihedral", "level", 5): (
+        "a7a4ca4619414de0918a15ebdb8a004ddfbbbc5eaa56d917e07703a1aa49eb89",
+        "b80150bd2d31a4e2d42190dec8d79376621bf4d339e0b838f795220da0988d02",
+        "c26b544694ddca77ecff55c9c5724c18abbf79e157f7adeac863982723eddf54"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(EXPORT_PINS),
+                         ids=lambda key: "-".join(map(str, key)))
+def test_exports_keep_their_bytes(request, key):
+    name, kind, size = key
+    build = build_ball if kind == "ball" else build_level_graph
+    graph = build(request.getfixturevalue(name), size)
+    texts = (json.dumps(graph_to_json(graph), sort_keys=True),
+             graph_to_dot(graph), graph_to_dot(graph, include_loops=False))
+    assert tuple(hashlib.sha256(text.encode()).hexdigest()
+                 for text in texts) == EXPORT_PINS[key]
 
 
 def test_exports(odometer):

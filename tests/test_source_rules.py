@@ -57,6 +57,24 @@ def test_src_imports_only_the_standard_library():
     assert found == []
 
 
+def test_no_module_updates_an_attribute_of_its_own_class_in_place():
+    # a store to a class attribute voids CPython's attribute cache for the
+    # class, so a counter bumped at every call (Graph.full_rows += 1) slows
+    # every later lookup on the class: work counters are module globals
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        classes = {node.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef)}
+        found += [f"{path.name}:{node.lineno} {ast.unparse(node.target)}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.AugAssign)
+                  and isinstance(node.target, ast.Attribute)
+                  and isinstance(node.target.value, ast.Name)
+                  and node.target.value.id in classes]
+    assert found == []
+
+
 def _imports(tree) -> list:
     """(line, module, names) of every import; a relative module keeps its
     dots (`from .cli import x` is ".cli", ("x",))."""

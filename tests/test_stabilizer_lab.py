@@ -78,7 +78,7 @@ def test_pair_swap_family(odometer, lab, pair_swap):
         v for v in range(ball.n) if v in transport_halfspace(
             F, family.matches[i], 10, lab["half"], anchor).slab)
         for i in family.anchor_indices}
-    window = ball.certified(1)
+    window = frozenset(ball.certified(1))
     for i in family.anchor_indices[:-1]:
         assert (sets[i + 1] & window) <= (sets[i] & window)
     # disjoint_n_balls holds by construction: the matches' n-balls are
